@@ -1,8 +1,9 @@
 """Command-line pipeline: ingest, cohort, features, model, topics, synth.
 
-Every stage writes its artifact plus an entry in out/manifest.json holding
-the input hashes, the resolved-config hash, the seed and the package
-version, so an output directory is reproducible from its manifest alone.
+The ``STAGES`` table drives the subcommands and ``pipeline run``. Every
+stage writes its artifacts plus an entry in out/manifest.json holding the
+input hashes, the resolved-config hash, the seed and the package version,
+so an output directory is reproducible from its manifest alone.
 A single JSON config file drives all stages; flags override config
 values. Stage seeds are derived from the master seed per stage name, so a
 fixed (config, seed) pair yields byte-identical artifacts for any worker
@@ -18,7 +19,8 @@ import json
 import logging
 import random
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__, cohort, model, synth, topics
@@ -50,6 +52,19 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return "sha256:" + h.hexdigest()
+
+
+def write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass
@@ -85,20 +100,15 @@ class RunConfig:
     run_cv: bool = False
     curve_ks: list[int] | None = field(default_factory=lambda: list(DEFAULT_CURVE_KS))
 
-    _KEYS = ("corpus_dir out_dir seed workers l_min s_min max_cov target_size "
-             "threshold_preference grid_l_axis grid_s_axis control_language "
-             "creation_bucket lexicons external_features top_hashtags_k "
-             "top_nodes_k n_trees max_depth learning_rate min_samples_leaf "
-             "k_folds test_fraction run_cv curve_ks").split()
-
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise SystemExit(f"config {path}: expected a JSON object")
-        errors = [f"unknown config key {k!r}" for k in raw if k not in cls._KEYS]
-        config = cls(**{k: v for k, v in raw.items() if k in cls._KEYS})
+        keys = {f.name for f in fields(cls)}
+        errors = [f"unknown config key {k!r}" for k in raw if k not in keys]
+        config = cls(**{k: v for k, v in raw.items() if k in keys})
         errors.extend(config.validation_errors())
         if errors:
             raise SystemExit("config errors:\n  " + "\n  ".join(errors))
@@ -128,20 +138,16 @@ class RunConfig:
             errors.append("learning_rate must be > 0")
         if self.k_folds < 2:
             errors.append("k_folds must be >= 2")
-        for name in ("lexicons",):
-            for p in getattr(self, name):
-                if not Path(p).exists():
-                    errors.append(f"lexicon file not found: {p}")
+        for p in self.lexicons:
+            if not Path(p).exists():
+                errors.append(f"lexicon file not found: {p}")
         if self.external_features and not Path(self.external_features).exists():
             errors.append(
                 f"external features file not found: {self.external_features}")
         return errors
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self._KEYS}
-
     def config_hash(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return "sha256:" + hashlib.sha256(blob).hexdigest()
 
     def train_config(self) -> TrainConfig:
@@ -151,6 +157,19 @@ class RunConfig:
                            rng_seed=stage_seed(self.seed, "model"),
                            k_folds=self.k_folds,
                            test_fraction=self.test_fraction)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage, as the CLI, ``pipeline run`` and the manifest see it."""
+
+    name: str                        # manifest entry and error prefix
+    command: tuple[str, ...]         # subcommand path
+    help: str
+    method: str                      # Runner method that runs the stage
+    upstream: tuple[str, ...]        # artifacts read from out_dir
+    reads_corpus: bool
+    summary: Callable[..., list[str]]  # console lines from the result
 
 
 class Runner:
@@ -163,6 +182,29 @@ class Runner:
         self.out.mkdir(parents=True, exist_ok=True)
         self._corpus: Corpus | None = None
         self.manifest_path = self.out / "manifest.json"
+        # files the running stage read and wrote, for its manifest entry
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
+
+    def run(self, stage: Stage):
+        """Check the stage's upstream artifacts, run it and record it."""
+        for name in stage.upstream:
+            if not (self.out / name).exists():
+                raise StageError(stage.name, f"missing upstream artifact "
+                                             f"{name} in {self.out}")
+        self.inputs = self.corpus_files() if stage.reads_corpus else []
+        self.inputs += [self.out / name for name in stage.upstream]
+        self.outputs = []
+        # looked up on each call, so a wrapper set on Runner takes effect
+        result = getattr(self, stage.method)()
+        self.record_stage(stage.name, self.inputs, self.outputs)
+        return result
+
+    def output(self, name: str) -> Path:
+        """Path of an artifact the running stage writes; it is recorded."""
+        path = self.out / name
+        self.outputs.append(path)
+        return path
 
     # ---- manifest -------------------------------------------------------
     def record_stage(self, stage: str, inputs: list[Path],
@@ -172,7 +214,7 @@ class Runner:
             with open(self.manifest_path, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
         manifest["version"] = __version__
-        manifest["config"] = self.config.as_dict()
+        manifest["config"] = asdict(self.config)
         manifest.setdefault("stages", {})[stage] = {
             "seed": self.config.seed,
             "config_hash": self.config.config_hash(),
@@ -180,9 +222,7 @@ class Runner:
             "inputs": {p.name: file_sha256(p) for p in inputs},
             "outputs": {p.name: file_sha256(p) for p in outputs},
         }
-        with open(self.manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(self.manifest_path, manifest)
 
     # ---- inputs ---------------------------------------------------------
     @property
@@ -193,27 +233,14 @@ class Runner:
 
     def corpus(self) -> Corpus:
         if self._corpus is None:
-            paths = self.corpus_paths
-            if not Path(paths.users).exists():
-                raise StageError("ingest",
-                                 f"missing corpus file {paths.users}")
-            self._corpus = load_corpus(paths)
+            self._corpus = load_corpus(self.corpus_paths)
         return self._corpus
 
     def corpus_files(self) -> list[Path]:
-        p = self.corpus_paths
-        return [Path(x) for x in (p.users, p.tweets, p.likes, p.follows,
-                                  p.seeds)]
+        return [Path(p) for p in astuple(self.corpus_paths)]
 
-    def artifact(self, stage: str, name: str) -> Path:
-        path = self.out / name
-        if not path.exists():
-            raise StageError(stage, f"missing upstream artifact {name} "
-                                    f"in {self.out}")
-        return path
-
-    def load_cohort_ids(self, stage: str, name: str) -> set[str]:
-        with open(self.artifact(stage, name), "r", encoding="utf-8") as fh:
+    def load_cohort_ids(self, name: str) -> set[str]:
+        with open(self.out / name, "r", encoding="utf-8") as fh:
             return set(json.load(fh)["user_ids"])
 
     # ---- stages ---------------------------------------------------------
@@ -223,34 +250,21 @@ class Runner:
         payload = {"counts": record_counts(corpus),
                    "report": report.as_dict(),
                    "consistent": report.is_empty()}
-        out = self.out / "validation_report.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        self.record_stage("ingest.validate", self.corpus_files(), [out])
+        if not payload["consistent"]:
+            logger.warning("inconsistent corpus; see validation_report.json")
+        write_json(self.output("validation_report.json"), payload)
         return payload
 
-    def _filtered_matrix(self):
+    def stage_cohort_build(self) -> set[str]:
+        cfg = self.config
         corpus = self.corpus()
         matrix = cohort.build_like_matrix(corpus)
         matrix = cohort.filter_follows_seed(matrix, corpus)
-        matrix = cohort.filter_cov(matrix, self.config.max_cov)
-        return matrix
-
-    def stage_cohort_build(self, write_grid: bool = False) -> set[str]:
-        cfg = self.config
-        matrix = self._filtered_matrix()
+        matrix = cohort.filter_cov(matrix, cfg.max_cov)
         grid = cohort.threshold_grid(matrix, cfg.grid_l_axis, cfg.grid_s_axis)
-        outputs = []
-        if write_grid:
-            grid_path = self.out / "grid.csv"
-            with open(grid_path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["l_min", "s_min", "count"])
-                for l in grid.l_axis:
-                    for s in grid.s_axis:
-                        writer.writerow([l, s, grid.entries[(l, s)]])
-            outputs.append(grid_path)
+        write_csv(self.output("grid.csv"), ["l_min", "s_min", "count"],
+                  ([l, s, grid.entries[(l, s)]]
+                   for l in grid.l_axis for s in grid.s_axis))
         if cfg.l_min is not None and cfg.s_min is not None:
             l_min, s_min = cfg.l_min, cfg.s_min
         elif cfg.target_size is not None:
@@ -266,49 +280,40 @@ class Runner:
                                   "target_size": cfg.target_size,
                                   "threshold_preference": cfg.threshold_preference},
                    "rng_seed": cfg.seed}
-        out = self.out / "cohort.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        outputs.insert(0, out)
-        self.record_stage("cohort.build", self.corpus_files(), outputs)
+        write_json(self.output("cohort.json"), payload)
         return selected
 
     def stage_cohort_control(self) -> set[str]:
         cfg = self.config
         corpus = self.corpus()
-        engaged = self.load_cohort_ids("cohort.control", "cohort.json")
-        likers = cohort.seed_likers(corpus)
+        cohort_path = self.out / "cohort.json"
+        with open(cohort_path, "r", encoding="utf-8") as fh:
+            cohort_doc = json.load(fh)
+        engaged = set(cohort_doc["user_ids"])
         constraints = cohort.ControlConstraints(
             target_language=cfg.control_language,
             creation_bucket=cfg.creation_bucket,
-            excluded_users=likers,
+            excluded_users=cohort.seed_likers(corpus),
             excluded_follow_targets=set(corpus.seeds))
         candidates = set(corpus.users) - engaged
         rng_seed = stage_seed(cfg.seed, "control")
-        n = len(engaged)
-        eligible = [u for u in candidates
-                    if u not in likers
-                    and corpus.predominant_language(u) == cfg.control_language]
-        seed_set = set(corpus.seeds)
-        followers = {f for f, t in corpus.follows if t in seed_set}
-        eligible = [u for u in eligible if u not in followers]
-        if len(eligible) < n:
+        n = min(len(engaged), len(cohort.eligible_controls(
+            corpus, engaged, candidates, constraints)))
+        if n < len(engaged):
             # keep the groups balanced by trimming the engaged cohort
-            n = len(eligible)
             if n == 0:
                 raise StageError("cohort.control", "no eligible control users")
             logger.warning("only %d eligible controls; trimming cohort from "
                            "%d to %d", n, len(engaged), n)
             trimmed = sorted(random.Random(rng_seed).sample(sorted(engaged), n))
             engaged = set(trimmed)
-            with open(self.out / "cohort.json", "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            payload["user_ids"] = trimmed
-            payload["parameters"]["trimmed_to_match_controls"] = n
-            with open(self.out / "cohort.json", "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            cohort_doc["user_ids"] = trimmed
+            cohort_doc["parameters"]["trimmed_to_match_controls"] = n
+            write_json(cohort_path, cohort_doc)
+            # cohort.json is cohort.build's artifact: re-record that stage so
+            # the manifest still agrees with the file on disk
+            self.record_stage("cohort.build", self.corpus_files(),
+                              [self.out / "grid.csv", cohort_path])
         control = cohort.build_control(corpus, engaged, candidates, n,
                                        constraints, rng_seed)
         payload = {"label": "control", "user_ids": sorted(control),
@@ -316,34 +321,22 @@ class Runner:
                                   "creation_bucket": cfg.creation_bucket,
                                   "n": n},
                    "rng_seed": rng_seed}
-        out = self.out / "control.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        self.record_stage("cohort.control",
-                          self.corpus_files() + [self.out / "cohort.json"],
-                          [out])
+        write_json(self.output("control.json"), payload)
         return control
 
     def stage_hashtags(self) -> list[tuple[str, int]]:
-        engaged = self.load_cohort_ids("hashtags.top", "cohort.json")
+        engaged = self.load_cohort_ids("cohort.json")
         ranked = cohort.top_hashtags(self.corpus(), engaged,
                                      self.config.top_hashtags_k)
-        out = self.out / "hashtags.csv"
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["hashtag", "tweet_count"])
-            writer.writerows(ranked)
-        self.record_stage("hashtags.top",
-                          self.corpus_files() + [self.out / "cohort.json"],
-                          [out])
+        write_csv(self.output("hashtags.csv"), ["hashtag", "tweet_count"],
+                  ranked)
         return ranked
 
     def stage_features(self) -> FeatureMatrix:
         cfg = self.config
         corpus = self.corpus()
-        engaged = self.load_cohort_ids("features.extract", "cohort.json")
-        control = self.load_cohort_ids("features.extract", "control.json")
+        engaged = self.load_cohort_ids("cohort.json")
+        control = self.load_cohort_ids("control.json")
         snapshot = default_snapshot(corpus)
         matrix = feature_matrix(corpus, engaged, control, snapshot,
                                 workers=cfg.workers)
@@ -352,25 +345,13 @@ class Runner:
             matrix = add_lexicon_features(matrix, corpus, lexicons)
         if cfg.external_features:
             matrix = join_external_features(matrix, cfg.external_features)
-        out = self.out / "features.csv"
-        matrix.to_csv(out)
+        matrix.to_csv(self.output("features.csv"))
         meta = {"snapshot_as_of": snapshot.as_of,
                 "tokenizer_version": TOKENIZER_VERSION,
                 "n_rows": matrix.n_rows,
                 "columns": matrix.columns}
-        meta_path = self.out / "features.meta.json"
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        self.record_stage(
-            "features.extract",
-            self.corpus_files() + [self.out / "cohort.json",
-                                   self.out / "control.json"],
-            [out, meta_path])
+        write_json(self.output("features.meta.json"), meta)
         return matrix
-
-    def _load_features(self, stage: str) -> FeatureMatrix:
-        return FeatureMatrix.from_csv(self.artifact(stage, "features.csv"))
 
     def _split_impute(self, matrix: FeatureMatrix):
         cfg = self.config.train_config()
@@ -379,18 +360,16 @@ class Runner:
         return model.impute(train, test)
 
     def stage_train(self):
-        matrix = self._load_features("train")
+        matrix = FeatureMatrix.from_csv(self.out / "features.csv")
         train, _ = self._split_impute(matrix)
         ensemble = model.train_on_matrix(train, self.config.train_config())
-        out = self.out / "model.json"
-        save_ensemble(ensemble, out)
-        self.record_stage("train", [self.out / "features.csv"], [out])
+        save_ensemble(ensemble, self.output("model.json"))
         return ensemble
 
     def stage_evaluate(self) -> dict:
         cfg = self.config
-        matrix = self._load_features("evaluate")
-        ensemble = load_ensemble(self.artifact("evaluate", "model.json"))
+        matrix = FeatureMatrix.from_csv(self.out / "features.csv")
+        ensemble = load_ensemble(self.out / "model.json")
         train, test = self._split_impute(matrix)
         # a single coin-flip predictor is a noisy estimate of chance-level
         # performance; average a batch of draws instead
@@ -415,30 +394,19 @@ class Runner:
                 "folds": [m.as_dict() for m in folds],
                 "mean_f1": sum(m.f1 for m in folds) / len(folds),
             }
-        out = self.out / "metrics.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        self.record_stage("evaluate", [self.out / "features.csv",
-                                       self.out / "model.json"], [out])
+        write_json(self.output("metrics.json"), payload)
         return payload
 
     def stage_importance(self) -> list[tuple[str, float]]:
-        ensemble = load_ensemble(self.artifact("importance", "model.json"))
-        report = model.feature_report(ensemble)
-        out = self.out / "importance.csv"
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "importance"])
-            for name, share in report:
-                writer.writerow([name, repr(share)])
-        self.record_stage("importance", [self.out / "model.json"], [out])
+        report = model.feature_report(load_ensemble(self.out / "model.json"))
+        write_csv(self.output("importance.csv"), ["feature", "importance"],
+                  ([name, repr(share)] for name, share in report))
         return report
 
     def stage_curve(self) -> list[tuple[int, float]]:
         cfg = self.config
-        matrix = self._load_features("curve")
-        ensemble = load_ensemble(self.artifact("curve", "model.json"))
+        matrix = FeatureMatrix.from_csv(self.out / "features.csv")
+        ensemble = load_ensemble(self.out / "model.json")
         ranking = model.importance_ranking(ensemble)
         ks = [k for k in (cfg.curve_ks or []) if k <= len(ranking)]
         if not ks:
@@ -447,14 +415,8 @@ class Runner:
             ks.append(len(ranking))
         curve = model.f1_growth_curve(matrix, ranking, cfg.train_config(),
                                       ks=ks)
-        out = self.out / "curve.csv"
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "f1"])
-            for k, f1 in curve:
-                writer.writerow([k, repr(f1)])
-        self.record_stage("curve", [self.out / "features.csv",
-                                    self.out / "model.json"], [out])
+        write_csv(self.output("curve.csv"), ["k", "f1"],
+                  ([k, repr(f1)] for k, f1 in curve))
         return curve
 
     def stage_topics(self) -> None:
@@ -463,56 +425,64 @@ class Runner:
         if (self.out / "control.json").exists():
             jobs.append(("control.json", "control_edges.csv",
                          "control_nodes.csv"))
-        inputs = list(self.corpus_files())
-        outputs = []
+            self.inputs.append(self.out / "control.json")
         for cohort_file, edges_name, nodes_name in jobs:
-            ids = self.load_cohort_ids("topics.graph", cohort_file)
-            graph = topics.cooccurrence_graph(corpus, ids)
+            graph = topics.cooccurrence_graph(
+                corpus, self.load_cohort_ids(cohort_file))
             graph = topics.top_k_subgraph(graph, self.config.top_nodes_k)
-            edges_path = self.out / edges_name
-            nodes_path = self.out / nodes_name
-            topics.write_edges_csv(graph, edges_path)
-            topics.write_nodes_csv(graph, nodes_path)
-            inputs.append(self.out / cohort_file)
-            outputs.extend([edges_path, nodes_path])
-        self.record_stage("topics.graph", inputs, outputs)
-
-    def run_pipeline(self) -> dict:
-        report = self.stage_validate()
-        if not report["consistent"]:
-            logger.warning("corpus has consistency warnings; see "
-                           "validation_report.json")
-        self.stage_cohort_build(write_grid=True)
-        self.stage_cohort_control()
-        self.stage_hashtags()
-        self.stage_features()
-        self.stage_train()
-        metrics = self.stage_evaluate()
-        self.stage_importance()
-        self.stage_curve()
-        self.stage_topics()
-        return metrics
+            topics.write_edges_csv(graph, self.output(edges_name))
+            topics.write_nodes_csv(graph, self.output(nodes_name))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON run-config file")
-    parser.add_argument("--corpus", help="corpus directory (overrides config)")
-    parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--workers", type=int,
-                        help="intra-stage parallelism (overrides config)")
+STAGES = (
+    Stage("ingest.validate", ("ingest", "validate"),
+          "load the corpus and report inconsistencies", "stage_validate",
+          (), True,
+          lambda p: [json.dumps(p["counts"]),
+                     "consistent" if p["consistent"]
+                     else "inconsistencies found; see validation_report.json"]),
+    Stage("cohort.build", ("cohort", "build"),
+          "select the engaged cohort and write the threshold grid",
+          "stage_cohort_build", (), True,
+          lambda ids: [f"cohort: {len(ids)} users -> cohort.json"]),
+    Stage("cohort.control", ("cohort", "control"),
+          "build the matched control group", "stage_cohort_control",
+          ("cohort.json",), True,
+          lambda ids: [f"control: {len(ids)} users -> control.json"]),
+    Stage("hashtags.top", ("hashtags", "top"),
+          "rank hashtags used by the engaged cohort", "stage_hashtags",
+          ("cohort.json",), True,
+          lambda ranked: [f"{tag}\t{count}" for tag, count in ranked]),
+    Stage("features.extract", ("features", "extract"),
+          "extract the behavioral feature matrix", "stage_features",
+          ("cohort.json", "control.json"), True,
+          lambda m: [f"features: {m.n_rows} rows x {len(m.columns)} "
+                     f"columns -> features.csv"]),
+    Stage("train", ("train",), "fit the boosted-tree model", "stage_train",
+          ("features.csv",), False,
+          lambda ens: [f"model: {len(ens.trees)} trees -> model.json"]),
+    Stage("evaluate", ("evaluate",), "holdout metrics and baselines",
+          "stage_evaluate", ("features.csv", "model.json"), False,
+          lambda p: [json.dumps(p["model"])]),
+    Stage("importance", ("importance",), "write the feature ranking",
+          "stage_importance", ("model.json",), False,
+          lambda report: [f"{name}\t{share:.6f}"
+                          for name, share in report[:20]]),
+    Stage("curve", ("curve",), "F1 growth over top-k features", "stage_curve",
+          ("features.csv", "model.json"), False,
+          lambda curve: [f"{k}\t{f1:.6f}" for k, f1 in curve]),
+    Stage("topics.graph", ("topics", "graph"),
+          "hashtag co-occurrence graph per cohort", "stage_topics",
+          ("cohort.json",), True,
+          lambda _: ["graphs written -> edges.csv / nodes.csv"]),
+)
 
 
 def _resolve_config(args) -> RunConfig:
     config = (RunConfig.from_file(args.config) if args.config else RunConfig())
-    if getattr(args, "corpus", None):
-        config.corpus_dir = args.corpus
-    if getattr(args, "out", None):
-        config.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
+    for key in ("corpus_dir", "out_dir", "seed", "workers"):
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
     errors = config.validation_errors()
     if errors:
         raise SystemExit("config errors:\n  " + "\n  ".join(errors))
@@ -526,51 +496,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "over archived social-media corpora.")
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
 
-    def sub(group, name, **kwargs):
-        p = group.add_parser(name, **kwargs)
-        _add_common(p)
+    def sub(command: tuple[str, ...], help_text: str):
+        if len(command) == 1:
+            p = top.add_parser(command[0], help=help_text)
+        else:
+            group, action = command
+            if group not in groups:
+                groups[group] = top.add_parser(group).add_subparsers(
+                    dest="action", required=True)
+            p = groups[group].add_parser(action, help=help_text)
+        p.add_argument("--config", help="JSON run-config file")
+        p.add_argument("--corpus", dest="corpus_dir",
+                       help="corpus directory (overrides config)")
+        p.add_argument("--out", dest="out_dir",
+                       help="output directory (overrides config)")
+        p.add_argument("--seed", type=int, help="master seed (overrides config)")
+        p.add_argument("--workers", type=int,
+                       help="intra-stage parallelism (overrides config)")
         return p
 
-    ingest = top.add_parser("ingest").add_subparsers(dest="action",
-                                                     required=True)
-    sub(ingest, "validate", help="load the corpus and report inconsistencies")
+    for stage in STAGES:
+        sub(stage.command, stage.help).set_defaults(stage=stage)
 
-    coh = top.add_parser("cohort").add_subparsers(dest="action", required=True)
-    build = sub(coh, "build", help="select the engaged cohort")
-    build.add_argument("--grid", action="store_true",
-                       help="also write the threshold grid as grid.csv")
-    sub(coh, "control", help="build the matched control group")
-
-    tags = top.add_parser("hashtags").add_subparsers(dest="action",
-                                                     required=True)
-    sub(tags, "top", help="rank hashtags used by the engaged cohort")
-
-    feats = top.add_parser("features").add_subparsers(dest="action",
-                                                      required=True)
-    sub(feats, "extract", help="extract the behavioral feature matrix")
-
-    for name, help_text in (("train", "fit the boosted-tree model"),
-                            ("evaluate", "holdout metrics and baselines"),
-                            ("importance", "write the feature ranking"),
-                            ("curve", "F1 growth over top-k features")):
-        p = top.add_parser(name, help=help_text)
-        _add_common(p)
-
-    topg = top.add_parser("topics").add_subparsers(dest="action",
-                                                   required=True)
-    sub(topg, "graph", help="hashtag co-occurrence graph per cohort")
-
-    syn = top.add_parser("synth").add_subparsers(dest="action", required=True)
-    gen = sub(syn, "generate", help="generate a synthetic benchmark corpus")
+    gen = sub(("synth", "generate"), "generate a synthetic benchmark corpus")
     gen.add_argument("--n", type=int, default=200, help="users per group")
     gen.add_argument("--n-seeds", type=int, default=26)
     gen.add_argument("--separation", type=float, default=1.0,
                      help="behavioral contrast between groups in [0, 1]")
 
-    pipe = top.add_parser("pipeline").add_subparsers(dest="action",
-                                                     required=True)
-    sub(pipe, "run", help="run every stage in order")
+    sub(("pipeline", "run"), "run every stage in order")
     return parser
 
 
@@ -587,48 +543,15 @@ def main(argv=None) -> int:
             print(f"synthetic corpus written to {out}")
             return 0
         runner = Runner(config)
-        if args.command == "ingest":
-            payload = runner.stage_validate()
-            print(json.dumps(payload["counts"]))
-            print("consistent" if payload["consistent"]
-                  else "inconsistencies found; see validation_report.json")
-        elif args.command == "cohort" and args.action == "build":
-            selected = runner.stage_cohort_build(write_grid=args.grid)
-            print(f"cohort: {len(selected)} users -> cohort.json")
-        elif args.command == "cohort" and args.action == "control":
-            control = runner.stage_cohort_control()
-            print(f"control: {len(control)} users -> control.json")
-        elif args.command == "hashtags":
-            for tag, count in runner.stage_hashtags():
-                print(f"{tag}\t{count}")
-        elif args.command == "features":
-            matrix = runner.stage_features()
-            print(f"features: {matrix.n_rows} rows x "
-                  f"{len(matrix.columns)} columns -> features.csv")
-        elif args.command == "train":
-            ensemble = runner.stage_train()
-            print(f"model: {len(ensemble.trees)} trees -> model.json")
-        elif args.command == "evaluate":
-            payload = runner.stage_evaluate()
-            print(json.dumps(payload["model"]))
-        elif args.command == "importance":
-            for name, share in runner.stage_importance()[:20]:
-                print(f"{name}\t{share:.6f}")
-        elif args.command == "curve":
-            for k, f1 in runner.stage_curve():
-                print(f"{k}\t{f1:.6f}")
-        elif args.command == "topics":
-            runner.stage_topics()
-            print("graphs written -> edges.csv / nodes.csv")
-        elif args.command == "pipeline":
-            metrics = runner.run_pipeline()
-            print(json.dumps({"f1": metrics["model"]["f1"],
+        if args.command == "pipeline":
+            results = {stage.name: runner.run(stage) for stage in STAGES}
+            print(json.dumps({"f1": results["evaluate"]["model"]["f1"],
                               "out": str(runner.out)}))
+        else:
+            for line in args.stage.summary(runner.run(args.stage)):
+                print(line)
         return 0
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (StageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

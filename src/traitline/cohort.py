@@ -59,9 +59,6 @@ class GridTable:
     s_axis: tuple[int, ...]
     entries: dict[tuple[int, int], int]
 
-    def count(self, l_min: int, s_min: int) -> int:
-        return self.entries[(l_min, s_min)]
-
     def check_monotone(self) -> None:
         for si, s in enumerate(self.s_axis):
             for li, l in enumerate(self.l_axis):
@@ -214,19 +211,15 @@ def seed_likers(corpus: Corpus) -> set[str]:
             if seed_id in seed_set}
 
 
-def build_control(corpus: Corpus, conspiracy: set[str], candidates: set[str],
-                  n: int, constraints: ControlConstraints,
-                  rng_seed: int) -> set[str]:
-    """Draw n control users matched to the engaged cohort.
+def eligible_controls(corpus: Corpus, conspiracy: set[str],
+                      candidates: set[str],
+                      constraints: ControlConstraints) -> list[str]:
+    """Candidates that may join the control group, sorted.
 
     Eligibility: not in the engaged cohort, not in the excluded (seed-liking)
     set, not following any excluded target, and posting predominantly in the
-    target language. The account-creation histogram of the result matches a
-    size-n sample of the engaged cohort bucket for bucket (greedy fill);
-    when a bucket runs out of candidates the remainder spills into the
-    nearest buckets by creation time.
+    target language.
     """
-    rng = random.Random(rng_seed)
     seed_set = set(constraints.excluded_follow_targets)
     followers_of_excluded = {follower for follower, followee in corpus.follows
                              if followee in seed_set}
@@ -242,6 +235,21 @@ def build_control(corpus: Corpus, conspiracy: set[str], candidates: set[str],
         if corpus.predominant_language(user_id) != constraints.target_language:
             continue
         eligible.append(user_id)
+    return eligible
+
+
+def build_control(corpus: Corpus, conspiracy: set[str], candidates: set[str],
+                  n: int, constraints: ControlConstraints,
+                  rng_seed: int) -> set[str]:
+    """Draw n control users matched to the engaged cohort.
+
+    Controls come from ``eligible_controls``. The account-creation
+    histogram of the result matches a size-n sample of the engaged cohort
+    bucket for bucket (greedy fill); when a bucket runs out of candidates
+    the remainder spills into the nearest buckets by creation time.
+    """
+    rng = random.Random(rng_seed)
+    eligible = eligible_controls(corpus, conspiracy, candidates, constraints)
     if n > len(eligible):
         raise CohortError(
             f"need {n} control users but only {len(eligible)} are eligible")

@@ -171,6 +171,15 @@ def _require(obj: dict, name: str, path: Path, lineno: int):
     return obj[name]
 
 
+def _require_type(obj: dict, name: str, kind: type, path: Path, lineno: int):
+    """A required field of exactly type ``kind``: no coercion, no bool as int."""
+    value = _require(obj, name, path, lineno)
+    if type(value) is not kind:
+        raise CorpusError(f"field {name} must be a JSON {kind.__name__}, "
+                          f"got {value!r}")
+    return value
+
+
 def _norm_hashtags(raw) -> tuple[str, ...]:
     seen = []
     for tag in raw or []:
@@ -191,12 +200,12 @@ def load_users(path: Path) -> dict[str, UserRecord]:
             users[uid] = UserRecord(
                 user_id=uid,
                 created_at=parse_timestamp(_require(obj, "created_at", path, lineno)),
-                followers_count=int(_require(obj, "followers_count", path, lineno)),
-                following_count=int(_require(obj, "following_count", path, lineno)),
-                tweet_count=int(_require(obj, "tweet_count", path, lineno)),
-                listed_count=int(_require(obj, "listed_count", path, lineno)),
-                verified=bool(_require(obj, "verified", path, lineno)),
-                has_default_pic=bool(_require(obj, "has_default_pic", path, lineno)),
+                followers_count=_require_type(obj, "followers_count", int, path, lineno),
+                following_count=_require_type(obj, "following_count", int, path, lineno),
+                tweet_count=_require_type(obj, "tweet_count", int, path, lineno),
+                listed_count=_require_type(obj, "listed_count", int, path, lineno),
+                verified=_require_type(obj, "verified", bool, path, lineno),
+                has_default_pic=_require_type(obj, "has_default_pic", bool, path, lineno),
                 bio=obj.get("bio"),
                 predominant_language=obj.get("predominant_language"),
                 snapshot_at=parse_timestamp(_require(obj, "snapshot_at", path, lineno)),

@@ -38,9 +38,6 @@ class CoocGraph:
             out.add(b)
         return out
 
-    def weighted_degree(self, tag: str) -> int:
-        return sum(w for (a, b), w in self.edges.items() if tag in (a, b))
-
     def weighted_degrees(self) -> dict[str, int]:
         degrees: Counter[str] = Counter()
         for (a, b), w in self.edges.items():

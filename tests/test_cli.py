@@ -47,7 +47,7 @@ def test_stagewise_run_matches_module_outputs(tmp_path, corpus_dir):
     report = json.loads((out / "validation_report.json").read_text())
     assert report["consistent"]
 
-    assert run("cohort", "build", "--grid", "--config", config) == 0
+    assert run("cohort", "build", "--config", config) == 0
     cohort_doc = json.loads((out / "cohort.json").read_text())
     assert cohort_doc["label"] == "conspiracy"
     assert cohort_doc["parameters"]["l_min"] == 25
@@ -122,6 +122,24 @@ def test_pipeline_rerun_is_byte_identical(tmp_path, corpus_dir):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_pipeline_looks_up_stage_methods_at_call_time(tmp_path, corpus_dir,
+                                                      monkeypatch):
+    # a wrapper set on Runner after import (as tracing does) must be used
+    calls = []
+    original = cli.Runner.stage_train
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(cli.Runner, "stage_train", counting)
+    out = tmp_path / "wrapped"
+    config = config_file(tmp_path, corpus_dir, out)
+    assert run("pipeline", "run", "--config", config) == 0
+    assert len(calls) == 1
+    assert (out / "model.json").exists()
+
+
 def test_missing_upstream_artifact_fails_with_stage(tmp_path, corpus_dir,
                                                     capsys):
     config = config_file(tmp_path, corpus_dir, tmp_path / "fresh")
@@ -156,7 +174,7 @@ def test_auto_threshold_selection(tmp_path, corpus_dir):
     out = tmp_path / "auto"
     config = config_file(tmp_path, corpus_dir, out, l_min=None, s_min=None,
                          target_size=15, threshold_preference="balanced")
-    assert run("cohort", "build", "--grid", "--config", config) == 0
+    assert run("cohort", "build", "--config", config) == 0
     doc = json.loads((out / "cohort.json").read_text())
     params = doc["parameters"]
     assert params["target_size"] == 15
@@ -210,6 +228,13 @@ def test_control_shortage_trims_cohort(tmp_path):
     control_doc = json.loads((out / "control.json").read_text())
     assert len(cohort_doc["user_ids"]) == 2  # trimmed to match controls
     assert sorted(control_doc["user_ids"]) == ["r0", "r1"]
+    # the manifest agrees with the files on disk after the rewrite
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    for stage in stages.values():
+        for name, digest in stage["outputs"].items():
+            assert digest == cli.file_sha256(out / name), name
+    assert (stages["cohort.control"]["inputs"]["cohort.json"]
+            == stages["cohort.build"]["outputs"]["cohort.json"])
 
 
 def test_control_no_eligible_users_fails(tmp_path, corpus_dir, capsys):

@@ -100,6 +100,19 @@ def test_malformed_line_reports_file_and_line(tmp_path):
         load_corpus(paths)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("verified", "false"), ("verified", 0), ("has_default_pic", 1),
+    ("has_default_pic", "true"), ("followers_count", 3.9),
+    ("following_count", "20"), ("tweet_count", True), ("listed_count", 1.0),
+])
+def test_user_field_of_wrong_type_rejected(tmp_path, field, value):
+    paths = write_fixture(tmp_path, users=[user_row("u1"),
+                                           user_row("u2", **{field: value})],
+                          tweets=[], seeds=["s1"])
+    with pytest.raises(CorpusError, match=f"users.jsonl: line 2: .*{field}"):
+        load_corpus(paths)
+
+
 def test_duplicate_tweet_id_rejected(tmp_path):
     paths = write_fixture(
         tmp_path,
