@@ -181,6 +181,8 @@ class Runner:
         self.out = Path(config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self._corpus: Corpus | None = None
+        # sha256 of each corpus file, taken when the corpus is loaded
+        self._corpus_digests: dict[Path, str] = {}
         self.manifest_path = self.out / "manifest.json"
         # files the running stage read and wrote, for its manifest entry
         self.inputs: list[Path] = []
@@ -219,7 +221,8 @@ class Runner:
             "seed": self.config.seed,
             "config_hash": self.config.config_hash(),
             "version": __version__,
-            "inputs": {p.name: file_sha256(p) for p in inputs},
+            "inputs": {p.name: self._corpus_digests.get(p) or file_sha256(p)
+                       for p in inputs},
             "outputs": {p.name: file_sha256(p) for p in outputs},
         }
         write_json(self.manifest_path, manifest)
@@ -234,6 +237,8 @@ class Runner:
     def corpus(self) -> Corpus:
         if self._corpus is None:
             self._corpus = load_corpus(self.corpus_paths)
+            self._corpus_digests = {p: file_sha256(p)
+                                    for p in self.corpus_files()}
         return self._corpus
 
     def corpus_files(self) -> list[Path]:
@@ -295,10 +300,10 @@ class Runner:
             creation_bucket=cfg.creation_bucket,
             excluded_users=cohort.seed_likers(corpus),
             excluded_follow_targets=set(corpus.seeds))
-        candidates = set(corpus.users) - engaged
+        eligible = cohort.eligible_controls(
+            corpus, engaged, set(corpus.users) - engaged, constraints)
         rng_seed = stage_seed(cfg.seed, "control")
-        n = min(len(engaged), len(cohort.eligible_controls(
-            corpus, engaged, candidates, constraints)))
+        n = min(len(engaged), len(eligible))
         if n < len(engaged):
             # keep the groups balanced by trimming the engaged cohort
             if n == 0:
@@ -314,7 +319,7 @@ class Runner:
             # the manifest still agrees with the file on disk
             self.record_stage("cohort.build", self.corpus_files(),
                               [self.out / "grid.csv", cohort_path])
-        control = cohort.build_control(corpus, engaged, candidates, n,
+        control = cohort.build_control(corpus, engaged, eligible, n,
                                        constraints, rng_seed)
         payload = {"label": "control", "user_ids": sorted(control),
                    "parameters": {"language": cfg.control_language,
@@ -408,13 +413,20 @@ class Runner:
         matrix = FeatureMatrix.from_csv(self.out / "features.csv")
         ensemble = load_ensemble(self.out / "model.json")
         ranking = model.importance_ranking(ensemble)
-        ks = [k for k in (cfg.curve_ks or []) if k <= len(ranking)]
+        n = len(ranking)
+        ks = [k for k in (cfg.curve_ks or []) if k <= n]
         if not ks:
-            ks = list(range(1, len(ranking) + 1))
-        if ks[-1] != len(ranking):
-            ks.append(len(ranking))
-        curve = model.f1_growth_curve(matrix, ranking, cfg.train_config(),
-                                      ks=ks)
+            ks = list(range(1, n + 1))
+        if ks[-1] != n:
+            ks.append(n)
+        # with every column in matrix order a refit would rebuild the model
+        # in model.json bit for bit, so that point is the model's own F1
+        f1_at = dict(model.f1_growth_curve(
+            matrix, ranking, cfg.train_config(),
+            ks=[k for k in ks if k != n], workers=cfg.workers))
+        _, test = self._split_impute(matrix)
+        f1_at[n] = model.evaluate_model(ensemble, test).f1
+        curve = [(k, f1_at[k]) for k in ks]
         write_csv(self.output("curve.csv"), ["k", "f1"],
                   ([k, repr(f1)] for k, f1 in curve))
         return curve

@@ -238,18 +238,18 @@ def eligible_controls(corpus: Corpus, conspiracy: set[str],
     return eligible
 
 
-def build_control(corpus: Corpus, conspiracy: set[str], candidates: set[str],
+def build_control(corpus: Corpus, conspiracy: set[str], eligible: list[str],
                   n: int, constraints: ControlConstraints,
                   rng_seed: int) -> set[str]:
     """Draw n control users matched to the engaged cohort.
 
-    Controls come from ``eligible_controls``. The account-creation
+    Controls come from ``eligible``, the sorted list ``eligible_controls``
+    returns for the same cohort and constraints. The account-creation
     histogram of the result matches a size-n sample of the engaged cohort
     bucket for bucket (greedy fill); when a bucket runs out of candidates
     the remainder spills into the nearest buckets by creation time.
     """
     rng = random.Random(rng_seed)
-    eligible = eligible_controls(corpus, conspiracy, candidates, constraints)
     if n > len(eligible):
         raise CohortError(
             f"need {n} control users but only {len(eligible)} are eligible")

@@ -23,8 +23,18 @@ class CorpusError(ValueError):
 
 
 def parse_timestamp(value) -> int:
-    """ISO-8601 string (or epoch number) -> UTC epoch seconds."""
-    if isinstance(value, (int, float)):
+    """ISO-8601 string (or integral epoch number) -> UTC epoch seconds.
+
+    Booleans, fractional and non-finite numbers are rejected rather than
+    truncated.
+    """
+    if isinstance(value, bool):
+        raise CorpusError(f"bad timestamp {value!r}")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        if not value.is_integer():  # also false for nan and inf
+            raise CorpusError(f"bad timestamp {value!r}: not a whole second")
         return int(value)
     if not isinstance(value, str):
         raise CorpusError(f"bad timestamp {value!r}")

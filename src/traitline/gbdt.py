@@ -1,10 +1,13 @@
 """Gradient-boosted decision trees on logistic loss, built from scratch.
 
 Trees are axis-aligned regression trees fit to first/second-order loss
-statistics; leaf values are Newton steps -G/H. Split search is vectorized
-across features and uses exact tie-breaking (lowest feature index, then
-lowest threshold) so training is deterministic for any worker count or
-platform. Per-feature importance is the summed split gain.
+statistics; leaf values are Newton steps -G/H. Split search is the exact
+greedy algorithm on presorted column blocks (Chen & Guestrin, KDD 2016):
+each feature is sorted once per fit and nodes partition the sorted row
+lists stably. It is vectorized across features and uses exact
+tie-breaking (lowest feature index, then lowest threshold) so training is
+deterministic for any worker count or platform. Per-feature importance is
+the summed split gain.
 """
 
 from __future__ import annotations
@@ -60,57 +63,75 @@ class TreeNode:
 
 
 def _best_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                min_samples_leaf: int):
-    """Best (gain, feature, threshold, left_mask) or None.
+                rows: np.ndarray, order: np.ndarray, min_samples_leaf: int):
+    """Best (gain, feature, threshold) for the node holding ``rows``, or None.
 
-    Gain is the Newton objective reduction GL^2/HL + GR^2/HR - G^2/H.
-    Equal gains resolve to the lowest feature index, then the lowest
-    threshold.
+    ``rows`` are the node's row indices in ascending order and ``order`` is
+    the (features, len(rows)) block of the same rows sorted stably by each
+    feature. Gain is the Newton objective reduction
+    GL^2/HL + GR^2/HR - G^2/H. Equal gains resolve to the lowest feature
+    index, then the lowest threshold.
     """
-    n = X.shape[0]
+    n = rows.size
     if n < 2 * min_samples_leaf:
         return None
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    gl = np.cumsum(g[order], axis=0)[:-1]
-    hl = np.cumsum(h[order], axis=0)[:-1]
-    g_tot, h_tot = g.sum(), h.sum()
+    xs = np.take_along_axis(X.T, order, axis=1)
+    gl = np.cumsum(g[order], axis=1)[:, :-1]
+    hl = np.cumsum(h[order], axis=1)[:, :-1]
+    # node totals in row order: the sum's rounding depends on the order
+    g_tot, h_tot = g[rows].sum(), h[rows].sum()
+    # position p splits after p + 1 rows; only positions leaving at least
+    # min_samples_leaf rows on each side are candidates
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    gl, hl = gl[:, lo:hi], hl[:, lo:hi]
     gr = g_tot - gl
     hr = h_tot - hl
     gain = gl ** 2 / (hl + _EPS) + gr ** 2 / (hr + _EPS) \
         - g_tot ** 2 / (h_tot + _EPS)
-    valid = xs[:-1] < xs[1:]
-    counts = np.arange(1, n)[:, None]
-    valid &= (counts >= min_samples_leaf) & (n - counts >= min_samples_leaf)
-    gain = np.where(valid, gain, -np.inf)
+    gain = np.where(xs[:, lo:hi] < xs[:, lo + 1:hi + 1], gain, -np.inf)
     # feature-major flattening makes argmax break ties toward the lowest
     # feature index, then the lowest split position (= lowest threshold)
-    flat = np.ascontiguousarray(gain.T).ravel()
-    best = int(np.argmax(flat))
-    best_gain = flat[best]
+    best = int(np.argmax(gain))
+    feature, pos = divmod(best, hi - lo)
+    best_gain = gain[feature, pos]
     if not np.isfinite(best_gain) or best_gain <= 0.0:
         return None
-    feature, pos = divmod(best, n - 1)
-    threshold = float((xs[pos, feature] + xs[pos + 1, feature]) / 2.0)
-    left_mask = X[:, feature] <= threshold
-    return float(best_gain), int(feature), threshold, left_mask
+    pos += lo
+    threshold = float((xs[feature, pos] + xs[feature, pos + 1]) / 2.0)
+    return float(best_gain), int(feature), threshold
 
 
 def _build_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                depth: int, cfg: TrainConfig,
-                importance: np.ndarray) -> TreeNode:
+                rows: np.ndarray, order: np.ndarray, depth: int,
+                cfg: TrainConfig, importance: np.ndarray) -> TreeNode:
+    """Grow the subtree over ``rows``; ``order`` is as in ``_best_split``.
+
+    Children are built depth-first, left first, so ``importance`` receives
+    its additions in a fixed order.
+    """
     split = None
     if depth < cfg.max_depth:
-        split = _best_split(X, g, h, cfg.min_samples_leaf)
+        split = _best_split(X, g, h, rows, order, cfg.min_samples_leaf)
     if split is None:
-        return TreeNode(value=float(-g.sum() / (h.sum() + _EPS)))
-    gain, feature, threshold, left_mask = split
+        return TreeNode(value=float(-g[rows].sum() / (h[rows].sum() + _EPS)))
+    gain, feature, threshold = split
     importance[feature] += gain
+    go_left = X[rows, feature] <= threshold
+    # a stable partition of each sorted row list keeps it sorted, with ties
+    # still in row order, so no node sorts again
+    left_rows, right_rows = rows[go_left], rows[~go_left]
+    in_left = np.zeros(X.shape[0], dtype=bool)
+    in_left[left_rows] = True
+    sorted_left = in_left[order]
+    n_features = order.shape[0]
     return TreeNode(
         feature=feature, threshold=threshold, gain=gain,
-        left=_build_tree(X[left_mask], g[left_mask], h[left_mask],
+        left=_build_tree(X, g, h, left_rows,
+                         order[sorted_left].reshape(n_features, left_rows.size),
                          depth + 1, cfg, importance),
-        right=_build_tree(X[~left_mask], g[~left_mask], h[~left_mask],
+        right=_build_tree(X, g, h, right_rows,
+                          order[~sorted_left].reshape(n_features,
+                                                      right_rows.size),
                           depth + 1, cfg, importance),
     )
 
@@ -175,13 +196,16 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, feature_names: list[str],
     initial = math.log(p0 / (1.0 - p0))
     raw = np.full(y.shape[0], initial)
     importance = np.zeros(X.shape[1], dtype=np.float64)
+    rows = np.arange(X.shape[0])
+    # one stable sort per fit; every node partitions its parent's block
+    order = np.argsort(X.T, axis=1, kind="stable")
     trees: list[TreeNode] = []
     losses = [logistic_loss(y, _sigmoid(raw))]
     for _ in range(cfg.n_trees):
         p = _sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        tree = _build_tree(X, g, h, 0, cfg, importance)
+        tree = _build_tree(X, g, h, rows, order, 0, cfg, importance)
         trees.append(tree)
         raw = raw + cfg.learning_rate * _tree_predict(tree, X)
         losses.append(logistic_loss(y, _sigmoid(raw)))

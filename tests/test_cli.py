@@ -1,5 +1,7 @@
 import csv
 import json
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +122,53 @@ def test_pipeline_rerun_is_byte_identical(tmp_path, corpus_dir):
     for name in ("metrics.json", "importance.csv", "curve.csv", "grid.csv",
                  "cohort.json", "control.json", "features.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_pipeline_hashes_each_corpus_file_once(tmp_path, corpus_dir,
+                                               monkeypatch):
+    hashed = []
+    original = cli.file_sha256
+
+    def counting(path):
+        hashed.append(path.name)
+        return original(path)
+
+    monkeypatch.setattr(cli, "file_sha256", counting)
+    out = tmp_path / "hashed"
+    config = config_file(tmp_path, corpus_dir, out)
+    assert run("pipeline", "run", "--config", config) == 0
+    corpus_files = [Path(p).name
+                    for p in astuple(CorpusPaths.in_dir(corpus_dir))]
+    assert all(hashed.count(name) == 1 for name in corpus_files)
+    # every stage that read the corpus records the digest of its files
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    readers = [s for s in cli.STAGES if s.reads_corpus]
+    for stage in readers:
+        inputs = stages[stage.name]["inputs"]
+        for name in corpus_files:
+            assert inputs[name] == original(corpus_dir / name), stage.name
+
+
+def test_curve_reuses_trained_model_for_all_columns(tmp_path, corpus_dir,
+                                                    monkeypatch):
+    out = tmp_path / "reuse"
+    config = config_file(tmp_path, corpus_dir, out, curve_ks=[1, 5, 92])
+    assert run("pipeline", "run", "--config", config) == 0
+    fits = []
+    original = cli.model.train_gbdt
+
+    def counting(X, *args):
+        fits.append(X.shape[1])
+        return original(X, *args)
+
+    monkeypatch.setattr(cli.model, "train_gbdt", counting)
+    assert run("curve", "--config", config) == 0
+    assert fits == [5, 1]  # largest first; k = 92 is model.json itself
+    metrics = json.loads((out / "metrics.json").read_text())
+    with open(out / "curve.csv") as fh:
+        points = list(csv.DictReader(fh))
+    assert [p["k"] for p in points] == ["1", "5", "92"]
+    assert float(points[-1]["f1"]) == metrics["model"]["f1"]
 
 
 def test_pipeline_looks_up_stage_methods_at_call_time(tmp_path, corpus_dir,

@@ -6,7 +6,8 @@ import pytest
 from conftest import make_corpus, make_tweet, make_user
 from traitline.cohort import (CohortError, ControlConstraints, GridTable,
                               LikeMatrix, auto_thresholds, build_control,
-                              build_like_matrix, creation_bucket, filter_cov,
+                              build_like_matrix, creation_bucket,
+                              eligible_controls, filter_cov,
                               filter_follows_seed, seed_likers, select_cohort,
                               threshold_grid, top_hashtags)
 from traitline.statkit import coefficient_of_variation
@@ -285,7 +286,8 @@ def test_build_control_matches_creation_histogram():
     constraints = ControlConstraints(
         target_language="en", excluded_users=seed_likers(corpus),
         excluded_follow_targets=set(corpus.seeds))
-    control = build_control(corpus, engaged, candidates, 5, constraints,
+    eligible = eligible_controls(corpus, engaged, candidates, constraints)
+    control = build_control(corpus, engaged, eligible, 5, constraints,
                             rng_seed=3)
     assert len(control) == 5
     assert control.isdisjoint(engaged)
@@ -305,8 +307,10 @@ def test_build_control_insufficient_candidates():
         target_language="en", excluded_users=seed_likers(corpus),
         excluded_follow_targets=set(corpus.seeds))
     with pytest.raises(CohortError, match="insufficient|eligible"):
-        build_control(corpus, engaged, candidates, 50, constraints,
-                      rng_seed=3)
+        build_control(corpus, engaged,
+                      eligible_controls(corpus, engaged, candidates,
+                                        constraints),
+                      50, constraints, rng_seed=3)
 
 
 def test_build_control_overflow_to_nearest_bucket():
@@ -317,7 +321,7 @@ def test_build_control_overflow_to_nearest_bucket():
              make_user("r1", created="2020-06-01T00:00:00Z")]
     corpus = make_corpus(users=users, seeds=["s1"])
     constraints = ControlConstraints(target_language="en")
-    control = build_control(corpus, {"c0", "c1"}, {"r0", "r1"}, 2,
+    control = build_control(corpus, {"c0", "c1"}, ["r0", "r1"], 2,
                             constraints, rng_seed=1)
     assert control == {"r0", "r1"}
 
@@ -327,8 +331,9 @@ def test_build_control_deterministic():
     constraints = ControlConstraints(
         target_language="en", excluded_users=seed_likers(corpus),
         excluded_follow_targets=set(corpus.seeds))
-    a = build_control(corpus, engaged, candidates, 4, constraints, rng_seed=9)
-    b = build_control(corpus, engaged, candidates, 4, constraints, rng_seed=9)
+    eligible = eligible_controls(corpus, engaged, candidates, constraints)
+    a = build_control(corpus, engaged, eligible, 4, constraints, rng_seed=9)
+    b = build_control(corpus, engaged, eligible, 4, constraints, rng_seed=9)
     assert a == b
 
 

@@ -113,6 +113,29 @@ def test_user_field_of_wrong_type_rejected(tmp_path, field, value):
         load_corpus(paths)
 
 
+@pytest.mark.parametrize("value", [True, False, 1900000000.9, -0.5,
+                                   float("nan"), float("inf"), None, [1]])
+def test_parse_timestamp_rejects_coercion(value):
+    with pytest.raises(CorpusError, match="bad timestamp"):
+        parse_timestamp(value)
+
+
+def test_parse_timestamp_accepts_integral_numbers():
+    assert parse_timestamp(1900000000) == 1900000000
+    assert parse_timestamp(1900000000.0) == 1900000000
+    assert type(parse_timestamp(1900000000.0)) is int
+    assert parse_timestamp(0) == 0
+
+
+def test_boolean_timestamp_rejected_with_file_and_line(tmp_path):
+    paths = write_fixture(tmp_path, users=[user_row("u1"),
+                                           user_row("u2", created_at=True)],
+                          tweets=[], seeds=["s1"])
+    with pytest.raises(CorpusError,
+                       match="users.jsonl: line 2: bad timestamp True"):
+        load_corpus(paths)
+
+
 def test_duplicate_tweet_id_rejected(tmp_path):
     paths = write_fixture(
         tmp_path,

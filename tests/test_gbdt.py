@@ -1,8 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from traitline import gbdt
 from traitline.gbdt import (ModelError, TrainConfig, TreeEnsemble, TreeNode,
                             load_ensemble, predict_labels, predict_scores,
                             save_ensemble, train_gbdt)
@@ -173,6 +177,101 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ModelError):
         TrainConfig(k_folds=1)
+
+
+# ---- presorted split search against a per-node sort ----------------------------
+
+def reference_best_split(X, g, h, min_samples_leaf):
+    """Split search that argsorts every feature at every node (the oracle)."""
+    n = X.shape[0]
+    if n < 2 * min_samples_leaf:
+        return None
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    gl = np.cumsum(g[order], axis=0)[:-1]
+    hl = np.cumsum(h[order], axis=0)[:-1]
+    g_tot, h_tot = g.sum(), h.sum()
+    gr = g_tot - gl
+    hr = h_tot - hl
+    gain = gl ** 2 / (hl + gbdt._EPS) + gr ** 2 / (hr + gbdt._EPS) \
+        - g_tot ** 2 / (h_tot + gbdt._EPS)
+    valid = xs[:-1] < xs[1:]
+    counts = np.arange(1, n)[:, None]
+    valid &= (counts >= min_samples_leaf) & (n - counts >= min_samples_leaf)
+    flat = np.ascontiguousarray(np.where(valid, gain, -np.inf).T).ravel()
+    best = int(np.argmax(flat))
+    if not np.isfinite(flat[best]) or flat[best] <= 0.0:
+        return None
+    feature, pos = divmod(best, n - 1)
+    threshold = float((xs[pos, feature] + xs[pos + 1, feature]) / 2.0)
+    return float(flat[best]), int(feature), threshold, X[:, feature] <= threshold
+
+
+def reference_tree(X, g, h, depth, config, importance):
+    split = None
+    if depth < config.max_depth:
+        split = reference_best_split(X, g, h, config.min_samples_leaf)
+    if split is None:
+        return TreeNode(value=float(-g.sum() / (h.sum() + gbdt._EPS)))
+    gain, feature, threshold, left = split
+    importance[feature] += gain
+    return TreeNode(
+        feature=feature, threshold=threshold, gain=gain,
+        left=reference_tree(X[left], g[left], h[left], depth + 1, config,
+                            importance),
+        right=reference_tree(X[~left], g[~left], h[~left], depth + 1, config,
+                             importance))
+
+
+def reference_train(X, y, config):
+    p0 = float(y.mean())
+    raw = np.full(y.shape[0], math.log(p0 / (1.0 - p0)))
+    importance = np.zeros(X.shape[1])
+    trees, losses = [], [gbdt.logistic_loss(y, gbdt._sigmoid(raw))]
+    for _ in range(config.n_trees):
+        p = gbdt._sigmoid(raw)
+        tree = reference_tree(X, p - y, p * (1.0 - p), 0, config, importance)
+        trees.append(tree)
+        raw = raw + config.learning_rate * gbdt._tree_predict(tree, X)
+        losses.append(gbdt.logistic_loss(y, gbdt._sigmoid(raw)))
+    return trees, importance, losses
+
+
+@st.composite
+def training_sets(draw):
+    n = draw(st.integers(4, 40))
+    n_features = draw(st.integers(1, 5))
+    # few distinct values, so columns carry ties; some are constant
+    levels = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False,
+                                     allow_infinity=False),
+                           min_size=1, max_size=4))
+    X = np.array(draw(st.lists(st.lists(st.sampled_from(levels),
+                                        min_size=n_features,
+                                        max_size=n_features),
+                               min_size=n, max_size=n)))
+    constant = draw(st.lists(st.booleans(), min_size=n_features,
+                             max_size=n_features))
+    X[:, np.array(constant)] = levels[0]
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                               min_size=n - 2, max_size=n - 2)) + [0.0, 1.0])
+    config = cfg(n_trees=draw(st.integers(1, 4)),
+                 max_depth=draw(st.integers(1, 4)),
+                 min_samples_leaf=draw(st.integers(1, 5)))
+    return X, y, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(training_sets())
+def test_presorted_fit_equals_per_node_sort(data):
+    X, y, config = data
+    names = [f"f{i}" for i in range(X.shape[1])]
+    ensemble = train_gbdt(X, y, names, config)
+    trees, importance, losses = reference_train(X, y, config)
+    # json.dumps writes floats by repr, so equal text means equal bits
+    assert (json.dumps([gbdt._node_to_json(t) for t in ensemble.trees])
+            == json.dumps([gbdt._node_to_json(t) for t in trees]))
+    assert ensemble.feature_importance.tobytes() == importance.tobytes()
+    assert json.dumps(ensemble.loss_history) == json.dumps(losses)
 
 
 # ---- serialization --------------------------------------------------------------

@@ -229,6 +229,16 @@ def test_growth_curve_final_point_equals_full_model():
     assert all(0.0 <= f1 <= 1.0 for _, f1 in curve)
 
 
+def test_growth_curve_pool_matches_serial():
+    m = labeled_noise_matrix(n_per_class=30, n_features=4, separate_col=2)
+    cfg = small_cfg()
+    ranking = importance_ranking(train_on_matrix(impute(m), cfg))
+    ks = [2, 1, 4, 2]  # unsorted, with a repeat: results stay in ks order
+    serial = f1_growth_curve(m, ranking, cfg, ks=ks, workers=1)
+    assert [k for k, _ in serial] == ks
+    assert f1_growth_curve(m, ranking, cfg, ks=ks, workers=2) == serial
+
+
 def test_growth_curve_requires_full_ranking():
     m = labeled_noise_matrix(n_features=3)
     with pytest.raises(ModelError, match="does not cover"):
