@@ -27,8 +27,10 @@ from . import __version__, cohort, model, synth, topics
 from .corpus import Corpus, CorpusPaths, load_corpus, record_counts, validate_corpus
 from .features import (FeatureMatrix, TOKENIZER_VERSION, default_snapshot,
                        feature_matrix)
-from .gbdt import TrainConfig, load_ensemble, save_ensemble
-from .lexicon import add_lexicon_features, join_external_features, load_lexicon
+from .gbdt import TrainConfig, TreeEnsemble, load_ensemble, save_ensemble
+from .lexicon import join_external_features, load_lexicon
+# unused here, but perfbench/tracing.py wraps it by this name
+from .lexicon import add_lexicon_features  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -181,6 +183,8 @@ class Runner:
         self.out = Path(config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self._corpus: Corpus | None = None
+        # parsed upstream artifacts by file name, until a stage rewrites one
+        self._artifacts: dict[str, object] = {}
         # sha256 of each corpus file, taken when the corpus is loaded
         self._corpus_digests: dict[Path, str] = {}
         self.manifest_path = self.out / "manifest.json"
@@ -205,6 +209,7 @@ class Runner:
     def output(self, name: str) -> Path:
         """Path of an artifact the running stage writes; it is recorded."""
         path = self.out / name
+        self._artifacts.pop(name, None)
         self.outputs.append(path)
         return path
 
@@ -243,6 +248,19 @@ class Runner:
 
     def corpus_files(self) -> list[Path]:
         return [Path(p) for p in astuple(self.corpus_paths)]
+
+    def features(self) -> FeatureMatrix:
+        """features.csv, parsed once per Runner; stages copy, never mutate."""
+        return self._parsed("features.csv", FeatureMatrix.from_csv)
+
+    def ensemble(self) -> TreeEnsemble:
+        """model.json, loaded once per Runner."""
+        return self._parsed("model.json", load_ensemble)
+
+    def _parsed(self, name: str, parse):
+        if name not in self._artifacts:
+            self._artifacts[name] = parse(self.out / name)
+        return self._artifacts[name]
 
     def load_cohort_ids(self, name: str) -> set[str]:
         with open(self.out / name, "r", encoding="utf-8") as fh:
@@ -343,11 +361,9 @@ class Runner:
         engaged = self.load_cohort_ids("cohort.json")
         control = self.load_cohort_ids("control.json")
         snapshot = default_snapshot(corpus)
+        lexicons = [load_lexicon(p) for p in cfg.lexicons]
         matrix = feature_matrix(corpus, engaged, control, snapshot,
-                                workers=cfg.workers)
-        if cfg.lexicons:
-            lexicons = [load_lexicon(p) for p in cfg.lexicons]
-            matrix = add_lexicon_features(matrix, corpus, lexicons)
+                                workers=cfg.workers, lexicons=lexicons)
         if cfg.external_features:
             matrix = join_external_features(matrix, cfg.external_features)
         matrix.to_csv(self.output("features.csv"))
@@ -365,7 +381,7 @@ class Runner:
         return model.impute(train, test)
 
     def stage_train(self):
-        matrix = FeatureMatrix.from_csv(self.out / "features.csv")
+        matrix = self.features()
         train, _ = self._split_impute(matrix)
         ensemble = model.train_on_matrix(train, self.config.train_config())
         save_ensemble(ensemble, self.output("model.json"))
@@ -373,8 +389,8 @@ class Runner:
 
     def stage_evaluate(self) -> dict:
         cfg = self.config
-        matrix = FeatureMatrix.from_csv(self.out / "features.csv")
-        ensemble = load_ensemble(self.out / "model.json")
+        matrix = self.features()
+        ensemble = self.ensemble()
         train, test = self._split_impute(matrix)
         # a single coin-flip predictor is a noisy estimate of chance-level
         # performance; average a batch of draws instead
@@ -403,15 +419,15 @@ class Runner:
         return payload
 
     def stage_importance(self) -> list[tuple[str, float]]:
-        report = model.feature_report(load_ensemble(self.out / "model.json"))
+        report = model.feature_report(self.ensemble())
         write_csv(self.output("importance.csv"), ["feature", "importance"],
                   ([name, repr(share)] for name, share in report))
         return report
 
     def stage_curve(self) -> list[tuple[int, float]]:
         cfg = self.config
-        matrix = FeatureMatrix.from_csv(self.out / "features.csv")
-        ensemble = load_ensemble(self.out / "model.json")
+        matrix = self.features()
+        ensemble = self.ensemble()
         ranking = model.importance_ranking(ensemble)
         n = len(ranking)
         ks = [k for k in (cfg.curve_ks or []) if k <= n]

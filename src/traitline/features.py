@@ -304,14 +304,20 @@ def adaptability_features(timeline: list[TokenizedTweet]) -> dict[str, float]:
     return out
 
 
-def user_features(corpus: Corpus, user_id: str,
-                  snapshot: Snapshot) -> dict[str, float]:
-    """All 92 behavioral columns for one user."""
+def user_features(corpus: Corpus, user_id: str, snapshot: Snapshot,
+                  lexicons=()) -> dict[str, float]:
+    """All 92 behavioral columns for one user, then the rate columns of
+    each lexicon, all from one tokenization of the timeline."""
     user = corpus.users[user_id]
     timeline = tokenize_timeline(corpus.timeline(user_id))
     feats = credibility_features(user, snapshot)
     feats.update(initiative_features(timeline))
     feats.update(adaptability_features(timeline))
+    if lexicons:
+        # imported here because lexicon imports this module; the attribute
+        # is looked up on each call, so a wrapper set on it takes effect
+        from . import lexicon
+        feats.update(lexicon.lexicon_features(timeline, lexicons))
     return feats
 
 
@@ -325,6 +331,11 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        seen: set[str] = set()
+        for name in self.columns:
+            if name in seen:
+                raise FeatureError(f"duplicate column name: {name}")
+            seen.add(name)
         if self.values.shape != (len(self.user_ids), len(self.columns)):
             raise FeatureError("matrix shape does not match row/column names")
         if len(self.labels) != len(self.user_ids):
@@ -358,9 +369,6 @@ class FeatureMatrix:
 
     def append_columns(self, names: list[str],
                        values: np.ndarray) -> "FeatureMatrix":
-        dup = set(names) & set(self.columns)
-        if dup:
-            raise FeatureError(f"duplicate column name: {sorted(dup)[0]}")
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.n_rows, len(names)):
             raise FeatureError("appended block shape mismatch")
@@ -401,24 +409,32 @@ class FeatureMatrix:
 _worker_ctx: dict = {}
 
 
-def _init_worker(corpus: Corpus, snapshot: Snapshot) -> None:
+def _init_worker(corpus: Corpus, snapshot: Snapshot, lexicons) -> None:
     _worker_ctx["corpus"] = corpus
     _worker_ctx["snapshot"] = snapshot
+    _worker_ctx["lexicons"] = lexicons
+    _worker_ctx["columns"] = _columns(lexicons)
+
+
+def _columns(lexicons) -> list[str]:
+    return FEATURE_COLUMNS + [c for lex in lexicons for c in lex.column_names()]
 
 
 def _extract_one(user_id: str) -> list[float]:
     feats = user_features(_worker_ctx["corpus"], user_id,
-                          _worker_ctx["snapshot"])
-    return [feats[c] for c in FEATURE_COLUMNS]
+                          _worker_ctx["snapshot"], _worker_ctx["lexicons"])
+    return [feats[c] for c in _worker_ctx["columns"]]
 
 
 def feature_matrix(corpus: Corpus, conspiracy: set[str], control: set[str],
-                   snapshot: Snapshot, workers: int = 1) -> FeatureMatrix:
+                   snapshot: Snapshot, workers: int = 1,
+                   lexicons=()) -> FeatureMatrix:
     """One labeled row per cohort user (engaged=1 first, control=0 after).
 
-    Extraction is per-user independent; the result is identical for every
-    worker count. Users without a profile record are skipped with a
-    warning.
+    Columns are the 92 behavioral ones, then each lexicon's rate columns
+    in the order given. Extraction is per-user independent; the result is
+    identical for every worker count. Users without a profile record are
+    skipped with a warning.
     """
     overlap = conspiracy & control
     if overlap:
@@ -436,17 +452,20 @@ def feature_matrix(corpus: Corpus, conspiracy: set[str], control: set[str],
         kept.append((user_id, label))
     ids = [u for u, _ in kept]
     if workers > 1 and len(ids) > 1:
+        # with the fork start method the workers inherit the corpus and
+        # the lexicons; only user ids and rows are pickled
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker,
-                                 initargs=(corpus, snapshot)) as pool:
+                                 initargs=(corpus, snapshot, lexicons)) as pool:
             chunk = max(1, len(ids) // (workers * 4))
             rows = list(pool.map(_extract_one, ids, chunksize=chunk))
     else:
-        _init_worker(corpus, snapshot)
+        _init_worker(corpus, snapshot, lexicons)
         rows = [_extract_one(u) for u in ids]
+    columns = _columns(lexicons)
     values = (np.array(rows, dtype=np.float64)
-              if rows else np.empty((0, len(FEATURE_COLUMNS))))
-    return FeatureMatrix(columns=list(FEATURE_COLUMNS), user_ids=ids,
+              if rows else np.empty((0, len(columns))))
+    return FeatureMatrix(columns=columns, user_ids=ids,
                          labels=np.array([l for _, l in kept], dtype=np.int64),
                          values=values)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,20 +44,29 @@ class Lexicon:
             if bad:
                 raise LexiconError(
                     f"lexicon {self.name}: wildcard entry {bad[0]!r} in exact mode")
+        # lookup index, built once from ``entries``: exact words, and the
+        # prefixes of the ``prefix*`` wildcards
+        self._exact = {w: c for w, c in self.entries.items()
+                       if not w.endswith("*")}
+        self._prefixes = {w[:-1]: c for w, c in self.entries.items()
+                          if w.endswith("*")}
+        self._longest_prefix = max(map(len, self._prefixes), default=-1)
 
     def column_names(self) -> list[str]:
         return [f"{self.name}_{c}" for c in self.categories]
 
     def categories_of(self, token: str) -> frozenset[str]:
-        if self.match_mode == "exact":
-            return self.entries.get(token, frozenset())
-        cats: set[str] = set()
-        for word, word_cats in self.entries.items():
-            if word.endswith("*"):
-                if token.startswith(word[:-1]):
-                    cats |= word_cats
-            elif token == word:
-                cats |= word_cats
+        """Categories of the exact entry for ``token`` and of every
+        wildcard whose prefix starts it: one dict probe per prefix length,
+        however many entries the lexicon holds."""
+        exact = self._exact.get(token, frozenset())
+        if not self._prefixes:
+            return exact
+        cats = set(exact)
+        for i in range(min(len(token), self._longest_prefix) + 1):
+            hit = self._prefixes.get(token[:i])
+            if hit:
+                cats |= hit
         return frozenset(cats)
 
 
@@ -110,6 +120,14 @@ def _load_dict(path: Path, name: str) -> Lexicon:
             if category not in categories:
                 categories.append(category)
             for word in words.split():
+                if word == "*":
+                    raise LexiconError(
+                        f"{path.name}: line {lineno}: bare '*' would match "
+                        f"every token")
+                if "*" in word[:-1]:
+                    raise LexiconError(
+                        f"{path.name}: line {lineno}: {word!r}: '*' is only "
+                        f"allowed at the end of a word")
                 entries.setdefault(word.lower(), set()).add(category)
     return Lexicon(name=name,
                    entries={w: frozenset(c) for w, c in entries.items()},
@@ -138,20 +156,21 @@ def lexicon_features(timeline: list[TokenizedTweet],
     URL and mention placeholders count neither as matches nor in the
     denominator. With no scoreable tokens every column is NaN.
     """
-    tokens = [tok for tweet in timeline for tok in tweet.tokens
-              if tok not in PLACEHOLDER_TOKENS]
+    tokens = Counter(tok for tweet in timeline for tok in tweet.tokens
+                     if tok not in PLACEHOLDER_TOKENS)
     out: dict[str, float] = {}
     if not tokens:
         for lex in lexicons:
             for col in lex.column_names():
                 out[col] = math.nan
         return out
-    total = len(tokens)
+    total = sum(tokens.values())
     for lex in lexicons:
+        # integer counts, so each rate is the same double as a per-token tally
         counts = dict.fromkeys(lex.categories, 0)
-        for token in tokens:
+        for token, n in tokens.items():
             for category in lex.categories_of(token):
-                counts[category] += 1
+                counts[category] += n
         for category in lex.categories:
             out[f"{lex.name}_{category}"] = counts[category] / total
     return out

@@ -189,6 +189,52 @@ def test_pipeline_looks_up_stage_methods_at_call_time(tmp_path, corpus_dir,
     assert (out / "model.json").exists()
 
 
+def test_pipeline_parses_features_and_model_once(tmp_path, corpus_dir,
+                                                monkeypatch):
+    stagewise = tmp_path / "stagewise"
+    config = config_file(tmp_path, corpus_dir, stagewise)
+    for stage in cli.STAGES:
+        assert run(*stage.command, "--config", config) == 0
+
+    parsed = []
+    read_csv, read_model = cli.FeatureMatrix.from_csv, cli.load_ensemble
+
+    def counting_csv(path):
+        parsed.append(Path(path).name)
+        return read_csv(path)
+
+    def counting_model(path):
+        parsed.append(Path(path).name)
+        return read_model(path)
+
+    monkeypatch.setattr(cli.FeatureMatrix, "from_csv",
+                        staticmethod(counting_csv))
+    monkeypatch.setattr(cli, "load_ensemble", counting_model)
+    out = tmp_path / "pipeline"
+    config = config_file(tmp_path, corpus_dir, out)
+    assert run("pipeline", "run", "--config", config) == 0
+    assert sorted(parsed) == ["features.csv", "model.json"]
+    # every artifact equals the one written by a Runner per stage
+    written = sorted(p.name for p in stagewise.iterdir())
+    assert written == sorted(p.name for p in out.iterdir())
+    for name in written:
+        if name != "manifest.json":  # embeds corpus_dir and out_dir
+            assert ((out / name).read_bytes()
+                    == (stagewise / name).read_bytes()), name
+
+
+def test_rewritten_artifact_is_parsed_again(tmp_path, corpus_dir):
+    config = config_file(tmp_path, corpus_dir, tmp_path / "again")
+    runner = cli.Runner(cli.RunConfig(**json.loads(config.read_text())))
+    stages = {stage.name: stage for stage in cli.STAGES}
+    for name in ("cohort.build", "cohort.control", "features.extract"):
+        runner.run(stages[name])
+    assert len(runner.features().columns) == 92
+    runner.config.lexicons = ["lexicons/mini_emotions.tsv"]
+    runner.run(stages["features.extract"])
+    assert len(runner.features().columns) == 92 + 10
+
+
 def test_missing_upstream_artifact_fails_with_stage(tmp_path, corpus_dir,
                                                     capsys):
     config = config_file(tmp_path, corpus_dir, tmp_path / "fresh")
@@ -304,3 +350,15 @@ def test_lexicon_columns_appended(tmp_path, corpus_dir):
     meta = json.loads((out / "features.meta.json").read_text())
     assert len(meta["columns"]) == 92 + 10
     assert "mini_emotions_anger" in meta["columns"]
+
+
+def test_lexicon_listed_twice_rejected(tmp_path, corpus_dir, capsys):
+    out = tmp_path / "twice"
+    lexicons = ["lexicons/mini_emotions.tsv", "lexicons/mini_emotions.tsv"]
+    config = config_file(tmp_path, corpus_dir, out, lexicons=lexicons)
+    assert run("cohort", "build", "--config", config) == 0
+    assert run("cohort", "control", "--config", config) == 0
+    assert run("features", "extract", "--config", config) == 1
+    assert ("duplicate column name: mini_emotions_"
+            in capsys.readouterr().err)
+    assert not (out / "features.csv").exists()

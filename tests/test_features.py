@@ -404,6 +404,18 @@ def test_append_columns_rejects_duplicates():
     fm = feature_matrix(corpus, {"alice"}, {"bob"}, Snapshot(as_of=AS_OF))
     with pytest.raises(FeatureError, match="duplicate column"):
         fm.append_columns(["verified"], np.zeros((2, 1)))
+    with pytest.raises(FeatureError, match="duplicate column name: extra"):
+        fm.append_columns(["extra", "extra"], np.zeros((2, 2)))
+
+
+def test_duplicate_column_names_rejected(tmp_path):
+    with pytest.raises(FeatureError, match="duplicate column name: a"):
+        FeatureMatrix(columns=["a", "b", "a"], user_ids=["u"],
+                      labels=np.array([1]), values=np.zeros((1, 3)))
+    path = tmp_path / "features.csv"
+    path.write_text("a,b,a,user_id,label\n1.0,2.0,3.0,u,1\n")
+    with pytest.raises(FeatureError, match="duplicate column name: a"):
+        FeatureMatrix.from_csv(path)
 
 
 def test_default_snapshot_is_latest():

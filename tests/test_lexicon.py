@@ -3,9 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SNAP, make_corpus, make_tweet, make_user
-from traitline.features import Snapshot, feature_matrix, tokenize_timeline
+from traitline.features import (PLACEHOLDER_TOKENS, Snapshot, feature_matrix,
+                                tokenize_timeline)
 from traitline.lexicon import (Lexicon, LexiconError, add_lexicon_features,
                                join_external_features, lexicon_features,
                                load_lexicon)
@@ -57,6 +60,15 @@ def test_load_dict_with_wildcard(tmp_path):
     assert lex.categories_of("yeah") == {"assent"}
 
 
+@pytest.mark.parametrize("words", ["*", "da*mn", "damn**"])
+def test_dict_wildcard_that_cannot_match_as_written_rejected(tmp_path, words):
+    # a bare * would match every token; a * before the end matches none
+    path = tmp_path / "informal.dic"
+    path.write_text(f"assent: yes\nswear: heck {words}\n")
+    with pytest.raises(LexiconError, match=r"informal\.dic: line 2: .*'\*'"):
+        load_lexicon(path)
+
+
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "x.tsv"
     path.write_text("a\tb\t1\n")
@@ -80,7 +92,72 @@ def test_shipped_mini_lexicons_load():
     assert categories.categories_of("damned") == {"swear"}
 
 
+def scan_categories(lex, token):
+    """Reference lookup: test every entry of the lexicon against the token."""
+    cats = set()
+    for word, word_cats in lex.entries.items():
+        if word.endswith("*"):
+            if token.startswith(word[:-1]):
+                cats |= word_cats
+        elif token == word:
+            cats |= word_cats
+    return frozenset(cats)
+
+
+CATEGORIES = ["swear", "assent", "joy"]
+# a small alphabet, so that prefixes nest (da*, dam*, damn) and collide
+STEMS = st.text(alphabet="damn", max_size=5)
+# timeline words that nest under the generated prefixes, with placeholders
+# so that some timelines have no scoreable token
+WORDS = ["d", "da", "dam", "damn", "damned", "mad", "happy", "calm",
+         "https://x.y", "@bob"]
+TEXTS = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
+
+
+@st.composite
+def lexicons(draw, name="lex"):
+    wildcards = draw(st.booleans())
+    words = st.tuples(STEMS, st.booleans()).map(
+        lambda w: w[0] + "*" if wildcards and w[1] else w[0])
+    entries = draw(st.dictionaries(
+        words, st.frozensets(st.sampled_from(CATEGORIES), min_size=1),
+        max_size=8))
+    return Lexicon(name=name, entries=entries, categories=list(CATEGORIES),
+                   match_mode="prefix-wildcard" if wildcards else "exact")
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicons(), st.lists(STEMS, max_size=10))
+def test_indexed_lookup_equals_scan_of_entries(lex, tokens):
+    for token in tokens:
+        assert lex.categories_of(token) == scan_categories(lex, token), token
+
+
 # ---- scoring -----------------------------------------------------------------
+
+def tally_rates(timeline, lexs):
+    """Reference scoring: one scan of the entries per token occurrence."""
+    tokens = [tok for tweet in timeline for tok in tweet.tokens
+              if tok not in PLACEHOLDER_TOKENS]
+    out = {}
+    for lex in lexs:
+        for category in lex.categories:
+            hits = sum(category in scan_categories(lex, tok) for tok in tokens)
+            out[f"{lex.name}_{category}"] = (hits / len(tokens) if tokens
+                                             else math.nan)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(lexicons(), st.lists(TEXTS, max_size=4))
+def test_rates_from_distinct_tokens_equal_per_token_tally(lex, texts):
+    timeline = tl(*texts)
+    got = lexicon_features(timeline, [lex])
+    want = tally_rates(timeline, [lex])
+    assert list(got) == list(want)
+    assert (np.array(list(got.values())).tobytes()
+            == np.array(list(want.values())).tobytes())
+
 
 def joy_lexicon():
     return Lexicon(name="emo",
@@ -183,3 +260,56 @@ def test_join_external_empty_file_unchanged(tmp_path, caplog):
     assert out.columns == fm.columns
     assert np.array_equal(out.values, fm.values, equal_nan=True)
     assert "empty" in caplog.text
+
+
+# ---- one pass with the behavioral columns ------------------------------------
+
+@st.composite
+def cohort_corpora(draw):
+    """Small corpora split into engaged and control users, and two
+    lexicons; timelines may be empty or hold placeholders only."""
+    n_users = draw(st.integers(1, 5))
+    timelines = {}
+    for i in range(n_users):
+        texts = draw(st.lists(TEXTS, max_size=4))
+        timelines[f"u{i}"] = [make_tweet(f"t{i}_{j}", f"u{i}", 100 * j,
+                                         text=text)
+                              for j, text in enumerate(texts)]
+    corpus = make_corpus(users=[make_user(u) for u in timelines],
+                         timelines=timelines, seeds=["s"])
+    engaged = set(draw(st.lists(st.sampled_from(sorted(timelines)),
+                                unique=True)))
+    lexs = [draw(lexicons(name="first")), draw(lexicons(name="second"))]
+    return corpus, engaged, set(timelines) - engaged, lexs
+
+
+@settings(max_examples=100, deadline=None)
+@given(cohort_corpora())
+def test_in_pass_lexicon_columns_equal_appended_ones(data):
+    corpus, engaged, control, lexs = data
+    snapshot = Snapshot(as_of=SNAP)
+    got = feature_matrix(corpus, engaged, control, snapshot, lexicons=lexs)
+    want = add_lexicon_features(
+        feature_matrix(corpus, engaged, control, snapshot), corpus, lexs)
+    assert got.columns == want.columns
+    assert got.user_ids == want.user_ids
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.values.tobytes() == want.values.tobytes()  # NaN cells too
+
+
+@settings(max_examples=15, deadline=None)
+@given(cohort_corpora())
+def test_lexicon_row_independent_of_batch_and_workers(data):
+    corpus, engaged, control, lexs = data
+    snapshot = Snapshot(as_of=SNAP)
+    batch = feature_matrix(corpus, engaged, control, snapshot, lexicons=lexs)
+    pooled = feature_matrix(corpus, engaged, control, snapshot, workers=2,
+                            lexicons=lexs)
+    assert pooled.values.tobytes() == batch.values.tobytes()
+    for i, user_id in enumerate(batch.user_ids):
+        alone = make_corpus(users=[corpus.users[user_id]],
+                            timelines={user_id: corpus.timeline(user_id)},
+                            seeds=["s"])
+        solo = feature_matrix(alone, {user_id} & engaged,
+                              {user_id} & control, snapshot, lexicons=lexs)
+        assert solo.values[0].tobytes() == batch.values[i].tobytes(), user_id
