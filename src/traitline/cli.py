@@ -435,12 +435,12 @@ class Runner:
             ks = list(range(1, n + 1))
         if ks[-1] != n:
             ks.append(n)
+        train, test = self._split_impute(matrix)
         # with every column in matrix order a refit would rebuild the model
         # in model.json bit for bit, so that point is the model's own F1
         f1_at = dict(model.f1_growth_curve(
-            matrix, ranking, cfg.train_config(),
+            train, test, ranking, cfg.train_config(),
             ks=[k for k in ks if k != n], workers=cfg.workers))
-        _, test = self._split_impute(matrix)
         f1_at[n] = model.evaluate_model(ensemble, test).f1
         curve = [(k, f1_at[k]) for k in ks]
         write_csv(self.output("curve.csv"), ["k", "f1"],

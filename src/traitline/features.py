@@ -21,8 +21,9 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
+from functools import partial
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -321,6 +322,14 @@ def user_features(corpus: Corpus, user_id: str, snapshot: Snapshot,
     return feats
 
 
+def check_unique_columns(columns) -> None:
+    seen: set[str] = set()
+    for name in columns:
+        if name in seen:
+            raise FeatureError(f"duplicate column name: {name}")
+        seen.add(name)
+
+
 @dataclass
 class FeatureMatrix:
     """Labeled rows of named numeric columns; NaN marks a missing cell."""
@@ -331,11 +340,7 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for name in self.columns:
-            if name in seen:
-                raise FeatureError(f"duplicate column name: {name}")
-            seen.add(name)
+        check_unique_columns(self.columns)
         if self.values.shape != (len(self.user_ids), len(self.columns)):
             raise FeatureError("matrix shape does not match row/column names")
         if len(self.labels) != len(self.user_ids):
@@ -406,24 +411,38 @@ class FeatureMatrix:
                        len(user_ids), len(columns)))
 
 
-_worker_ctx: dict = {}
+_task = None  # set by the initializer, in pool workers only
 
 
-def _init_worker(corpus: Corpus, snapshot: Snapshot, lexicons) -> None:
-    _worker_ctx["corpus"] = corpus
-    _worker_ctx["snapshot"] = snapshot
-    _worker_ctx["lexicons"] = lexicons
-    _worker_ctx["columns"] = _columns(lexicons)
+def _set_task(fn) -> None:
+    global _task
+    _task = fn
 
 
-def _columns(lexicons) -> list[str]:
-    return FEATURE_COLUMNS + [c for lex in lexicons for c in lex.column_names()]
+def _run_task(item):
+    return _task(item)
 
 
-def _extract_one(user_id: str) -> list[float]:
-    feats = user_features(_worker_ctx["corpus"], user_id,
-                          _worker_ctx["snapshot"], _worker_ctx["lexicons"])
-    return [feats[c] for c in _worker_ctx["columns"]]
+def parallel_map(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, in a process pool when ``workers > 1``.
+
+    ``fn`` reaches each worker once, as the pool initializer's argument:
+    under fork it and all it closes over are inherited, not pickled.
+    """
+    items = list(items)
+    if workers <= 1 or len(items) < 2:
+        return [fn(x) for x in items]
+    with futures.ProcessPoolExecutor(max_workers=min(workers, len(items)),
+                                     initializer=_set_task,
+                                     initargs=(fn,)) as pool:
+        return list(pool.map(_run_task, items,
+                             chunksize=max(1, len(items) // (workers * 4))))
+
+
+def _row(corpus: Corpus, snapshot: Snapshot, lexicons, columns: list[str],
+         user_id: str) -> list[float]:
+    feats = user_features(corpus, user_id, snapshot, lexicons)
+    return [feats[c] for c in columns]
 
 
 def feature_matrix(corpus: Corpus, conspiracy: set[str], control: set[str],
@@ -451,18 +470,11 @@ def feature_matrix(corpus: Corpus, conspiracy: set[str], control: set[str],
             continue
         kept.append((user_id, label))
     ids = [u for u, _ in kept]
-    if workers > 1 and len(ids) > 1:
-        # with the fork start method the workers inherit the corpus and
-        # the lexicons; only user ids and rows are pickled
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker,
-                                 initargs=(corpus, snapshot, lexicons)) as pool:
-            chunk = max(1, len(ids) // (workers * 4))
-            rows = list(pool.map(_extract_one, ids, chunksize=chunk))
-    else:
-        _init_worker(corpus, snapshot, lexicons)
-        rows = [_extract_one(u) for u in ids]
-    columns = _columns(lexicons)
+    columns = FEATURE_COLUMNS + [c for lex in lexicons
+                                 for c in lex.column_names()]
+    check_unique_columns(columns)
+    rows = parallel_map(partial(_row, corpus, snapshot, lexicons, columns),
+                        ids, workers)
     values = (np.array(rows, dtype=np.float64)
               if rows else np.empty((0, len(columns))))
     return FeatureMatrix(columns=columns, user_ids=ids,

@@ -239,14 +239,30 @@ def _node_to_json(node: TreeNode) -> dict:
             "right": _node_to_json(node.right)}
 
 
-def _node_from_json(obj: dict) -> TreeNode:
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _node_from_json(obj, n_features: int, where: str) -> TreeNode:
+    if not isinstance(obj, dict):
+        raise ModelError(f"{where}: node must be a JSON object")
     if "value" in obj:
-        return TreeNode(value=float(obj["value"]))
-    return TreeNode(feature=int(obj["feature"]),
-                    threshold=float(obj["threshold"]),
-                    gain=float(obj.get("gain", 0.0)),
-                    left=_node_from_json(obj["left"]),
-                    right=_node_from_json(obj["right"]))
+        return TreeNode(value=_number(obj["value"], f"{where}: value"))
+    feature = obj.get("feature")
+    if (isinstance(feature, bool) or not isinstance(feature, int)
+            or not 0 <= feature < n_features):
+        raise ModelError(f"{where}: feature must be a column index in "
+                         f"[0, {n_features}), got {feature!r}")
+    for key in ("threshold", "left", "right"):
+        if key not in obj:
+            raise ModelError(f"{where}: split node has no {key!r}")
+    return TreeNode(feature=feature,
+                    threshold=_number(obj["threshold"], f"{where}: threshold"),
+                    gain=_number(obj.get("gain", 0.0), f"{where}: gain"),
+                    left=_node_from_json(obj["left"], n_features, where),
+                    right=_node_from_json(obj["right"], n_features, where))
 
 
 def save_ensemble(ensemble: TreeEnsemble, path) -> None:
@@ -265,17 +281,37 @@ def save_ensemble(ensemble: TreeEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> TreeEnsemble:
+    """Read a ``save_ensemble`` file; a malformed one raises ModelError."""
     with open(Path(path), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ModelError("model file must hold a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelError(f"unsupported model format version {version!r}")
+    for key in ("trees", "learning_rate", "initial_score", "feature_names",
+                "feature_importance"):
+        if key not in payload:
+            raise ModelError(f"model file has no {key!r}")
+    names = payload["feature_names"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ModelError("feature_names must be a list of strings")
+    importance = payload["feature_importance"]
+    if not isinstance(importance, list) or len(importance) != len(names):
+        raise ModelError("feature_importance must hold one number per "
+                         "feature name")
+    for key in ("trees", "loss_history"):
+        if not isinstance(payload.get(key, []), list):
+            raise ModelError(f"{key} must be a list")
     return TreeEnsemble(
-        trees=[_node_from_json(t) for t in payload["trees"]],
-        learning_rate=float(payload["learning_rate"]),
-        initial_score=float(payload["initial_score"]),
-        feature_names=list(payload["feature_names"]),
-        feature_importance=np.array(payload["feature_importance"],
-                                    dtype=np.float64),
-        loss_history=[float(x) for x in payload.get("loss_history", [])],
+        trees=[_node_from_json(t, len(names), f"tree {i}")
+               for i, t in enumerate(payload["trees"])],
+        learning_rate=_number(payload["learning_rate"], "learning_rate"),
+        initial_score=_number(payload["initial_score"], "initial_score"),
+        feature_names=list(names),
+        feature_importance=np.array(
+            [_number(x, "feature_importance") for x in importance],
+            dtype=np.float64),
+        loss_history=[_number(x, "loss_history")
+                      for x in payload.get("loss_history", [])],
     )

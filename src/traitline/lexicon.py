@@ -84,6 +84,10 @@ def _load_tsv(path: Path, name: str) -> Lexicon:
                 raise LexiconError(
                     f"{path.name}: line {lineno}: expected word<TAB>category<TAB>flag")
             word, category, flag = (p.strip().lower() for p in parts)
+            if "*" in word:
+                raise LexiconError(
+                    f"{path.name}: line {lineno}: {word!r}: TSV words match "
+                    f"exactly, so '*' is not allowed")
             if flag not in ("0", "1"):
                 raise LexiconError(
                     f"{path.name}: line {lineno}: flag must be 0 or 1")

@@ -7,14 +7,12 @@ only and then applied unchanged to held-out rows.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
-from .features import FeatureMatrix
+from .features import FeatureMatrix, parallel_map
 from .gbdt import (ModelError, TrainConfig, TreeEnsemble, predict_labels,
                    train_gbdt)
 
@@ -214,29 +212,28 @@ def importance_ranking(ensemble: TreeEnsemble) -> list[str]:
     return [name for name, _ in feature_report(ensemble)]
 
 
-def _curve_point(matrix: FeatureMatrix, ranking: list[str],
-                 cfg: TrainConfig, k: int) -> float:
+def _curve_point(train: FeatureMatrix, test: FeatureMatrix,
+                 ranking: list[str], cfg: TrainConfig, k: int) -> float:
     """Holdout F1 of a model retrained on the top-k ranked features."""
     top = set(ranking[:k])
     # keep the matrix column order so k = all rebuilds the full model
     # bit-for-bit (split tie-breaking depends on column position)
-    sub = matrix.select_columns([c for c in matrix.columns if c in top])
-    train, test = stratified_split(sub, cfg.test_fraction, cfg.rng_seed)
-    train, test = impute(train, test)
-    return evaluate_model(train_on_matrix(train, cfg), test).f1
+    columns = [c for c in train.columns if c in top]
+    model = train_on_matrix(train.select_columns(columns), cfg)
+    return evaluate_model(model, test.select_columns(columns)).f1
 
 
-def f1_growth_curve(matrix: FeatureMatrix, ranking: list[str],
-                    cfg: TrainConfig, ks: list[int] | None = None,
+def f1_growth_curve(train: FeatureMatrix, test: FeatureMatrix,
+                    ranking: list[str], cfg: TrainConfig,
+                    ks: list[int] | None = None,
                     workers: int = 1) -> list[tuple[int, float]]:
     """Holdout F1 after retraining on the top-k ranked features.
 
-    Every point reuses the same split seed and training config, so the
-    point at k = all columns reproduces the full model exactly. Points are
-    independent: with ``workers > 1`` they are fitted in a process pool,
-    and the result is identical for every worker count.
+    Each point refits on a column slice of the imputed ``train``/``test``
+    partition, which equals a re-split and re-impute of the sliced matrix,
+    so k = all columns reproduces the full model exactly, for any workers.
     """
-    missing = set(matrix.columns) - set(ranking)
+    missing = set(train.columns) - set(ranking)
     if missing:
         raise ModelError(
             f"ranking does not cover column {sorted(missing)[0]!r}")
@@ -245,15 +242,10 @@ def f1_growth_curve(matrix: FeatureMatrix, ranking: list[str],
     for k in ks:
         if not 1 <= k <= len(ranking):
             raise ModelError(f"curve point k={k} out of range")
-    point = partial(_curve_point, matrix, ranking, cfg)
     # fits grow with k: the largest go first so no worker is left with one
     # long fit at the end
     todo = sorted(set(ks), reverse=True)
-    if workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(todo)),
-                                 mp_context=get_context("spawn")) as pool:
-            f1 = list(pool.map(point, todo))
-    else:
-        f1 = [point(k) for k in todo]
+    f1 = parallel_map(partial(_curve_point, train, test, ranking, cfg),
+                      todo, workers)
     by_k = dict(zip(todo, f1))
     return [(k, by_k[k]) for k in ks]

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from traitline.features import (FEATURE_COLUMNS, FeatureError, FeatureMatrix,
                                 adaptability_features, credibility_features,
                                 default_snapshot, feature_matrix,
                                 initiative_features, language_novelty_series,
-                                pair_token_entropy, registered_domain,
+                                pair_token_entropy, parallel_map,
+                                registered_domain,
                                 tokenize, tokenize_timeline, user_features)
 
 LOG2 = math.log2
@@ -421,3 +426,38 @@ def test_duplicate_column_names_rejected(tmp_path):
 def test_default_snapshot_is_latest():
     corpus = oracle_corpus()
     assert default_snapshot(corpus).as_of == SNAP
+
+
+# ---- parallel_map ----------------------------------------------------------------
+
+def _affine(x):
+    return 3 * x + 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+@pytest.mark.parametrize("workers", [1, 2, 9])
+def test_parallel_map_equals_list_comprehension(n, workers):
+    items = [(5 * i) % 11 for i in range(n)]  # not sorted: order must hold
+    assert parallel_map(_affine, items, workers) == [_affine(x) for x in items]
+
+
+def test_parallel_map_runs_items_outside_the_parent():
+    def pid(_):
+        return os.getpid()
+
+    assert os.getpid() not in parallel_map(pid, range(4), 2)
+    assert parallel_map(pid, range(4), 1) == [os.getpid()] * 4
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only a forked worker inherits an unpicklable fn")
+def test_parallel_map_inherits_unpicklable_closure():
+    lock = threading.Lock()
+    with pytest.raises(TypeError):
+        pickle.dumps(lock)
+
+    def locked_square(x):
+        with lock:
+            return x * x
+
+    assert parallel_map(locked_square, range(6), 2) == [x * x for x in range(6)]

@@ -299,3 +299,90 @@ def test_unsupported_version_rejected(tmp_path):
     path.write_text('{"format_version": 99}')
     with pytest.raises(ModelError, match="format version"):
         load_ensemble(path)
+
+
+def saved_payload(tmp_path):
+    path = tmp_path / "model.json"
+    save_ensemble(hand_ensemble(), path)
+    return path, json.loads(path.read_text())
+
+
+def _set(keys, value):
+    def mutate(payload):
+        *path, leaf = keys
+        for key in path:
+            payload = payload[key]
+        payload[leaf] = value
+    return mutate
+
+
+def _drop(keys):
+    def mutate(payload):
+        *path, leaf = keys
+        for key in path:
+            payload = payload[key]
+        del payload[leaf]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set(("trees", 0, "feature"), -1), r"tree 0: feature .* -1"),
+    (_set(("trees", 1, "feature"), 2), r"tree 1: feature .* 2"),
+    (_set(("trees", 0, "feature"), True), r"tree 0: feature .* True"),
+    (_set(("trees", 1, "threshold"), "0.5"), r"tree 1: threshold .*'0\.5'"),
+    (_set(("trees", 1, "left", "value"), None), r"tree 1: value"),
+    (_drop(("trees", 0, "right")), r"tree 0: split node has no 'right'"),
+    (_set(("feature_importance",), [1.0]), r"feature_importance"),
+    (_drop(("trees",)), r"no 'trees'"),
+    (_set(("learning_rate",), "0.1"), r"learning_rate"),
+], ids=["negative-feature", "feature-past-last-column", "boolean-feature",
+        "string-threshold", "null-leaf-value", "split-without-child",
+        "short-importance", "missing-trees", "string-learning-rate"])
+def test_malformed_model_rejected(tmp_path, mutate, message):
+    path, payload = saved_payload(tmp_path)
+    assert isinstance(load_ensemble(path), TreeEnsemble)
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=message):
+        load_ensemble(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def ensembles(draw):
+    n_features = draw(st.integers(1, 4))
+    leaf = st.builds(lambda v: TreeNode(value=v), st.floats(-8.0, 8.0))
+
+    def split(kids):
+        return st.builds(
+            lambda f, t, g, left, right: TreeNode(
+                feature=f, threshold=t, gain=g, left=left, right=right),
+            st.integers(0, n_features - 1), FINITE, FINITE, kids, kids)
+
+    return TreeEnsemble(
+        trees=draw(st.lists(st.recursive(leaf, split, max_leaves=8),
+                            max_size=4)),
+        learning_rate=draw(st.floats(0.01, 1.0)),
+        initial_score=draw(st.floats(-4.0, 4.0)),
+        feature_names=[f"f{i}" for i in range(n_features)],
+        feature_importance=np.array(draw(st.lists(
+            FINITE, min_size=n_features, max_size=n_features))),
+        loss_history=draw(st.lists(FINITE, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensemble=ensembles(), data=st.data())
+def test_save_load_save_is_byte_identical(tmp_path_factory, ensemble, data):
+    tmp = tmp_path_factory.mktemp("model")
+    save_ensemble(ensemble, tmp / "a.json")
+    back = load_ensemble(tmp / "a.json")
+    save_ensemble(back, tmp / "b.json")
+    assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
+    rows = data.draw(st.lists(st.lists(FINITE, min_size=ensemble.n_features,
+                                       max_size=ensemble.n_features),
+                              min_size=1, max_size=6))
+    X = np.array(rows, dtype=np.float64)
+    assert predict_scores(back, X).tobytes() == \
+        predict_scores(ensemble, X).tobytes()

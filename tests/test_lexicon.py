@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SNAP, make_corpus, make_tweet, make_user
-from traitline.features import (PLACEHOLDER_TOKENS, Snapshot, feature_matrix,
-                                tokenize_timeline)
+from traitline.features import (PLACEHOLDER_TOKENS, FeatureError, Snapshot,
+                                feature_matrix, tokenize_timeline)
 from traitline.lexicon import (Lexicon, LexiconError, add_lexicon_features,
                                join_external_features, lexicon_features,
                                load_lexicon)
@@ -45,6 +45,16 @@ def test_tsv_bad_flag_rejected(tmp_path):
     path = tmp_path / "emo.tsv"
     path.write_text("abandon\tanger\t2\n")
     with pytest.raises(LexiconError, match="flag"):
+        load_lexicon(path)
+
+
+@pytest.mark.parametrize("word", ["da*mn", "damn*"])
+def test_tsv_wildcard_rejected_with_file_and_line(tmp_path, word):
+    # TSV lexicons match exactly: an inner * never matches, and a trailing
+    # one used to fail later without the file and line
+    path = tmp_path / "emo.tsv"
+    path.write_text(f"calm\tjoy\t1\n{word}\tanger\t1\n")
+    with pytest.raises(LexiconError, match=r"emo\.tsv: line 2: .*'\*'"):
         load_lexicon(path)
 
 
@@ -228,6 +238,18 @@ def test_add_lexicon_features_appends_columns():
     out = add_lexicon_features(fm, corpus, [joy_lexicon()])
     assert out.columns[-2:] == ["emo_joy", "emo_anger"]
     assert out.column("emo_joy").tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lexicon_column_clash_rejected_before_extraction(monkeypatch,
+                                                        workers):
+    def never(*args):
+        raise AssertionError("user_features called")
+
+    monkeypatch.setattr("traitline.features.user_features", never)
+    with pytest.raises(FeatureError, match="duplicate column name: emo_joy"):
+        feature_matrix(two_user_corpus(), {"u1"}, {"u2"}, Snapshot(as_of=SNAP),
+                       workers=workers, lexicons=[joy_lexicon(), joy_lexicon()])
 
 
 def test_join_external_features(tmp_path):

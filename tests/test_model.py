@@ -224,7 +224,7 @@ def test_growth_curve_final_point_equals_full_model():
     ensemble = train_on_matrix(train, cfg)
     full_f1 = evaluate_model(ensemble, test).f1
     ranking = importance_ranking(ensemble)
-    curve = f1_growth_curve(m, ranking, cfg, ks=[1, 2, 4])
+    curve = f1_growth_curve(train, test, ranking, cfg, ks=[1, 2, 4])
     assert curve[-1] == (4, full_f1)
     assert all(0.0 <= f1 <= 1.0 for _, f1 in curve)
 
@@ -234,17 +234,55 @@ def test_growth_curve_pool_matches_serial():
     cfg = small_cfg()
     ranking = importance_ranking(train_on_matrix(impute(m), cfg))
     ks = [2, 1, 4, 2]  # unsorted, with a repeat: results stay in ks order
-    serial = f1_growth_curve(m, ranking, cfg, ks=ks, workers=1)
+    train, test = impute(*stratified_split(m, cfg.test_fraction, cfg.rng_seed))
+    serial = f1_growth_curve(train, test, ranking, cfg, ks=ks, workers=1)
     assert [k for k, _ in serial] == ks
-    assert f1_growth_curve(m, ranking, cfg, ks=ks, workers=2) == serial
+    assert f1_growth_curve(train, test, ranking, cfg, ks=ks,
+                           workers=2) == serial
+
+
+def resplit_curve_point(matrix, ranking, cfg, k):
+    """Reference curve point: re-split and re-impute the top-k column
+    slice of the raw matrix."""
+    top = set(ranking[:k])
+    sub = matrix.select_columns([c for c in matrix.columns if c in top])
+    train, test = impute(*stratified_split(sub, cfg.test_fraction,
+                                           cfg.rng_seed))
+    return evaluate_model(train_on_matrix(train, cfg), test).f1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_growth_curve_equals_per_point_resplit(workers):
+    rng = np.random.default_rng(5)
+    n = 60
+    labels = np.array([1] * (n // 2) + [0] * (n // 2))
+    values = np.column_stack([
+        rng.normal(size=n),                                  # mean-filled
+        np.where(rng.random(n) < 0.8, labels, 1 - labels),   # mode-filled
+        labels * 2.0 + rng.normal(scale=0.8, size=n),        # mean-filled
+        rng.integers(0, 2, size=n),                          # mode-filled
+        rng.normal(size=n),
+    ]).astype(np.float64)
+    values[rng.random(values.shape) < 0.2] = np.nan
+    m = matrix_of(values, labels)
+    assert np.isnan(m.values).any(axis=0).all()
+    cfg = small_cfg()
+    train, test = impute(*stratified_split(m, cfg.test_fraction, cfg.rng_seed))
+    # binary columns stay binary after imputation: they were mode-filled
+    assert set(np.unique(train.values[:, [1, 3]])) == {0.0, 1.0}
+    ranking = importance_ranking(train_on_matrix(train, cfg))
+    ks = [1, 2, 3, 4, 5]
+    curve = f1_growth_curve(train, test, ranking, cfg, ks=ks, workers=workers)
+    assert curve == [(k, resplit_curve_point(m, ranking, cfg, k)) for k in ks]
+    assert len({f1 for _, f1 in curve}) > 1
 
 
 def test_growth_curve_requires_full_ranking():
     m = labeled_noise_matrix(n_features=3)
     with pytest.raises(ModelError, match="does not cover"):
-        f1_growth_curve(m, ["f0", "f1"], small_cfg())
+        f1_growth_curve(m, m, ["f0", "f1"], small_cfg())
     with pytest.raises(ModelError, match="out of range"):
-        f1_growth_curve(m, ["f0", "f1", "f2"], small_cfg(), ks=[9])
+        f1_growth_curve(m, m, ["f0", "f1", "f2"], small_cfg(), ks=[9])
 
 
 def test_cross_validate_returns_fold_metrics():
