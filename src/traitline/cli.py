@@ -185,6 +185,8 @@ class Runner:
         self._corpus: Corpus | None = None
         # parsed upstream artifacts by file name, until a stage rewrites one
         self._artifacts: dict[str, object] = {}
+        # features() split and imputed, until a stage rewrites features.csv
+        self._partition: tuple[FeatureMatrix, FeatureMatrix] | None = None
         # sha256 of each corpus file, taken when the corpus is loaded
         self._corpus_digests: dict[Path, str] = {}
         self.manifest_path = self.out / "manifest.json"
@@ -210,6 +212,8 @@ class Runner:
         """Path of an artifact the running stage writes; it is recorded."""
         path = self.out / name
         self._artifacts.pop(name, None)
+        if name == "features.csv":
+            self._partition = None
         self.outputs.append(path)
         return path
 
@@ -374,24 +378,25 @@ class Runner:
         write_json(self.output("features.meta.json"), meta)
         return matrix
 
-    def _split_impute(self, matrix: FeatureMatrix):
-        cfg = self.config.train_config()
-        train, test = model.stratified_split(matrix, cfg.test_fraction,
-                                             cfg.rng_seed)
-        return model.impute(train, test)
+    def partition(self) -> tuple[FeatureMatrix, FeatureMatrix]:
+        """The imputed (train, test) split of features(), once per parse."""
+        if self._partition is None:
+            cfg = self.config.train_config()
+            train, test = model.stratified_split(
+                self.features(), cfg.test_fraction, cfg.rng_seed)
+            self._partition = model.impute(train, test)
+        return self._partition
 
     def stage_train(self):
-        matrix = self.features()
-        train, _ = self._split_impute(matrix)
+        train, _ = self.partition()
         ensemble = model.train_on_matrix(train, self.config.train_config())
         save_ensemble(ensemble, self.output("model.json"))
         return ensemble
 
     def stage_evaluate(self) -> dict:
         cfg = self.config
-        matrix = self.features()
         ensemble = self.ensemble()
-        train, test = self._split_impute(matrix)
+        train, test = self.partition()
         # a single coin-flip predictor is a noisy estimate of chance-level
         # performance; average a batch of draws instead
         draws = [model.baseline_random(test, stage_seed(cfg.seed, f"baseline{i}"))
@@ -410,7 +415,7 @@ class Runner:
             "seed": cfg.seed,
         }
         if cfg.run_cv:
-            folds = model.cross_validate(matrix, cfg.train_config())
+            folds = model.cross_validate(self.features(), cfg.train_config())
             payload["cv"] = {
                 "folds": [m.as_dict() for m in folds],
                 "mean_f1": sum(m.f1 for m in folds) / len(folds),
@@ -426,7 +431,6 @@ class Runner:
 
     def stage_curve(self) -> list[tuple[int, float]]:
         cfg = self.config
-        matrix = self.features()
         ensemble = self.ensemble()
         ranking = model.importance_ranking(ensemble)
         n = len(ranking)
@@ -435,7 +439,7 @@ class Runner:
             ks = list(range(1, n + 1))
         if ks[-1] != n:
             ks.append(n)
-        train, test = self._split_impute(matrix)
+        train, test = self.partition()
         # with every column in matrix order a refit would rebuild the model
         # in model.json bit for bit, so that point is the model's own F1
         f1_at = dict(model.f1_growth_curve(

@@ -1,10 +1,12 @@
 """Archived-corpus ingestion: users, timelines, likes, follows and seed list.
 
 All inputs are JSON Lines (one object per line) except seeds.json, which is
-an ordered JSON array of account ids. Timestamps are ISO-8601 on disk and
-normalized to UTC epoch seconds on load. Timelines are sorted ascending by
-timestamp with tweet_id as the tie-break so downstream consecutive-pair
-features are deterministic.
+an ordered JSON array of account ids. Fields are never coerced: an id is a
+JSON string or integer (never a boolean) and is held as a string, and a
+field of the wrong JSON type fails the load. Timestamps are ISO-8601 on
+disk and normalized to UTC epoch seconds on load. Timelines are sorted
+ascending by timestamp with tweet_id as the tie-break so downstream
+consecutive-pair features are deterministic.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 TWEET_KINDS = ("original", "retweet", "reply", "quote")
+_ID = (str, int)  # JSON types of an id, matched exactly: a bool is no int
 
 
 class CorpusError(ValueError):
@@ -157,7 +161,11 @@ class ValidationReport:
         }
 
 
-def _iter_jsonl(path: Path):
+def _iter_jsonl(path: Path, parse):
+    """(line number, ``parse(obj, lineno)``) for each object line of ``path``.
+
+    A CorpusError from ``parse`` is reported with the file and line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -171,87 +179,110 @@ def _iter_jsonl(path: Path):
                 ) from None
             if not isinstance(obj, dict):
                 raise CorpusError(f"{path.name}: non-object at line {lineno}")
-            yield lineno, obj
+            try:
+                record = parse(obj, lineno)
+            except CorpusError as exc:
+                raise CorpusError(
+                    f"{path.name}: line {lineno}: {exc}") from None
+            yield lineno, record
 
 
-def _require(obj: dict, name: str, path: Path, lineno: int):
+def _require(obj: dict, name: str, lineno: int):
     if name not in obj or obj[name] is None:
-        raise CorpusError(
-            f"{path.name}: missing field {name} at line {lineno}")
+        raise CorpusError(f"missing field {name} at line {lineno}")
     return obj[name]
 
 
-def _require_type(obj: dict, name: str, kind: type, path: Path, lineno: int):
-    """A required field of exactly type ``kind``: no coercion, no bool as int."""
-    value = _require(obj, name, path, lineno)
-    if type(value) is not kind:
-        raise CorpusError(f"field {name} must be a JSON {kind.__name__}, "
-                          f"got {value!r}")
-    return value
+def _require_type(obj: dict, name: str, kinds: tuple[type, ...], lineno: int,
+                  optional: bool = False):
+    """Field ``name`` of exactly one of the types ``kinds``: no coercion, no
+    bool as int. An optional field may be absent or null, giving None."""
+    value = obj.get(name) if optional else _require(obj, name, lineno)
+    if value is None or type(value) in kinds:
+        return value
+    names = " or ".join(kind.__name__ for kind in kinds)
+    raise CorpusError(f"field {name} must be a JSON {names}, got {value!r}")
 
 
-def _norm_hashtags(raw) -> tuple[str, ...]:
+def _require_id(obj: dict, name: str, lineno: int) -> str:
+    return str(_require_type(obj, name, _ID, lineno))
+
+
+def _strings(obj: dict, name: str, lineno: int) -> tuple[str, ...]:
+    """An optional list-of-strings field; absent or null gives ()."""
+    values = _require_type(obj, name, (list,), lineno, optional=True) or ()
+    if values and not all(type(v) is str for v in values):
+        raise CorpusError(f"field {name} must be a list of strings, "
+                          f"got {values!r}")
+    return tuple(values)
+
+
+def _norm_hashtags(raw: tuple[str, ...]) -> tuple[str, ...]:
     seen = []
-    for tag in raw or []:
-        tag = str(tag).lower().lstrip("#")
+    for tag in raw:
+        tag = tag.lower().lstrip("#")
         if tag and tag not in seen:
             seen.append(tag)
     return tuple(seen)
 
 
+def _parse_user(obj: dict, lineno: int) -> UserRecord:
+    return UserRecord(
+        user_id=_require_id(obj, "user_id", lineno),
+        created_at=parse_timestamp(_require(obj, "created_at", lineno)),
+        followers_count=_require_type(obj, "followers_count", (int,), lineno),
+        following_count=_require_type(obj, "following_count", (int,), lineno),
+        tweet_count=_require_type(obj, "tweet_count", (int,), lineno),
+        listed_count=_require_type(obj, "listed_count", (int,), lineno),
+        verified=_require_type(obj, "verified", (bool,), lineno),
+        has_default_pic=_require_type(obj, "has_default_pic", (bool,), lineno),
+        bio=_require_type(obj, "bio", (str,), lineno, optional=True),
+        predominant_language=_require_type(obj, "predominant_language",
+                                           (str,), lineno, optional=True),
+        snapshot_at=parse_timestamp(_require(obj, "snapshot_at", lineno)),
+    )
+
+
+def _parse_tweet(obj: dict, lineno: int) -> TweetRecord:
+    retweeted = _require_type(obj, "retweeted_author", _ID, lineno,
+                              optional=True)
+    return TweetRecord(
+        tweet_id=_require_id(obj, "tweet_id", lineno),
+        author_id=_require_id(obj, "author_id", lineno),
+        created_at=parse_timestamp(_require(obj, "created_at", lineno)),
+        kind=_require_type(obj, "kind", (str,), lineno),
+        text=_require_type(obj, "text", (str,), lineno, optional=True) or "",
+        hashtags=_norm_hashtags(_strings(obj, "hashtags", lineno)),
+        urls=_strings(obj, "urls", lineno),
+        mentions=_strings(obj, "mentions", lineno),
+        retweeted_author=None if retweeted in (None, "") else str(retweeted),
+        lang=_require_type(obj, "lang", (str,), lineno, optional=True),
+    )
+
+
+def _parse_ids(names: tuple[str, ...], obj: dict, lineno: int) -> tuple:
+    return tuple(_require_id(obj, name, lineno) for name in names)
+
+
 def load_users(path: Path) -> dict[str, UserRecord]:
     users: dict[str, UserRecord] = {}
-    for lineno, obj in _iter_jsonl(path):
-        uid = str(_require(obj, "user_id", path, lineno))
-        if uid in users:
-            raise CorpusError(
-                f"{path.name}: duplicate user_id {uid} at line {lineno}")
-        try:
-            users[uid] = UserRecord(
-                user_id=uid,
-                created_at=parse_timestamp(_require(obj, "created_at", path, lineno)),
-                followers_count=_require_type(obj, "followers_count", int, path, lineno),
-                following_count=_require_type(obj, "following_count", int, path, lineno),
-                tweet_count=_require_type(obj, "tweet_count", int, path, lineno),
-                listed_count=_require_type(obj, "listed_count", int, path, lineno),
-                verified=_require_type(obj, "verified", bool, path, lineno),
-                has_default_pic=_require_type(obj, "has_default_pic", bool, path, lineno),
-                bio=obj.get("bio"),
-                predominant_language=obj.get("predominant_language"),
-                snapshot_at=parse_timestamp(_require(obj, "snapshot_at", path, lineno)),
-            )
-        except CorpusError as exc:
-            raise CorpusError(f"{path.name}: line {lineno}: {exc}") from None
+    for lineno, user in _iter_jsonl(path, _parse_user):
+        if user.user_id in users:
+            raise CorpusError(f"{path.name}: duplicate user_id "
+                              f"{user.user_id} at line {lineno}")
+        users[user.user_id] = user
     return users
 
 
 def load_tweets(path: Path) -> dict[str, list[TweetRecord]]:
     timelines: dict[str, list[TweetRecord]] = {}
     seen_ids: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        tid = str(_require(obj, "tweet_id", path, lineno))
-        if tid in seen_ids:
-            raise CorpusError(
-                f"{path.name}: duplicate tweet_id {tid} at line {lineno}")
-        seen_ids.add(tid)
-        author = str(_require(obj, "author_id", path, lineno))
-        try:
-            rec = TweetRecord(
-                tweet_id=tid,
-                author_id=author,
-                created_at=parse_timestamp(_require(obj, "created_at", path, lineno)),
-                kind=str(_require(obj, "kind", path, lineno)),
-                text=str(obj.get("text") or ""),
-                hashtags=_norm_hashtags(obj.get("hashtags")),
-                urls=tuple(str(u) for u in obj.get("urls") or []),
-                mentions=tuple(str(m) for m in obj.get("mentions") or []),
-                retweeted_author=(str(obj["retweeted_author"])
-                                  if obj.get("retweeted_author") else None),
-                lang=obj.get("lang"),
-            )
-        except CorpusError as exc:
-            raise CorpusError(f"{path.name}: line {lineno}: {exc}") from None
-        timelines.setdefault(author, []).append(rec)
+    for lineno, rec in _iter_jsonl(path, _parse_tweet):
+        if rec.tweet_id in seen_ids:
+            raise CorpusError(f"{path.name}: duplicate tweet_id "
+                              f"{rec.tweet_id} at line {lineno}")
+        seen_ids.add(rec.tweet_id)
+        timelines.setdefault(rec.author_id, []).append(rec)
     for tl in timelines.values():
         tl.sort(key=lambda t: (t.created_at, t.tweet_id))
     return timelines
@@ -266,25 +297,23 @@ def load_corpus(paths: CorpusPaths) -> Corpus:
     users = load_users(paths.users)
     timelines = load_tweets(paths.tweets)
 
-    likes: list[tuple[str, str, str]] = []
-    for lineno, obj in _iter_jsonl(paths.likes):
-        likes.append((
-            str(_require(obj, "user_id", paths.likes, lineno)),
-            str(_require(obj, "seed_id", paths.likes, lineno)),
-            str(_require(obj, "liked_tweet_id", paths.likes, lineno)),
-        ))
-
-    follows: list[tuple[str, str]] = []
-    for lineno, obj in _iter_jsonl(paths.follows):
-        follows.append((
-            str(_require(obj, "follower_id", paths.follows, lineno)),
-            str(_require(obj, "followee_id", paths.follows, lineno)),
-        ))
+    likes = [row for _, row in _iter_jsonl(paths.likes, partial(
+        _parse_ids, ("user_id", "seed_id", "liked_tweet_id")))]
+    follows = [row for _, row in _iter_jsonl(paths.follows, partial(
+        _parse_ids, ("follower_id", "followee_id")))]
 
     with open(paths.seeds, "r", encoding="utf-8") as fh:
-        seeds_raw = json.load(fh)
+        try:
+            seeds_raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{paths.seeds.name}: malformed JSON at line "
+                              f"{exc.lineno}: {exc.msg}") from None
     if not isinstance(seeds_raw, list):
         raise CorpusError(f"{paths.seeds.name}: expected a JSON array")
+    for index, seed in enumerate(seeds_raw):
+        if type(seed) not in _ID:
+            raise CorpusError(f"{paths.seeds.name}: entry {index}: a seed id "
+                              f"must be a JSON str or int, got {seed!r}")
     seeds = [str(s) for s in seeds_raw]
     if len(set(seeds)) != len(seeds):
         raise CorpusError(f"{paths.seeds.name}: duplicate seed ids")

@@ -8,6 +8,10 @@ lists stably. It is vectorized across features and uses exact
 tie-breaking (lowest feature index, then lowest threshold) so training is
 deterministic for any worker count or platform. Per-feature importance is
 the summed split gain.
+
+A tree is held as the nested node dicts that ``model.json`` stores: a leaf
+is ``{"value": v}`` and a split is ``{"feature", "threshold", "gain",
+"left", "right"}``, where rows with ``X[:, feature] <= threshold`` go left.
 """
 
 from __future__ import annotations
@@ -46,20 +50,6 @@ class TrainConfig:
             raise ModelError("k_folds must be >= 2")
         if not 0.0 < self.test_fraction < 1.0:
             raise ModelError("test_fraction must be in (0, 1)")
-
-
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-    gain: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 def _best_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,
@@ -103,17 +93,21 @@ def _best_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,
 
 def _build_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
                 rows: np.ndarray, order: np.ndarray, depth: int,
-                cfg: TrainConfig, importance: np.ndarray) -> TreeNode:
+                cfg: TrainConfig, importance: np.ndarray,
+                update: np.ndarray) -> dict:
     """Grow the subtree over ``rows``; ``order`` is as in ``_best_split``.
 
     Children are built depth-first, left first, so ``importance`` receives
-    its additions in a fixed order.
+    its additions in a fixed order. Each leaf writes its value into
+    ``update`` at its rows.
     """
     split = None
     if depth < cfg.max_depth:
         split = _best_split(X, g, h, rows, order, cfg.min_samples_leaf)
     if split is None:
-        return TreeNode(value=float(-g[rows].sum() / (h[rows].sum() + _EPS)))
+        value = float(-g[rows].sum() / (h[rows].sum() + _EPS))
+        update[rows] = value
+        return {"value": value}
     gain, feature, threshold = split
     importance[feature] += gain
     go_left = X[rows, feature] <= threshold
@@ -124,31 +118,32 @@ def _build_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
     in_left[left_rows] = True
     sorted_left = in_left[order]
     n_features = order.shape[0]
-    return TreeNode(
-        feature=feature, threshold=threshold, gain=gain,
-        left=_build_tree(X, g, h, left_rows,
-                         order[sorted_left].reshape(n_features, left_rows.size),
-                         depth + 1, cfg, importance),
-        right=_build_tree(X, g, h, right_rows,
-                          order[~sorted_left].reshape(n_features,
-                                                      right_rows.size),
-                          depth + 1, cfg, importance),
-    )
+    return {
+        "feature": feature, "threshold": threshold, "gain": gain,
+        "left": _build_tree(X, g, h, left_rows,
+                            order[sorted_left].reshape(n_features,
+                                                       left_rows.size),
+                            depth + 1, cfg, importance, update),
+        "right": _build_tree(X, g, h, right_rows,
+                             order[~sorted_left].reshape(n_features,
+                                                         right_rows.size),
+                             depth + 1, cfg, importance, update),
+    }
 
 
-def _tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
+def _tree_predict(root: dict, X: np.ndarray) -> np.ndarray:
     out = np.empty(X.shape[0], dtype=np.float64)
     stack = [(root, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
         if idx.size == 0:
             continue
-        if node.is_leaf:
-            out[idx] = node.value
+        if "value" in node:
+            out[idx] = node["value"]
         else:
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
+            mask = X[idx, node["feature"]] <= node["threshold"]
+            stack.append((node["left"], idx[mask]))
+            stack.append((node["right"], idx[~mask]))
     return out
 
 
@@ -163,7 +158,7 @@ def logistic_loss(y: np.ndarray, p: np.ndarray) -> float:
 
 @dataclass
 class TreeEnsemble:
-    trees: list[TreeNode]
+    trees: list[dict]
     learning_rate: float
     initial_score: float
     feature_names: list[str]
@@ -199,15 +194,17 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, feature_names: list[str],
     rows = np.arange(X.shape[0])
     # one stable sort per fit; every node partitions its parent's block
     order = np.argsort(X.T, axis=1, kind="stable")
-    trees: list[TreeNode] = []
+    # every row reaches one leaf, so each tree overwrites all of update
+    update = np.empty(X.shape[0], dtype=np.float64)
+    trees: list[dict] = []
     losses = [logistic_loss(y, _sigmoid(raw))]
     for _ in range(cfg.n_trees):
         p = _sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        tree = _build_tree(X, g, h, rows, order, 0, cfg, importance)
-        trees.append(tree)
-        raw = raw + cfg.learning_rate * _tree_predict(tree, X)
+        trees.append(_build_tree(X, g, h, rows, order, 0, cfg, importance,
+                                 update))
+        raw = raw + cfg.learning_rate * update
         losses.append(logistic_loss(y, _sigmoid(raw)))
     return TreeEnsemble(trees=trees, learning_rate=cfg.learning_rate,
                         initial_score=initial, feature_names=list(feature_names),
@@ -231,25 +228,18 @@ def predict_labels(ensemble: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     return (predict_scores(ensemble, X) >= 0.5).astype(np.int64)
 
 
-def _node_to_json(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "gain": node.gain, "left": _node_to_json(node.left),
-            "right": _node_to_json(node.right)}
-
-
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelError(f"{what} must be a number, got {value!r}")
     return float(value)
 
 
-def _node_from_json(obj, n_features: int, where: str) -> TreeNode:
+def _node_from_json(obj, n_features: int, where: str) -> dict:
+    """A validated copy of one loaded node and its subtree."""
     if not isinstance(obj, dict):
         raise ModelError(f"{where}: node must be a JSON object")
     if "value" in obj:
-        return TreeNode(value=_number(obj["value"], f"{where}: value"))
+        return {"value": _number(obj["value"], f"{where}: value")}
     feature = obj.get("feature")
     if (isinstance(feature, bool) or not isinstance(feature, int)
             or not 0 <= feature < n_features):
@@ -258,11 +248,11 @@ def _node_from_json(obj, n_features: int, where: str) -> TreeNode:
     for key in ("threshold", "left", "right"):
         if key not in obj:
             raise ModelError(f"{where}: split node has no {key!r}")
-    return TreeNode(feature=feature,
-                    threshold=_number(obj["threshold"], f"{where}: threshold"),
-                    gain=_number(obj.get("gain", 0.0), f"{where}: gain"),
-                    left=_node_from_json(obj["left"], n_features, where),
-                    right=_node_from_json(obj["right"], n_features, where))
+    return {"feature": feature,
+            "threshold": _number(obj["threshold"], f"{where}: threshold"),
+            "gain": _number(obj.get("gain", 0.0), f"{where}: gain"),
+            "left": _node_from_json(obj["left"], n_features, where),
+            "right": _node_from_json(obj["right"], n_features, where)}
 
 
 def save_ensemble(ensemble: TreeEnsemble, path) -> None:
@@ -273,7 +263,7 @@ def save_ensemble(ensemble: TreeEnsemble, path) -> None:
         "feature_names": ensemble.feature_names,
         "feature_importance": ensemble.feature_importance.tolist(),
         "loss_history": ensemble.loss_history,
-        "trees": [_node_to_json(t) for t in ensemble.trees],
+        "trees": ensemble.trees,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)

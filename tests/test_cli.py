@@ -223,6 +223,23 @@ def test_pipeline_parses_features_and_model_once(tmp_path, corpus_dir,
                     == (stagewise / name).read_bytes()), name
 
 
+def test_pipeline_splits_and_imputes_once(tmp_path, corpus_dir, monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("stratified_split", "impute"):
+        monkeypatch.setattr(cli.model, name,
+                            counting(name, getattr(cli.model, name)))
+    config = config_file(tmp_path, corpus_dir, tmp_path / "pipeline")
+    assert run("pipeline", "run", "--config", config) == 0
+    assert sorted(calls) == ["impute", "stratified_split"]
+
+
 def test_rewritten_artifact_is_parsed_again(tmp_path, corpus_dir):
     config = config_file(tmp_path, corpus_dir, tmp_path / "again")
     runner = cli.Runner(cli.RunConfig(**json.loads(config.read_text())))
@@ -230,9 +247,11 @@ def test_rewritten_artifact_is_parsed_again(tmp_path, corpus_dir):
     for name in ("cohort.build", "cohort.control", "features.extract"):
         runner.run(stages[name])
     assert len(runner.features().columns) == 92
+    assert len(runner.partition()[0].columns) == 92
     runner.config.lexicons = ["lexicons/mini_emotions.tsv"]
     runner.run(stages["features.extract"])
     assert len(runner.features().columns) == 92 + 10
+    assert len(runner.partition()[1].columns) == 92 + 10
 
 
 def test_missing_upstream_artifact_fails_with_stage(tmp_path, corpus_dir,

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_corpus, make_tweet, make_user
 from traitline.cohort import (CohortError, ControlConstraints, GridTable,
@@ -135,6 +137,32 @@ def test_filters_match_brute_force_and_commute():
         a = filter_cov(filter_follows_seed(matrix, corpus), 1.0)
         b = filter_follows_seed(filter_cov(matrix, 1.0), corpus)
         assert a.rows == b.rows
+
+
+@st.composite
+def filter_inputs(draw):
+    seeds = [f"s{i}" for i in range(draw(st.integers(1, 5)))]
+    users = [f"u{i}" for i in range(draw(st.integers(1, 12)))]
+    rows = draw(st.dictionaries(
+        st.sampled_from(users),
+        st.dictionaries(st.sampled_from(seeds), st.integers(1, 30),
+                        min_size=1)))
+    # follows may target seeds, other users or accounts outside the corpus
+    accounts = users + seeds + ["elsewhere"]
+    follows = draw(st.lists(st.tuples(st.sampled_from(accounts),
+                                      st.sampled_from(accounts)),
+                            max_size=20))
+    return (LikeMatrix(seeds=seeds, rows=rows),
+            make_corpus(follows=follows, seeds=seeds),
+            draw(st.floats(0.0, 3.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_inputs())
+def test_follow_and_cov_filters_commute(data):
+    matrix, corpus, max_cov = data
+    assert (filter_cov(filter_follows_seed(matrix, corpus), max_cov)
+            == filter_follows_seed(filter_cov(matrix, max_cov), corpus))
 
 
 # ---- threshold grid and selection -------------------------------------------

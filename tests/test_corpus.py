@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_corpus, make_tweet, make_user
 from traitline.corpus import (CorpusError, CorpusPaths, load_corpus,
@@ -104,6 +106,7 @@ def test_malformed_line_reports_file_and_line(tmp_path):
     ("verified", "false"), ("verified", 0), ("has_default_pic", 1),
     ("has_default_pic", "true"), ("followers_count", 3.9),
     ("following_count", "20"), ("tweet_count", True), ("listed_count", 1.0),
+    ("bio", 5), ("predominant_language", ["en"]),
 ])
 def test_user_field_of_wrong_type_rejected(tmp_path, field, value):
     paths = write_fixture(tmp_path, users=[user_row("u1"),
@@ -111,6 +114,94 @@ def test_user_field_of_wrong_type_rejected(tmp_path, field, value):
                           tweets=[], seeds=["s1"])
     with pytest.raises(CorpusError, match=f"users.jsonl: line 2: .*{field}"):
         load_corpus(paths)
+
+
+def strict_fixture(tmp_path, name, change):
+    """A valid corpus whose second record of file ``name`` is updated with
+    ``change``, or whose seed list is ``change``."""
+    rows = {
+        "users": [user_row("u1"), user_row("u2")],
+        "tweets": [tweet_row("t1", "u1", "2021-05-01T00:00:00Z"),
+                   tweet_row("t2", "u1", "2021-05-02T00:00:00Z")],
+        "likes": [{"user_id": "u1", "seed_id": "s1", "liked_tweet_id": "p1"}
+                  for _ in range(2)],
+        "follows": [{"follower_id": "u1", "followee_id": "s1"}
+                    for _ in range(2)],
+    }
+    seeds = ["s1"]
+    if name == "seeds":
+        seeds = change
+    else:
+        rows[name][1].update(change)
+    return write_fixture(tmp_path, rows["users"], rows["tweets"],
+                         rows["likes"], rows["follows"], seeds)
+
+
+@pytest.mark.parametrize("name, change, message", [
+    ("tweets", {"hashtags": "abc"},
+     r"tweets\.jsonl: line 2: field hashtags must be a JSON list, got 'abc'"),
+    ("tweets", {"hashtags": ["ok", 7]},
+     r"tweets\.jsonl: line 2: field hashtags must be a list of strings"),
+    ("tweets", {"urls": "http://x.io"},
+     r"tweets\.jsonl: line 2: field urls must be a JSON list"),
+    ("tweets", {"mentions": [None]},
+     r"tweets\.jsonl: line 2: field mentions must be a list of strings"),
+    ("tweets", {"text": 123}, r"tweets\.jsonl: line 2: field text .* 123"),
+    ("tweets", {"lang": 3}, r"tweets\.jsonl: line 2: field lang .* 3"),
+    ("tweets", {"kind": 1}, r"tweets\.jsonl: line 2: field kind .* 1"),
+    ("tweets", {"tweet_id": True},
+     r"tweets\.jsonl: line 2: field tweet_id must be a JSON str or int"),
+    ("tweets", {"author_id": 1.5}, r"tweets\.jsonl: line 2: field author_id"),
+    ("tweets", {"retweeted_author": ["x"]},
+     r"tweets\.jsonl: line 2: field retweeted_author"),
+    ("likes", {"user_id": True, "seed_id": [1]},
+     r"likes\.jsonl: line 2: field user_id .* True"),
+    ("likes", {"seed_id": [1]}, r"likes\.jsonl: line 2: field seed_id"),
+    ("likes", {"liked_tweet_id": 2.0},
+     r"likes\.jsonl: line 2: field liked_tweet_id"),
+    ("follows", {"follower_id": None},
+     r"follows\.jsonl: line 2: missing field follower_id"),
+    ("follows", {"followee_id": {"a": 1}},
+     r"follows\.jsonl: line 2: field followee_id"),
+    ("users", {"user_id": False}, r"users\.jsonl: line 2: field user_id"),
+    ("seeds", [1, None, {"a": 1}], r"seeds\.json: entry 1: .* None"),
+    ("seeds", ["s1", True], r"seeds\.json: entry 1: .* True"),
+], ids=["hashtags-string", "hashtag-int", "urls-string", "mention-null",
+        "text-int", "lang-int", "kind-int", "tweet-id-bool", "author-id-float",
+        "retweeted-author-list", "like-ids-bool-and-list", "seed-id-list",
+        "liked-tweet-id-float", "follower-id-null", "followee-id-object",
+        "user-id-bool", "seeds-null-and-object", "seeds-bool"])
+def test_field_of_wrong_json_type_rejected(tmp_path, name, change, message):
+    with pytest.raises(CorpusError, match=message):
+        load_corpus(strict_fixture(tmp_path, name, change))
+
+
+def test_malformed_seed_list_reports_file_and_line(tmp_path):
+    paths = write_fixture(tmp_path, users=[user_row("u1")], tweets=[])
+    paths.seeds.write_text('["s1",\n "s2"\n')
+    with pytest.raises(CorpusError,
+                       match=r"seeds\.json: malformed JSON at line 3"):
+        load_corpus(paths)
+
+
+def test_integer_ids_load_as_strings(tmp_path):
+    paths = write_fixture(
+        tmp_path, users=[user_row(1)],
+        tweets=[tweet_row(10, 1, "2021-05-01T00:00:00Z", kind="retweet",
+                          retweeted_author=2, hashtags=None, urls=None,
+                          mentions=None, text=None)],
+        likes=[{"user_id": 1, "seed_id": 3, "liked_tweet_id": 4}],
+        follows=[{"follower_id": 1, "followee_id": 3}], seeds=[3, "s2"])
+    corpus = load_corpus(paths)
+    assert set(corpus.users) == {"1"}
+    tweet = corpus.timeline("1")[0]
+    assert (tweet.tweet_id, tweet.author_id, tweet.retweeted_author) == \
+        ("10", "1", "2")
+    assert (tweet.text, tweet.hashtags, tweet.urls, tweet.mentions) == \
+        ("", (), (), ())
+    assert corpus.likes == [("1", "3", "4")]
+    assert corpus.follows == [("1", "3")]
+    assert corpus.seeds == ["3", "s2"]
 
 
 @pytest.mark.parametrize("value", [True, False, 1900000000.9, -0.5,
@@ -235,6 +326,25 @@ def test_round_trip(tmp_path):
     for name in ("users.jsonl", "tweets.jsonl", "likes.jsonl",
                  "follows.jsonl", "seeds.json"):
         assert (out / name).read_bytes() == (tmp_path / "rt2" / name).read_bytes()
+
+
+OPTIONAL_TEXT = st.none() | st.text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(), bio=OPTIONAL_TEXT, language=OPTIONAL_TEXT,
+       urls=st.lists(st.text(), max_size=3),
+       mentions=st.lists(st.text(), max_size=3), lang=OPTIONAL_TEXT)
+def test_save_load_round_trips_unicode(tmp_path_factory, text, bio, language,
+                                       urls, mentions, lang):
+    corpus = make_corpus(
+        users=[make_user("u1", bio=bio, lang=language)],
+        timelines={"u1": [make_tweet("t1", "u1", 1000, text=text, urls=urls,
+                                     mentions=mentions, lang=lang)]},
+        seeds=["s1"])
+    paths = CorpusPaths.in_dir(tmp_path_factory.mktemp("corpus"))
+    save_corpus(corpus, paths)
+    assert load_corpus(paths) == corpus
 
 
 # ---- validation ------------------------------------------------------------

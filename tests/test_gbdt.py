@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traitline import gbdt
-from traitline.gbdt import (ModelError, TrainConfig, TreeEnsemble, TreeNode,
+from traitline.gbdt import (ModelError, TrainConfig, TreeEnsemble,
                             load_ensemble, predict_labels, predict_scores,
                             save_ensemble, train_gbdt)
 
@@ -29,10 +29,10 @@ def separable_data(n_per_side=10):
 # ---- hand-traced prediction ---------------------------------------------------
 
 def hand_ensemble():
-    tree1 = TreeNode(feature=0, threshold=0.5,
-                     left=TreeNode(value=-1.0), right=TreeNode(value=2.0))
-    tree2 = TreeNode(feature=1, threshold=0.0,
-                     left=TreeNode(value=0.5), right=TreeNode(value=-0.25))
+    tree1 = {"feature": 0, "threshold": 0.5, "gain": 0.0,
+             "left": {"value": -1.0}, "right": {"value": 2.0}}
+    tree2 = {"feature": 1, "threshold": 0.0, "gain": 0.0,
+             "left": {"value": 0.5}, "right": {"value": -0.25}}
     return TreeEnsemble(trees=[tree1, tree2], learning_rate=0.1,
                         initial_score=0.3, feature_names=["f0", "f1"],
                         feature_importance=np.array([1.0, 1.0]))
@@ -64,7 +64,7 @@ def test_empty_ensemble_predicts_initial_everywhere():
 def test_prediction_monotone_in_leaf_value():
     low = hand_ensemble()
     high = hand_ensemble()
-    high.trees[0].right.value = 5.0
+    high.trees[0]["right"]["value"] = 5.0
     row = np.array([[0.7, -3.0]])
     assert predict_scores(high, row)[0] > predict_scores(low, row)[0]
 
@@ -132,10 +132,10 @@ def test_tied_splits_prefer_lowest_feature_index():
     ensemble = train_gbdt(x, y, ["first", "twin"], cfg(n_trees=5))
 
     def features_used(node):
-        if node.is_leaf:
+        if "value" in node:
             return set()
-        return ({node.feature} | features_used(node.left)
-                | features_used(node.right))
+        return ({node["feature"]} | features_used(node["left"])
+                | features_used(node["right"]))
 
     used = set()
     for tree in ensemble.trees:
@@ -148,7 +148,7 @@ def test_min_samples_leaf_respected():
     x, y = separable_data(n_per_side=3)
     ensemble = train_gbdt(x, y, ["f0"], cfg(min_samples_leaf=4))
     # 6 rows cannot produce two leaves of 4; every tree is a stump leaf
-    assert all(t.is_leaf for t in ensemble.trees)
+    assert all("value" in t for t in ensemble.trees)
 
 
 def test_single_class_rejected():
@@ -212,15 +212,15 @@ def reference_tree(X, g, h, depth, config, importance):
     if depth < config.max_depth:
         split = reference_best_split(X, g, h, config.min_samples_leaf)
     if split is None:
-        return TreeNode(value=float(-g.sum() / (h.sum() + gbdt._EPS)))
+        return {"value": float(-g.sum() / (h.sum() + gbdt._EPS))}
     gain, feature, threshold, left = split
     importance[feature] += gain
-    return TreeNode(
-        feature=feature, threshold=threshold, gain=gain,
-        left=reference_tree(X[left], g[left], h[left], depth + 1, config,
-                            importance),
-        right=reference_tree(X[~left], g[~left], h[~left], depth + 1, config,
-                             importance))
+    return {
+        "feature": feature, "threshold": threshold, "gain": gain,
+        "left": reference_tree(X[left], g[left], h[left], depth + 1, config,
+                               importance),
+        "right": reference_tree(X[~left], g[~left], h[~left], depth + 1,
+                                config, importance)}
 
 
 def reference_train(X, y, config):
@@ -268,8 +268,7 @@ def test_presorted_fit_equals_per_node_sort(data):
     ensemble = train_gbdt(X, y, names, config)
     trees, importance, losses = reference_train(X, y, config)
     # json.dumps writes floats by repr, so equal text means equal bits
-    assert (json.dumps([gbdt._node_to_json(t) for t in ensemble.trees])
-            == json.dumps([gbdt._node_to_json(t) for t in trees]))
+    assert json.dumps(ensemble.trees) == json.dumps(trees)
     assert ensemble.feature_importance.tobytes() == importance.tobytes()
     assert json.dumps(ensemble.loss_history) == json.dumps(losses)
 
@@ -353,12 +352,13 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def ensembles(draw):
     n_features = draw(st.integers(1, 4))
-    leaf = st.builds(lambda v: TreeNode(value=v), st.floats(-8.0, 8.0))
+    leaf = st.builds(lambda v: {"value": v}, st.floats(-8.0, 8.0))
 
     def split(kids):
         return st.builds(
-            lambda f, t, g, left, right: TreeNode(
-                feature=f, threshold=t, gain=g, left=left, right=right),
+            lambda f, t, g, left, right: {
+                "feature": f, "threshold": t, "gain": g, "left": left,
+                "right": right},
             st.integers(0, n_features - 1), FINITE, FINITE, kids, kids)
 
     return TreeEnsemble(
