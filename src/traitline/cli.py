@@ -22,6 +22,8 @@ import sys
 from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__, cohort, model, synth, topics
 from .corpus import Corpus, CorpusPaths, load_corpus, record_counts, validate_corpus
@@ -69,6 +71,20 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value has the declared type: a bool is no int, and an
+    int is a float."""
+    origin = get_origin(hint)
+    if origin is UnionType:
+        return any(_has_type(value, h) for h in get_args(hint))
+    if origin is list:
+        return (type(value) is list
+                and all(_has_type(v, get_args(hint)[0]) for v in value))
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
+
+
 @dataclass
 class RunConfig:
     corpus_dir: str = ""
@@ -103,14 +119,29 @@ class RunConfig:
     curve_ks: list[int] | None = field(default_factory=lambda: list(DEFAULT_CURVE_KS))
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise SystemExit(f"config {path}: expected a JSON object")
-        keys = {f.name for f in fields(cls)}
-        errors = [f"unknown config key {k!r}" for k in raw if k not in keys]
-        config = cls(**{k: v for k, v in raw.items() if k in keys})
+    def load(cls, path: str | None, overrides: dict) -> "RunConfig":
+        """The JSON config file at ``path`` (all defaults without one) with
+        the flag ``overrides`` applied, checked once: every unknown key,
+        value of the wrong type and value out of range is reported in one
+        message. A value of the wrong type is not used for the range checks."""
+        raw = {}
+        if path:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise SystemExit(f"config {path}: expected a JSON object")
+        raw.update(overrides)
+        hints = get_type_hints(cls)
+        declared = {f.name: f.type for f in fields(cls)}
+        errors, typed = [], {}
+        for key, value in raw.items():
+            if key not in hints:
+                errors.append(f"unknown config key {key!r}")
+            elif _has_type(value, hints[key]):
+                typed[key] = value
+            else:
+                errors.append(f"{key} must be {declared[key]}, got {value!r}")
+        config = cls(**typed)
         errors.extend(config.validation_errors())
         if errors:
             raise SystemExit("config errors:\n  " + "\n  ".join(errors))
@@ -322,8 +353,7 @@ class Runner:
             creation_bucket=cfg.creation_bucket,
             excluded_users=cohort.seed_likers(corpus),
             excluded_follow_targets=set(corpus.seeds))
-        eligible = cohort.eligible_controls(
-            corpus, engaged, set(corpus.users) - engaged, constraints)
+        eligible = cohort.eligible_controls(corpus, engaged, constraints)
         rng_seed = stage_seed(cfg.seed, "control")
         n = min(len(engaged), len(eligible))
         if n < len(engaged):
@@ -511,14 +541,10 @@ STAGES = (
 
 
 def _resolve_config(args) -> RunConfig:
-    config = (RunConfig.from_file(args.config) if args.config else RunConfig())
-    for key in ("corpus_dir", "out_dir", "seed", "workers"):
-        if getattr(args, key) is not None:
-            setattr(config, key, getattr(args, key))
-    errors = config.validation_errors()
-    if errors:
-        raise SystemExit("config errors:\n  " + "\n  ".join(errors))
-    return config
+    return RunConfig.load(args.config, {
+        key: getattr(args, key)
+        for key in ("corpus_dir", "out_dir", "seed", "workers")
+        if getattr(args, key) is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:

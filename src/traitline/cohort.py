@@ -20,6 +20,8 @@ from .statkit import coefficient_of_variation
 
 DEFAULT_L_AXIS = (1, 5, 10, 15, 20, 25, 30, 35)
 DEFAULT_S_AXIS = (1, 2, 3, 4, 5, 6, 7)
+# prefer="balanced" takes cells within this fraction below the target size
+BELOW_SLACK = 0.3
 
 
 class CohortError(ValueError):
@@ -152,13 +154,12 @@ def select_cohort(matrix: LikeMatrix, l_min: int, s_min: int) -> set[str]:
 
 
 def auto_thresholds(grid: GridTable, target: int,
-                    prefer: str = "nearest",
-                    below_slack: float = 0.3) -> tuple[int, int]:
+                    prefer: str = "nearest") -> tuple[int, int]:
     """Pick (l_min, s_min) from a grid so the cohort size lands near target.
 
     prefer="nearest" minimizes |count - target|, breaking ties toward the
     larger s_min and then the larger l_min. prefer="balanced" restricts to
-    cells at or below target but within ``below_slack`` of it and picks the
+    cells at or below target but within ``BELOW_SLACK`` of it and picks the
     cell maximizing l_min * s_min, trading intensity against diversity;
     it falls back to "nearest" when no cell qualifies.
     """
@@ -167,7 +168,7 @@ def auto_thresholds(grid: GridTable, target: int,
     cells = [(l, s, grid.entries[(l, s)])
              for l in grid.l_axis for s in grid.s_axis]
     if prefer == "balanced":
-        floor = target * (1.0 - below_slack)
+        floor = target * (1.0 - BELOW_SLACK)
         window = [(l, s, c) for l, s, c in cells if floor <= c <= target]
         if window:
             best = max(window, key=lambda cell: (cell[0] * cell[1], cell[1],
@@ -212,9 +213,8 @@ def seed_likers(corpus: Corpus) -> set[str]:
 
 
 def eligible_controls(corpus: Corpus, conspiracy: set[str],
-                      candidates: set[str],
                       constraints: ControlConstraints) -> list[str]:
-    """Candidates that may join the control group, sorted.
+    """Corpus users that may join the control group, sorted.
 
     Eligibility: not in the engaged cohort, not in the excluded (seed-liking)
     set, not following any excluded target, and posting predominantly in the
@@ -225,12 +225,10 @@ def eligible_controls(corpus: Corpus, conspiracy: set[str],
                              if followee in seed_set}
 
     eligible = []
-    for user_id in sorted(candidates):
+    for user_id in sorted(corpus.users):
         if user_id in conspiracy or user_id in constraints.excluded_users:
             continue
         if user_id in followers_of_excluded:
-            continue
-        if user_id not in corpus.users:
             continue
         if corpus.predominant_language(user_id) != constraints.target_language:
             continue

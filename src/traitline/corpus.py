@@ -161,56 +161,61 @@ class ValidationReport:
         }
 
 
-def _iter_jsonl(path: Path, parse):
-    """(line number, ``parse(obj, lineno)``) for each object line of ``path``.
+def _iter_jsonl(path: Path, parse, unique: str | None = None):
+    """``parse(obj)`` for each object line of ``path``; with ``unique``, that
+    attribute of the records may not repeat.
 
-    A CorpusError from ``parse`` is reported with the file and line.
+    Every error is reported as ``file: line N: ...``.
     """
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(
-                    f"{path.name}: malformed JSON at line {lineno}: {exc.msg}"
-                ) from None
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path.name}: non-object at line {lineno}")
-            try:
-                record = parse(obj, lineno)
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"malformed JSON: {exc.msg}") from None
+                if not isinstance(obj, dict):
+                    raise CorpusError("non-object")
+                record = parse(obj)
+                if unique is not None:
+                    key = getattr(record, unique)
+                    if key in seen:
+                        raise CorpusError(f"duplicate {unique} {key}")
+                    seen.add(key)
             except CorpusError as exc:
                 raise CorpusError(
                     f"{path.name}: line {lineno}: {exc}") from None
-            yield lineno, record
+            yield record
 
 
-def _require(obj: dict, name: str, lineno: int):
+def _require(obj: dict, name: str):
     if name not in obj or obj[name] is None:
-        raise CorpusError(f"missing field {name} at line {lineno}")
+        raise CorpusError(f"missing field {name}")
     return obj[name]
 
 
-def _require_type(obj: dict, name: str, kinds: tuple[type, ...], lineno: int,
+def _require_type(obj: dict, name: str, kinds: tuple[type, ...],
                   optional: bool = False):
     """Field ``name`` of exactly one of the types ``kinds``: no coercion, no
     bool as int. An optional field may be absent or null, giving None."""
-    value = obj.get(name) if optional else _require(obj, name, lineno)
+    value = obj.get(name) if optional else _require(obj, name)
     if value is None or type(value) in kinds:
         return value
     names = " or ".join(kind.__name__ for kind in kinds)
     raise CorpusError(f"field {name} must be a JSON {names}, got {value!r}")
 
 
-def _require_id(obj: dict, name: str, lineno: int) -> str:
-    return str(_require_type(obj, name, _ID, lineno))
+def _require_id(obj: dict, name: str) -> str:
+    return str(_require_type(obj, name, _ID))
 
 
-def _strings(obj: dict, name: str, lineno: int) -> tuple[str, ...]:
+def _strings(obj: dict, name: str) -> tuple[str, ...]:
     """An optional list-of-strings field; absent or null gives ()."""
-    values = _require_type(obj, name, (list,), lineno, optional=True) or ()
+    values = _require_type(obj, name, (list,), optional=True) or ()
     if values and not all(type(v) is str for v in values):
         raise CorpusError(f"field {name} must be a list of strings, "
                           f"got {values!r}")
@@ -226,62 +231,51 @@ def _norm_hashtags(raw: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def _parse_user(obj: dict, lineno: int) -> UserRecord:
+def _parse_user(obj: dict) -> UserRecord:
     return UserRecord(
-        user_id=_require_id(obj, "user_id", lineno),
-        created_at=parse_timestamp(_require(obj, "created_at", lineno)),
-        followers_count=_require_type(obj, "followers_count", (int,), lineno),
-        following_count=_require_type(obj, "following_count", (int,), lineno),
-        tweet_count=_require_type(obj, "tweet_count", (int,), lineno),
-        listed_count=_require_type(obj, "listed_count", (int,), lineno),
-        verified=_require_type(obj, "verified", (bool,), lineno),
-        has_default_pic=_require_type(obj, "has_default_pic", (bool,), lineno),
-        bio=_require_type(obj, "bio", (str,), lineno, optional=True),
+        user_id=_require_id(obj, "user_id"),
+        created_at=parse_timestamp(_require(obj, "created_at")),
+        followers_count=_require_type(obj, "followers_count", (int,)),
+        following_count=_require_type(obj, "following_count", (int,)),
+        tweet_count=_require_type(obj, "tweet_count", (int,)),
+        listed_count=_require_type(obj, "listed_count", (int,)),
+        verified=_require_type(obj, "verified", (bool,)),
+        has_default_pic=_require_type(obj, "has_default_pic", (bool,)),
+        bio=_require_type(obj, "bio", (str,), optional=True),
         predominant_language=_require_type(obj, "predominant_language",
-                                           (str,), lineno, optional=True),
-        snapshot_at=parse_timestamp(_require(obj, "snapshot_at", lineno)),
+                                           (str,), optional=True),
+        snapshot_at=parse_timestamp(_require(obj, "snapshot_at")),
     )
 
 
-def _parse_tweet(obj: dict, lineno: int) -> TweetRecord:
-    retweeted = _require_type(obj, "retweeted_author", _ID, lineno,
-                              optional=True)
+def _parse_tweet(obj: dict) -> TweetRecord:
+    retweeted = _require_type(obj, "retweeted_author", _ID, optional=True)
     return TweetRecord(
-        tweet_id=_require_id(obj, "tweet_id", lineno),
-        author_id=_require_id(obj, "author_id", lineno),
-        created_at=parse_timestamp(_require(obj, "created_at", lineno)),
-        kind=_require_type(obj, "kind", (str,), lineno),
-        text=_require_type(obj, "text", (str,), lineno, optional=True) or "",
-        hashtags=_norm_hashtags(_strings(obj, "hashtags", lineno)),
-        urls=_strings(obj, "urls", lineno),
-        mentions=_strings(obj, "mentions", lineno),
+        tweet_id=_require_id(obj, "tweet_id"),
+        author_id=_require_id(obj, "author_id"),
+        created_at=parse_timestamp(_require(obj, "created_at")),
+        kind=_require_type(obj, "kind", (str,)),
+        text=_require_type(obj, "text", (str,), optional=True) or "",
+        hashtags=_norm_hashtags(_strings(obj, "hashtags")),
+        urls=_strings(obj, "urls"),
+        mentions=_strings(obj, "mentions"),
         retweeted_author=None if retweeted in (None, "") else str(retweeted),
-        lang=_require_type(obj, "lang", (str,), lineno, optional=True),
+        lang=_require_type(obj, "lang", (str,), optional=True),
     )
 
 
-def _parse_ids(names: tuple[str, ...], obj: dict, lineno: int) -> tuple:
-    return tuple(_require_id(obj, name, lineno) for name in names)
+def _parse_ids(names: tuple[str, ...], obj: dict) -> tuple:
+    return tuple(_require_id(obj, name) for name in names)
 
 
 def load_users(path: Path) -> dict[str, UserRecord]:
-    users: dict[str, UserRecord] = {}
-    for lineno, user in _iter_jsonl(path, _parse_user):
-        if user.user_id in users:
-            raise CorpusError(f"{path.name}: duplicate user_id "
-                              f"{user.user_id} at line {lineno}")
-        users[user.user_id] = user
-    return users
+    return {user.user_id: user
+            for user in _iter_jsonl(path, _parse_user, unique="user_id")}
 
 
 def load_tweets(path: Path) -> dict[str, list[TweetRecord]]:
     timelines: dict[str, list[TweetRecord]] = {}
-    seen_ids: set[str] = set()
-    for lineno, rec in _iter_jsonl(path, _parse_tweet):
-        if rec.tweet_id in seen_ids:
-            raise CorpusError(f"{path.name}: duplicate tweet_id "
-                              f"{rec.tweet_id} at line {lineno}")
-        seen_ids.add(rec.tweet_id)
+    for rec in _iter_jsonl(path, _parse_tweet, unique="tweet_id"):
         timelines.setdefault(rec.author_id, []).append(rec)
     for tl in timelines.values():
         tl.sort(key=lambda t: (t.created_at, t.tweet_id))
@@ -297,10 +291,10 @@ def load_corpus(paths: CorpusPaths) -> Corpus:
     users = load_users(paths.users)
     timelines = load_tweets(paths.tweets)
 
-    likes = [row for _, row in _iter_jsonl(paths.likes, partial(
-        _parse_ids, ("user_id", "seed_id", "liked_tweet_id")))]
-    follows = [row for _, row in _iter_jsonl(paths.follows, partial(
-        _parse_ids, ("follower_id", "followee_id")))]
+    likes = list(_iter_jsonl(paths.likes, partial(
+        _parse_ids, ("user_id", "seed_id", "liked_tweet_id"))))
+    follows = list(_iter_jsonl(paths.follows, partial(
+        _parse_ids, ("follower_id", "followee_id"))))
 
     with open(paths.seeds, "r", encoding="utf-8") as fh:
         try:

@@ -90,7 +90,6 @@ class TokenizedTweet:
     tokens: tuple[str, ...]
     is_reply: bool
     is_retweet: bool
-    is_quote: bool
     has_url: bool
     has_mention: bool
     timestamp: int
@@ -105,7 +104,6 @@ def tokenize_tweet(tweet: TweetRecord) -> TokenizedTweet:
         tokens=tokens,
         is_reply=tweet.kind == "reply",
         is_retweet=tweet.kind == "retweet",
-        is_quote=tweet.kind == "quote",
         has_url=bool(tweet.urls) or URL_TOKEN in tokens,
         has_mention=bool(tweet.mentions) or MENTION_TOKEN in tokens,
         timestamp=tweet.created_at,

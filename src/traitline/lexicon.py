@@ -32,18 +32,10 @@ class Lexicon:
     name: str
     entries: dict[str, frozenset[str]]  # word (or prefix*) -> categories
     categories: list[str]  # fixed order
-    match_mode: str  # "exact" | "prefix-wildcard"
 
     def __post_init__(self):
         if not self.categories:
             raise LexiconError(f"lexicon {self.name}: no categories")
-        if self.match_mode not in ("exact", "prefix-wildcard"):
-            raise LexiconError(f"unknown match mode {self.match_mode!r}")
-        if self.match_mode == "exact":
-            bad = [w for w in self.entries if w.endswith("*")]
-            if bad:
-                raise LexiconError(
-                    f"lexicon {self.name}: wildcard entry {bad[0]!r} in exact mode")
         # lookup index, built once from ``entries``: exact words, and the
         # prefixes of the ``prefix*`` wildcards
         self._exact = {w: c for w, c in self.entries.items()
@@ -103,7 +95,7 @@ def _load_tsv(path: Path, name: str) -> Lexicon:
                 entries.setdefault(word, set()).add(category)
     return Lexicon(name=name,
                    entries={w: frozenset(c) for w, c in entries.items()},
-                   categories=categories, match_mode="exact")
+                   categories=categories)
 
 
 def _load_dict(path: Path, name: str) -> Lexicon:
@@ -135,22 +127,17 @@ def _load_dict(path: Path, name: str) -> Lexicon:
                 entries.setdefault(word.lower(), set()).add(category)
     return Lexicon(name=name,
                    entries={w: frozenset(c) for w, c in entries.items()},
-                   categories=categories, match_mode="prefix-wildcard")
+                   categories=categories)
 
 
-def load_lexicon(path, format: str | None = None,
-                 name: str | None = None) -> Lexicon:
-    """Load a lexicon file; format "tsv" or "dict" (inferred from suffix)."""
+def load_lexicon(path) -> Lexicon:
+    """Load a lexicon file named by its lowercased stem: a ``.tsv`` or
+    ``.txt`` file holds TSV triples, any other a category dictionary."""
     path = Path(path)
-    if format is None:
-        format = "tsv" if path.suffix.lower() in (".tsv", ".txt") else "dict"
-    if name is None:
-        name = path.stem.lower()
-    if format == "tsv":
+    name = path.stem.lower()
+    if path.suffix.lower() in (".tsv", ".txt"):
         return _load_tsv(path, name)
-    if format == "dict":
-        return _load_dict(path, name)
-    raise LexiconError(f"unknown lexicon format {format!r}")
+    return _load_dict(path, name)
 
 
 def lexicon_features(timeline: list[TokenizedTweet],
@@ -207,7 +194,7 @@ def join_external_features(matrix: FeatureMatrix, path) -> FeatureMatrix:
             header = next(reader)
         except StopIteration:
             header = []
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     if not header or (header == ["user_id"] and not rows):
         logger.warning("external feature file %s is empty; matrix unchanged",
                        path.name)
@@ -221,10 +208,24 @@ def join_external_features(matrix: FeatureMatrix, path) -> FeatureMatrix:
                        path.name)
         return matrix
     by_user: dict[str, list[float]] = {}
-    for row in rows:
-        vals = [float(v) if v != "" else math.nan
-                for i, v in enumerate(row) if i != key_idx]
-        by_user[row[key_idx]] = vals
+    for lineno, row in rows:
+        where = f"{path.name}: line {lineno}"
+        if len(row) != len(header):
+            raise LexiconError(f"{where}: expected {len(header)} cells, "
+                               f"got {len(row)}")
+        user_id = row[key_idx]
+        if user_id in by_user:
+            raise LexiconError(f"{where}: repeated user_id {user_id}")
+        vals = []
+        for i, (col, v) in enumerate(zip(header, row)):
+            if i == key_idx:
+                continue
+            try:
+                vals.append(float(v) if v != "" else math.nan)
+            except ValueError:
+                raise LexiconError(f"{where}: column {col}: non-numeric "
+                                   f"value {v!r}") from None
+        by_user[user_id] = vals
     block = np.full((matrix.n_rows, len(names)), math.nan)
     for i, user_id in enumerate(matrix.user_ids):
         if user_id in by_user:

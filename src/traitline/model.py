@@ -192,8 +192,7 @@ def cross_validate(matrix: FeatureMatrix, cfg: TrainConfig) -> list[Metrics]:
     return results
 
 
-def feature_report(ensemble: TreeEnsemble,
-                   top_n: int | None = None) -> list[tuple[str, float]]:
+def feature_report(ensemble: TreeEnsemble) -> list[tuple[str, float]]:
     """Features ranked by split-gain importance, normalized to sum 1."""
     if not ensemble.trees:
         raise ModelError("ensemble has no trees")
@@ -203,8 +202,6 @@ def feature_report(ensemble: TreeEnsemble,
     shares = ensemble.feature_importance / total
     ranked = sorted(zip(ensemble.feature_names, shares),
                     key=lambda kv: (-kv[1], kv[0]))
-    if top_n is not None:
-        ranked = ranked[:top_n]
     return [(name, float(share)) for name, share in ranked]
 
 
@@ -225,8 +222,7 @@ def _curve_point(train: FeatureMatrix, test: FeatureMatrix,
 
 def f1_growth_curve(train: FeatureMatrix, test: FeatureMatrix,
                     ranking: list[str], cfg: TrainConfig,
-                    ks: list[int] | None = None,
-                    workers: int = 1) -> list[tuple[int, float]]:
+                    ks: list[int], workers: int = 1) -> list[tuple[int, float]]:
     """Holdout F1 after retraining on the top-k ranked features.
 
     Each point refits on a column slice of the imputed ``train``/``test``
@@ -237,8 +233,6 @@ def f1_growth_curve(train: FeatureMatrix, test: FeatureMatrix,
     if missing:
         raise ModelError(
             f"ranking does not cover column {sorted(missing)[0]!r}")
-    if ks is None:
-        ks = list(range(1, len(ranking) + 1))
     for k in ks:
         if not 1 <= k <= len(ranking):
             raise ModelError(f"curve point k={k} out of range")

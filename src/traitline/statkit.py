@@ -15,7 +15,7 @@ import numpy as np
 
 PARAM_NAMES = ("min", "max", "mean", "median", "std", "skewness", "entropy")
 
-DEFAULT_N_BINS = 20
+N_BINS = 20
 
 
 class EmptySampleError(ValueError):
@@ -64,37 +64,27 @@ def entropy_from_counts(counts: Iterable[int]) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def entropy_of(values: Sequence[float] | np.ndarray,
-               policy: str = "auto",
-               n_bins: int = DEFAULT_N_BINS) -> float:
+def entropy_of(values: Sequence[float] | np.ndarray) -> float:
     """Shannon entropy (bits) of the empirical distribution of a sample.
 
-    policy "exact" treats each distinct value as its own category;
-    "binned" uses ``n_bins`` equal-width bins spanning [min, max];
-    "auto" picks "exact" for integer-valued samples and "binned"
-    otherwise. A constant sample has entropy 0 under every policy.
+    An integer-valued sample counts each distinct value as its own
+    category; any other sample is cut into ``N_BINS`` equal-width bins
+    spanning [min, max]. A constant sample has entropy 0.
     """
     arr = _as_array(values)
     lo, hi = float(arr.min()), float(arr.max())
     if lo == hi:
         return 0.0
-    if policy == "auto":
-        policy = "exact" if np.all(arr == np.floor(arr)) else "binned"
-    if policy == "exact":
+    if np.all(arr == np.floor(arr)):
         _, counts = np.unique(arr, return_counts=True)
-    elif policy == "binned":
-        if n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
-        width = (hi - lo) / n_bins
-        idx = np.minimum(((arr - lo) / width).astype(np.int64), n_bins - 1)
-        counts = np.bincount(idx, minlength=n_bins)
     else:
-        raise ValueError(f"unknown bin policy {policy!r}")
+        width = (hi - lo) / N_BINS
+        idx = np.minimum(((arr - lo) / width).astype(np.int64), N_BINS - 1)
+        counts = np.bincount(idx, minlength=N_BINS)
     return entropy_from_counts(counts)
 
 
-def dist_params(values: Sequence[float] | np.ndarray,
-                entropy_policy: str = "auto") -> DistParams:
+def dist_params(values: Sequence[float] | np.ndarray) -> DistParams:
     """Summarize a nonempty sample by the seven distribution parameters.
 
     Standard deviation is population std. Skewness is the Fisher-Pearson
@@ -118,7 +108,7 @@ def dist_params(values: Sequence[float] | np.ndarray,
         median=float(np.median(arr)),
         std=math.sqrt(m2),
         skewness=skew,
-        entropy=entropy_of(arr, policy=entropy_policy),
+        entropy=entropy_of(arr),
     )
 
 

@@ -30,14 +30,6 @@ class CoocGraph:
             if weight < 1:
                 raise TopicsError(f"edge ({a}, {b}) has weight {weight}")
 
-    @property
-    def nodes(self) -> set[str]:
-        out: set[str] = set()
-        for a, b in self.edges:
-            out.add(a)
-            out.add(b)
-        return out
-
     def weighted_degrees(self) -> dict[str, int]:
         degrees: Counter[str] = Counter()
         for (a, b), w in self.edges.items():

@@ -265,15 +265,26 @@ def test_missing_upstream_artifact_fails_with_stage(tmp_path, corpus_dir,
 
 def test_config_errors_reported_all_at_once(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"workers": 0, "learning_rate": -1,
-                                "creation_bucket": "eon", "bogus_key": 1}))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["pipeline", "run", "--config", str(path)])
-    message = str(exc.value)
-    assert "workers" in message
-    assert "learning_rate" in message
-    assert "creation_bucket" in message
-    assert "bogus_key" in message
+    for config, wanted in [
+        ({"workers": 0, "learning_rate": -1, "creation_bucket": "eon",
+          "bogus_key": 1},
+         ["workers", "learning_rate", "creation_bucket", "bogus_key"]),
+        # wrong types join the range and unknown-key errors; a string is
+        # not iterated as a list, and a boolean is not an int
+        ({"n_trees": "200", "lexicons": "x.dic", "workers": True,
+          "seed": "42", "max_depth": 0, "bogus_key": 1},
+         ["n_trees must be int, got '200'",
+          "lexicons must be list[str], got 'x.dic'",
+          "workers must be int, got True", "seed must be int, got '42'",
+          "max_depth must be >= 1", "unknown config key 'bogus_key'"]),
+    ]:
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pipeline", "run", "--config", str(path)])
+        message = str(exc.value)
+        for text in wanted:
+            assert text in message
+        assert "lexicon file not found" not in message
 
 
 def test_flags_override_config(tmp_path, corpus_dir):
@@ -282,6 +293,15 @@ def test_flags_override_config(tmp_path, corpus_dir):
     assert run("ingest", "validate", "--config", config, "--out", out) == 0
     assert (out / "validation_report.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_flag_replaces_bad_config_value_before_validation(tmp_path,
+                                                          corpus_dir):
+    out = tmp_path / "fixed"
+    config = config_file(tmp_path, corpus_dir, out, workers=0)
+    assert run("ingest", "validate", "--config", config,
+               "--workers", 2) == 0
+    assert (out / "validation_report.json").exists()
 
 
 def test_auto_threshold_selection(tmp_path, corpus_dir):

@@ -284,7 +284,7 @@ def test_top_hashtags_tie_is_lexicographic():
 # ---- control group ----------------------------------------------------------
 
 def control_fixture():
-    """5 engaged users and 15 candidates spread over known quarters."""
+    """5 engaged users and 15 others spread over known quarters."""
     quarters = ["2020-01-15T00:00:00Z", "2020-02-10T00:00:00Z",  # 2020 Q1 x2
                 "2020-05-01T00:00:00Z",                          # 2020 Q2
                 "2021-08-01T00:00:00Z",                          # 2021 Q3
@@ -295,26 +295,24 @@ def control_fixture():
         uid = f"c{i}"
         users.append(make_user(uid, created=created))
         engaged.add(uid)
-    candidates = set()
     for i in range(15):
         uid = f"r{i}"
         created = quarters[i % 5]
         lang = "en" if i != 14 else "it"
         users.append(make_user(uid, created=created, lang=lang))
-        candidates.add(uid)
     corpus = make_corpus(users=users,
                          likes=[("r0", "s1", "p0")],
                          follows=[("r1", "s1")],
                          seeds=["s1"])
-    return corpus, engaged, candidates
+    return corpus, engaged
 
 
 def test_build_control_matches_creation_histogram():
-    corpus, engaged, candidates = control_fixture()
+    corpus, engaged = control_fixture()
     constraints = ControlConstraints(
         target_language="en", excluded_users=seed_likers(corpus),
         excluded_follow_targets=set(corpus.seeds))
-    eligible = eligible_controls(corpus, engaged, candidates, constraints)
+    eligible = eligible_controls(corpus, engaged, constraints)
     control = build_control(corpus, engaged, eligible, 5, constraints,
                             rng_seed=3)
     assert len(control) == 5
@@ -330,14 +328,13 @@ def test_build_control_matches_creation_histogram():
 
 
 def test_build_control_insufficient_candidates():
-    corpus, engaged, candidates = control_fixture()
+    corpus, engaged = control_fixture()
     constraints = ControlConstraints(
         target_language="en", excluded_users=seed_likers(corpus),
         excluded_follow_targets=set(corpus.seeds))
     with pytest.raises(CohortError, match="insufficient|eligible"):
         build_control(corpus, engaged,
-                      eligible_controls(corpus, engaged, candidates,
-                                        constraints),
+                      eligible_controls(corpus, engaged, constraints),
                       50, constraints, rng_seed=3)
 
 
@@ -355,11 +352,11 @@ def test_build_control_overflow_to_nearest_bucket():
 
 
 def test_build_control_deterministic():
-    corpus, engaged, candidates = control_fixture()
+    corpus, engaged = control_fixture()
     constraints = ControlConstraints(
         target_language="en", excluded_users=seed_likers(corpus),
         excluded_follow_targets=set(corpus.seeds))
-    eligible = eligible_controls(corpus, engaged, candidates, constraints)
+    eligible = eligible_controls(corpus, engaged, constraints)
     a = build_control(corpus, engaged, eligible, 4, constraints, rng_seed=9)
     b = build_control(corpus, engaged, eligible, 4, constraints, rng_seed=9)
     assert a == b

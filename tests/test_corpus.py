@@ -89,17 +89,21 @@ def test_missing_user_id_reports_line(tmp_path):
     del bad["user_id"]
     paths = write_fixture(tmp_path, users=[user_row("u0"), bad], tweets=[],
                           seeds=["s1"])
-    with pytest.raises(CorpusError, match="missing field user_id at line 2"):
+    with pytest.raises(CorpusError,
+                       match=r"^users\.jsonl: line 2: missing field user_id$"):
         load_corpus(paths)
 
 
 def test_malformed_line_reports_file_and_line(tmp_path):
     paths = write_fixture(tmp_path, users=[user_row("u1")], tweets=[],
                           seeds=["s1"])
-    with open(paths.tweets, "w") as fh:
-        fh.write("{not json\n")
-    with pytest.raises(CorpusError, match="tweets.jsonl.*line 1"):
-        load_corpus(paths)
+    for line, error in [("{not json", "malformed JSON: "),
+                        ("[1, 2]", "non-object$")]:
+        with open(paths.tweets, "w") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(CorpusError,
+                           match=r"^tweets\.jsonl: line 1: " + error):
+            load_corpus(paths)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -234,14 +238,16 @@ def test_duplicate_tweet_id_rejected(tmp_path):
         tweets=[tweet_row("t1", "u1", "2021-05-01T00:00:00Z"),
                 tweet_row("t1", "u1", "2021-05-02T00:00:00Z")],
         seeds=["s1"])
-    with pytest.raises(CorpusError, match="duplicate tweet_id t1"):
+    with pytest.raises(CorpusError,
+                       match=r"^tweets\.jsonl: line 2: duplicate tweet_id t1$"):
         load_corpus(paths)
 
 
 def test_duplicate_user_id_rejected(tmp_path):
     paths = write_fixture(tmp_path, users=[user_row("u1"), user_row("u1")],
                           tweets=[], seeds=["s1"])
-    with pytest.raises(CorpusError, match="duplicate user_id"):
+    with pytest.raises(CorpusError,
+                       match=r"^users\.jsonl: line 2: duplicate user_id u1$"):
         load_corpus(paths)
 
 

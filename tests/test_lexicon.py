@@ -27,7 +27,6 @@ def test_load_tsv_rows(tmp_path):
     path = tmp_path / "emo.tsv"
     path.write_text("abandon\tanger\t1\nabandon\tjoy\t0\ncalm\tjoy\t1\n")
     lex = load_lexicon(path)
-    assert lex.match_mode == "exact"
     assert lex.entries["abandon"] == {"anger"}
     assert "joy" in lex.categories and "anger" in lex.categories
     assert lex.categories_of("calm") == {"joy"}
@@ -62,7 +61,6 @@ def test_load_dict_with_wildcard(tmp_path):
     path = tmp_path / "informal.dic"
     path.write_text("swear: damn* heck\nassent: yes yeah\n")
     lex = load_lexicon(path)
-    assert lex.match_mode == "prefix-wildcard"
     assert lex.categories_of("damned") == {"swear"}
     assert lex.categories_of("damn") == {"swear"}
     assert lex.categories_of("heck") == {"swear"}
@@ -77,19 +75,6 @@ def test_dict_wildcard_that_cannot_match_as_written_rejected(tmp_path, words):
     path.write_text(f"assent: yes\nswear: heck {words}\n")
     with pytest.raises(LexiconError, match=r"informal\.dic: line 2: .*'\*'"):
         load_lexicon(path)
-
-
-def test_unknown_format_rejected(tmp_path):
-    path = tmp_path / "x.tsv"
-    path.write_text("a\tb\t1\n")
-    with pytest.raises(LexiconError, match="unknown lexicon format"):
-        load_lexicon(path, format="xml")
-
-
-def test_wildcard_in_exact_mode_rejected():
-    with pytest.raises(LexiconError, match="wildcard"):
-        Lexicon(name="x", entries={"damn*": frozenset({"swear"})},
-                categories=["swear"], match_mode="exact")
 
 
 def test_shipped_mini_lexicons_load():
@@ -132,8 +117,7 @@ def lexicons(draw, name="lex"):
     entries = draw(st.dictionaries(
         words, st.frozensets(st.sampled_from(CATEGORIES), min_size=1),
         max_size=8))
-    return Lexicon(name=name, entries=entries, categories=list(CATEGORIES),
-                   match_mode="prefix-wildcard" if wildcards else "exact")
+    return Lexicon(name=name, entries=entries, categories=list(CATEGORIES))
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,7 +157,7 @@ def joy_lexicon():
     return Lexicon(name="emo",
                    entries={"happy": frozenset({"joy"}),
                             "calm": frozenset({"joy"})},
-                   categories=["joy", "anger"], match_mode="exact")
+                   categories=["joy", "anger"])
 
 
 def test_all_tokens_matching_gives_one():
@@ -269,6 +253,25 @@ def test_join_external_duplicate_column_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("user_id,verified\nu1,1\n")
     with pytest.raises(Exception, match="duplicate column"):
+        join_external_features(fm, path)
+
+
+@pytest.mark.parametrize("text,error", [
+    # a short row used to broadcast its one value over both columns
+    ("user_id,x,y\nu1,1\n", r"line 2: expected 3 cells, got 2"),
+    ("user_id,x,y\nu1,1,2,3\n", r"line 2: expected 3 cells, got 4"),
+    ("user_id,x,y\nu1,1,2\nu2,0.5,high\n",
+     r"line 3: column y: non-numeric value 'high'"),
+    # a repeated user used to keep its last row
+    ("user_id,x,y\nu1,1,2\nu2,3,4\nu1,5,6\n", r"line 4: repeated user_id u1"),
+], ids=["short-row", "long-row", "non-numeric", "repeated-user"])
+def test_join_external_bad_row_rejected_with_file_and_line(tmp_path, text,
+                                                           error):
+    corpus = two_user_corpus()
+    fm = feature_matrix(corpus, {"u1"}, {"u2"}, Snapshot(as_of=SNAP))
+    path = tmp_path / "big5.csv"
+    path.write_text(text)
+    with pytest.raises(LexiconError, match=r"^big5\.csv: " + error + "$"):
         join_external_features(fm, path)
 
 

@@ -210,12 +210,6 @@ def test_feature_report_requires_splits():
         feature_report(ensemble)
 
 
-def test_feature_report_top_n():
-    m = labeled_noise_matrix(separate_col=0)
-    ensemble = train_on_matrix(m, small_cfg())
-    assert len(feature_report(ensemble, top_n=2)) == 2
-
-
 def test_growth_curve_final_point_equals_full_model():
     m = labeled_noise_matrix(n_per_class=30, n_features=4, separate_col=2)
     cfg = small_cfg()
@@ -280,7 +274,7 @@ def test_growth_curve_equals_per_point_resplit(workers):
 def test_growth_curve_requires_full_ranking():
     m = labeled_noise_matrix(n_features=3)
     with pytest.raises(ModelError, match="does not cover"):
-        f1_growth_curve(m, m, ["f0", "f1"], small_cfg())
+        f1_growth_curve(m, m, ["f0", "f1"], small_cfg(), ks=[1])
     with pytest.raises(ModelError, match="out of range"):
         f1_growth_curve(m, m, ["f0", "f1", "f2"], small_cfg(), ks=[9])
 

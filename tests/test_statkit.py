@@ -103,14 +103,6 @@ def test_entropy_integer_valued_floats_use_exact_categories():
         0.5 + 0.5 * math.log2(4), abs=1e-12)
 
 
-def test_entropy_explicit_policies():
-    values = [1.0, 1.0, 2.0, 2.0]
-    assert entropy_of(values, policy="exact") == 1.0
-    assert entropy_of(values, policy="binned", n_bins=2) == 1.0
-    with pytest.raises(ValueError):
-        entropy_of(values, policy="bogus")
-
-
 def test_cov_examples():
     assert coefficient_of_variation([5, 5, 5]) == 0.0
     assert coefficient_of_variation([1, 1, 10]) == pytest.approx(1.0607,

@@ -14,6 +14,10 @@ def corpus_with_tag_tweets(tag_sets):
                        seeds=["s"])
 
 
+def nodes(graph):
+    return {tag for pair in graph.edges for tag in pair}
+
+
 def test_triangle_from_one_tweet():
     corpus = corpus_with_tag_tweets([("a", "b", "c")])
     graph = cooccurrence_graph(corpus, {"u1"})
@@ -30,7 +34,7 @@ def test_single_tag_tweets_make_no_edges():
     corpus = corpus_with_tag_tweets([("a",), (), ("b",)])
     graph = cooccurrence_graph(corpus, {"u1"})
     assert graph.edges == {}
-    assert graph.nodes == set()
+    assert nodes(graph) == set()
 
 
 def test_non_cohort_tweets_ignored():
@@ -64,7 +68,7 @@ def test_star_center_has_max_weighted_degree():
     degrees = graph.weighted_degrees()
     assert max(degrees, key=degrees.get) == "hub"
     top = top_k_subgraph(graph, 2)
-    assert "hub" in top.nodes
+    assert "hub" in nodes(top)
 
 
 def test_top_k_whole_graph_when_k_large():
@@ -93,7 +97,7 @@ def test_top_k_tie_break_lexicographic():
     # a-b and c-d have equal weight; all nodes degree 1
     graph = CoocGraph(edges={("a", "b"): 1, ("c", "d"): 1})
     top = top_k_subgraph(graph, 2)
-    assert top.nodes == {"a", "b"}
+    assert nodes(top) == {"a", "b"}
     with pytest.raises(TopicsError):
         top_k_subgraph(graph, 0)
 
