@@ -123,11 +123,17 @@ class RunConfig:
         """The JSON config file at ``path`` (all defaults without one) with
         the flag ``overrides`` applied, checked once: every unknown key,
         value of the wrong type and value out of range is reported in one
-        message. A value of the wrong type is not used for the range checks."""
+        message. A value of the wrong type is not used for the range checks.
+        A file that cannot be read or parsed exits naming the file."""
         raw = {}
         if path:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    raw = json.load(fh)
+            except OSError as exc:
+                raise SystemExit(f"config {path}: {exc.strerror}") from None
+            except ValueError as exc:  # malformed JSON, or not UTF-8
+                raise SystemExit(f"config {path}: {exc}") from None
             if not isinstance(raw, dict):
                 raise SystemExit(f"config {path}: expected a JSON object")
         raw.update(overrides)
@@ -275,11 +281,16 @@ class Runner:
         return CorpusPaths.in_dir(self.config.corpus_dir)
 
     def corpus(self) -> Corpus:
+        """The corpus, loaded on first use and held until ``drop_corpus``."""
         if self._corpus is None:
             self._corpus = load_corpus(self.corpus_paths)
             self._corpus_digests = {p: file_sha256(p)
                                     for p in self.corpus_files()}
         return self._corpus
+
+    def drop_corpus(self) -> None:
+        """Let the loaded corpus go once no stage left to run reads it."""
+        self._corpus = None
 
     def corpus_files(self) -> list[Path]:
         return [Path(p) for p in astuple(self.corpus_paths)]
@@ -389,6 +400,20 @@ class Runner:
                   ranked)
         return ranked
 
+    def stage_topics(self) -> None:
+        corpus = self.corpus()
+        jobs = [("cohort.json", "edges.csv", "nodes.csv")]
+        if (self.out / "control.json").exists():
+            jobs.append(("control.json", "control_edges.csv",
+                         "control_nodes.csv"))
+            self.inputs.append(self.out / "control.json")
+        for cohort_file, edges_name, nodes_name in jobs:
+            graph = topics.cooccurrence_graph(
+                corpus, self.load_cohort_ids(cohort_file))
+            graph = topics.top_k_subgraph(graph, self.config.top_nodes_k)
+            topics.write_edges_csv(graph, self.output(edges_name))
+            topics.write_nodes_csv(graph, self.output(nodes_name))
+
     def stage_features(self) -> FeatureMatrix:
         cfg = self.config
         corpus = self.corpus()
@@ -470,30 +495,17 @@ class Runner:
         if ks[-1] != n:
             ks.append(n)
         train, test = self.partition()
-        # with every column in matrix order a refit would rebuild the model
-        # in model.json bit for bit, so that point is the model's own F1
+        # a refit on any top-k that holds every column model.json splits on
+        # rebuilds that model bit for bit, so those points are its own F1
+        answered = model.smallest_k_with_split_columns(ensemble, ranking)
         f1_at = dict(model.f1_growth_curve(
             train, test, ranking, cfg.train_config(),
-            ks=[k for k in ks if k != n], workers=cfg.workers))
-        f1_at[n] = model.evaluate_model(ensemble, test).f1
-        curve = [(k, f1_at[k]) for k in ks]
+            ks=[k for k in ks if k < answered], workers=cfg.workers))
+        model_f1 = model.evaluate_model(ensemble, test).f1
+        curve = [(k, f1_at.get(k, model_f1)) for k in ks]
         write_csv(self.output("curve.csv"), ["k", "f1"],
                   ([k, repr(f1)] for k, f1 in curve))
         return curve
-
-    def stage_topics(self) -> None:
-        corpus = self.corpus()
-        jobs = [("cohort.json", "edges.csv", "nodes.csv")]
-        if (self.out / "control.json").exists():
-            jobs.append(("control.json", "control_edges.csv",
-                         "control_nodes.csv"))
-            self.inputs.append(self.out / "control.json")
-        for cohort_file, edges_name, nodes_name in jobs:
-            graph = topics.cooccurrence_graph(
-                corpus, self.load_cohort_ids(cohort_file))
-            graph = topics.top_k_subgraph(graph, self.config.top_nodes_k)
-            topics.write_edges_csv(graph, self.output(edges_name))
-            topics.write_nodes_csv(graph, self.output(nodes_name))
 
 
 STAGES = (
@@ -515,6 +527,10 @@ STAGES = (
           "rank hashtags used by the engaged cohort", "stage_hashtags",
           ("cohort.json",), True,
           lambda ranked: [f"{tag}\t{count}" for tag, count in ranked]),
+    Stage("topics.graph", ("topics", "graph"),
+          "hashtag co-occurrence graph per cohort", "stage_topics",
+          ("cohort.json",), True,
+          lambda _: ["graphs written -> edges.csv / nodes.csv"]),
     Stage("features.extract", ("features", "extract"),
           "extract the behavioral feature matrix", "stage_features",
           ("cohort.json", "control.json"), True,
@@ -533,10 +549,6 @@ STAGES = (
     Stage("curve", ("curve",), "F1 growth over top-k features", "stage_curve",
           ("features.csv", "model.json"), False,
           lambda curve: [f"{k}\t{f1:.6f}" for k, f1 in curve]),
-    Stage("topics.graph", ("topics", "graph"),
-          "hashtag co-occurrence graph per cohort", "stage_topics",
-          ("cohort.json",), True,
-          lambda _: ["graphs written -> edges.csv / nodes.csv"]),
 )
 
 
@@ -602,7 +614,12 @@ def main(argv=None) -> int:
             return 0
         runner = Runner(config)
         if args.command == "pipeline":
-            results = {stage.name: runner.run(stage) for stage in STAGES}
+            last_reader = [s for s in STAGES if s.reads_corpus][-1]
+            results = {}
+            for stage in STAGES:
+                results[stage.name] = runner.run(stage)
+                if stage is last_reader:
+                    runner.drop_corpus()
             print(json.dumps({"f1": results["evaluate"]["model"]["f1"],
                               "out": str(runner.out)}))
         else:

@@ -7,11 +7,16 @@ field of the wrong JSON type fails the load. Timestamps are ISO-8601 on
 disk and normalized to UTC epoch seconds on load. Timelines are sorted
 ascending by timestamp with tweet_id as the tie-break so downstream
 consecutive-pair features are deterministic.
+
+Records are slotted, and the loader holds each repeated string (ids,
+kinds, languages, hashtags, urls and mentions) once, through
+``sys.intern``; tweet ids, texts and bios are not shared.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -59,7 +64,7 @@ def format_timestamp(epoch: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserRecord:
     user_id: str
     created_at: int
@@ -83,7 +88,7 @@ class UserRecord:
                 f"created_at after snapshot_at for user {self.user_id}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     tweet_id: str
     author_id: str
@@ -209,17 +214,23 @@ def _require_type(obj: dict, name: str, kinds: tuple[type, ...],
     raise CorpusError(f"field {name} must be a JSON {names}, got {value!r}")
 
 
+def _shared(value: str | None) -> str | None:
+    """The one copy of a repeated string value."""
+    return None if value is None else sys.intern(value)
+
+
 def _require_id(obj: dict, name: str) -> str:
     return str(_require_type(obj, name, _ID))
 
 
 def _strings(obj: dict, name: str) -> tuple[str, ...]:
-    """An optional list-of-strings field; absent or null gives ()."""
+    """An optional list-of-strings field, each held once; absent or null
+    gives ()."""
     values = _require_type(obj, name, (list,), optional=True) or ()
     if values and not all(type(v) is str for v in values):
         raise CorpusError(f"field {name} must be a list of strings, "
                           f"got {values!r}")
-    return tuple(values)
+    return tuple(map(sys.intern, values))
 
 
 def _norm_hashtags(raw: tuple[str, ...]) -> tuple[str, ...]:
@@ -227,13 +238,13 @@ def _norm_hashtags(raw: tuple[str, ...]) -> tuple[str, ...]:
     for tag in raw:
         tag = tag.lower().lstrip("#")
         if tag and tag not in seen:
-            seen.append(tag)
+            seen.append(sys.intern(tag))
     return tuple(seen)
 
 
 def _parse_user(obj: dict) -> UserRecord:
     return UserRecord(
-        user_id=_require_id(obj, "user_id"),
+        user_id=_shared(_require_id(obj, "user_id")),
         created_at=parse_timestamp(_require(obj, "created_at")),
         followers_count=_require_type(obj, "followers_count", (int,)),
         following_count=_require_type(obj, "following_count", (int,)),
@@ -242,8 +253,8 @@ def _parse_user(obj: dict) -> UserRecord:
         verified=_require_type(obj, "verified", (bool,)),
         has_default_pic=_require_type(obj, "has_default_pic", (bool,)),
         bio=_require_type(obj, "bio", (str,), optional=True),
-        predominant_language=_require_type(obj, "predominant_language",
-                                           (str,), optional=True),
+        predominant_language=_shared(_require_type(
+            obj, "predominant_language", (str,), optional=True)),
         snapshot_at=parse_timestamp(_require(obj, "snapshot_at")),
     )
 
@@ -252,20 +263,21 @@ def _parse_tweet(obj: dict) -> TweetRecord:
     retweeted = _require_type(obj, "retweeted_author", _ID, optional=True)
     return TweetRecord(
         tweet_id=_require_id(obj, "tweet_id"),
-        author_id=_require_id(obj, "author_id"),
+        author_id=_shared(_require_id(obj, "author_id")),
         created_at=parse_timestamp(_require(obj, "created_at")),
-        kind=_require_type(obj, "kind", (str,)),
+        kind=_shared(_require_type(obj, "kind", (str,))),
         text=_require_type(obj, "text", (str,), optional=True) or "",
         hashtags=_norm_hashtags(_strings(obj, "hashtags")),
         urls=_strings(obj, "urls"),
         mentions=_strings(obj, "mentions"),
-        retweeted_author=None if retweeted in (None, "") else str(retweeted),
-        lang=_require_type(obj, "lang", (str,), optional=True),
+        retweeted_author=(None if retweeted in (None, "")
+                          else _shared(str(retweeted))),
+        lang=_shared(_require_type(obj, "lang", (str,), optional=True)),
     )
 
 
 def _parse_ids(names: tuple[str, ...], obj: dict) -> tuple:
-    return tuple(_require_id(obj, name) for name in names)
+    return tuple(_shared(_require_id(obj, name)) for name in names)
 
 
 def load_users(path: Path) -> dict[str, UserRecord]:

@@ -209,12 +209,35 @@ def importance_ranking(ensemble: TreeEnsemble) -> list[str]:
     return [name for name, _ in feature_report(ensemble)]
 
 
+def smallest_k_with_split_columns(ensemble: TreeEnsemble,
+                                  ranking: list[str]) -> int:
+    """The least k whose top-k ranked columns hold every column the
+    ensemble splits on.
+
+    A refit on any such top-k (in matrix order, same rows and config)
+    rebuilds the ensemble bit for bit, columns renumbered: each column's
+    split gains depend on that column alone, and equal gains go to the
+    lowest column index, so a column that never won a split search cannot
+    win one once other columns are dropped.
+    """
+    position = {name: i for i, name in enumerate(ranking)}
+    stack, k = list(ensemble.trees), 0
+    while stack:
+        node = stack.pop()
+        if "feature" in node:
+            name = ensemble.feature_names[node["feature"]]
+            k = max(k, position[name] + 1)
+            stack += (node["left"], node["right"])
+    return k
+
+
 def _curve_point(train: FeatureMatrix, test: FeatureMatrix,
                  ranking: list[str], cfg: TrainConfig, k: int) -> float:
     """Holdout F1 of a model retrained on the top-k ranked features."""
     top = set(ranking[:k])
-    # keep the matrix column order so k = all rebuilds the full model
-    # bit-for-bit (split tie-breaking depends on column position)
+    # keep the matrix column order so a top-k holding every column the full
+    # model splits on rebuilds it bit for bit (split tie-breaking depends on
+    # column position)
     columns = [c for c in train.columns if c in top]
     model = train_on_matrix(train.select_columns(columns), cfg)
     return evaluate_model(model, test.select_columns(columns)).f1

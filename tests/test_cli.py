@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import weakref
 from dataclasses import astuple
 from pathlib import Path
 
@@ -163,12 +165,58 @@ def test_curve_reuses_trained_model_for_all_columns(tmp_path, corpus_dir,
 
     monkeypatch.setattr(cli.model, "train_gbdt", counting)
     assert run("curve", "--config", config) == 0
-    assert fits == [5, 1]  # largest first; k = 92 is model.json itself
+    # the model splits on at most 5 columns, so the top 5 and all 92
+    # columns both rebuild model.json: only k = 1 is fitted
+    assert fits == [1]
     metrics = json.loads((out / "metrics.json").read_text())
     with open(out / "curve.csv") as fh:
         points = list(csv.DictReader(fh))
     assert [p["k"] for p in points] == ["1", "5", "92"]
     assert float(points[-1]["f1"]) == metrics["model"]["f1"]
+    assert float(points[1]["f1"]) == metrics["model"]["f1"]
+
+
+def test_pipeline_drops_corpus_after_its_last_reader(tmp_path, corpus_dir,
+                                                     monkeypatch):
+    loaded, seen = [], {}
+    original_load = cli.load_corpus
+
+    def loading(paths):
+        corpus = original_load(paths)
+        loaded.append(weakref.ref(corpus))
+        return corpus
+
+    original_run = cli.Runner.run
+
+    def running(self, stage):
+        gc.collect()
+        seen[stage.name] = [ref() is not None for ref in loaded]
+        return original_run(self, stage)
+
+    monkeypatch.setattr(cli, "load_corpus", loading)
+    monkeypatch.setattr(cli.Runner, "run", running)
+    config = config_file(tmp_path, corpus_dir, tmp_path / "dropped",
+                         workers=2)
+    assert run("pipeline", "run", "--config", config) == 0
+    assert len(loaded) == 1
+    names = [stage.name for stage in cli.STAGES]
+    last_reader = max(i for i, s in enumerate(cli.STAGES) if s.reads_corpus)
+    assert names[last_reader] == "features.extract"
+    # loaded by the first stage, alive through the last reader, gone after
+    after = len(names) - last_reader - 1
+    assert [seen[name] for name in names] == (
+        [[]] + [[True]] * last_reader + [[False]] * after)
+
+
+def test_stage_upstream_written_by_earlier_stage(tmp_path, corpus_dir):
+    config = config_file(tmp_path, corpus_dir, tmp_path / "order")
+    assert run("pipeline", "run", "--config", config) == 0
+    manifest = json.loads((tmp_path / "order" / "manifest.json").read_text())
+    written = set()
+    for stage in cli.STAGES:
+        missing = set(stage.upstream) - written
+        assert not missing, f"{stage.name} reads {sorted(missing)} first"
+        written |= set(manifest["stages"][stage.name]["outputs"])
 
 
 def test_pipeline_looks_up_stage_methods_at_call_time(tmp_path, corpus_dir,
@@ -285,6 +333,24 @@ def test_config_errors_reported_all_at_once(tmp_path):
         for text in wanted:
             assert text in message
         assert "lexicon file not found" not in message
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory$"),
+    ("directory", "Is a directory$"),
+    ('{"workers": 2,', "Expecting property name .*: line 1 column 15"),
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+])
+def test_unreadable_config_names_the_file(tmp_path, content, message):
+    path = tmp_path / "run.json"
+    if content == "directory":
+        path.mkdir()
+    elif isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SystemExit, match=r"^config .*run\.json: " + message):
+        cli.main(["ingest", "validate", "--config", str(path)])
 
 
 def test_flags_override_config(tmp_path, corpus_dir):

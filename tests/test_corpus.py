@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -332,6 +333,65 @@ def test_round_trip(tmp_path):
     for name in ("users.jsonl", "tweets.jsonl", "likes.jsonl",
                  "follows.jsonl", "seeds.json"):
         assert (out / name).read_bytes() == (tmp_path / "rt2" / name).read_bytes()
+
+
+
+# ---- in-memory layout ----------------------------------------------------------
+
+def two_author_fixture(tmp_path):
+    return write_fixture(
+        tmp_path, users=[user_row("u1"), user_row(2)],
+        tweets=[tweet_row("t1", "u1", "2021-05-01T00:00:00Z",
+                          hashtags=["#News"], mentions=["s1"],
+                          urls=["https://a.example/x"], lang="en"),
+                tweet_row("t2", "u1", "2021-05-02T00:00:00Z", kind="retweet",
+                          hashtags=["news"], mentions=["s1"],
+                          urls=["https://a.example/x"], lang="en",
+                          retweeted_author="s1"),
+                tweet_row("t3", 2, "2021-05-03T00:00:00Z", kind="retweet",
+                          retweeted_author="s1")],
+        likes=[{"user_id": "u1", "seed_id": "s1", "liked_tweet_id": "p1"},
+               {"user_id": 2, "seed_id": "s1", "liked_tweet_id": "p1"}],
+        follows=[{"follower_id": "u1", "followee_id": "s1"}],
+        seeds=["s1"])
+
+
+def test_loaded_records_are_slotted(tmp_path):
+    corpus = load_corpus(two_author_fixture(tmp_path))
+    records = [*corpus.users.values(),
+               *(t for tl in corpus.timelines.values() for t in tl)]
+    assert len(records) == 5
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_repeated_values_are_held_once(tmp_path):
+    corpus = load_corpus(two_author_fixture(tmp_path))
+    t1, t2 = corpus.timeline("u1")
+    (t3,) = corpus.timeline("2")
+    assert t1.author_id is t2.author_id
+    assert t1.author_id is next(k for k in corpus.users if k == "u1")
+    # an integer id becomes one string, shared by the user and the tweet
+    assert t3.author_id is corpus.users["2"].user_id
+    assert t2.kind is t3.kind
+    assert t1.lang is t2.lang
+    assert t2.retweeted_author is t3.retweeted_author
+    assert t1.hashtags[0] is t2.hashtags[0]  # "#News" and "news"
+    assert t1.mentions[0] is t2.mentions[0]
+    assert t1.urls[0] is t2.urls[0]
+    (like1, like2) = corpus.likes
+    assert like1[1] is like2[1] and like1[2] is like2[2]
+    assert like1[0] is t1.author_id
+
+
+def test_corpus_survives_pickle(tmp_path):
+    # under the spawn start method the feature pool pickles the corpus
+    corpus = load_corpus(two_author_fixture(tmp_path))
+    copy = pickle.loads(pickle.dumps(corpus))
+    assert copy == corpus
+    t1, t2 = copy.timeline("u1")
+    assert t1.author_id is t2.author_id
+    assert not hasattr(t1, "__dict__")
 
 
 OPTIONAL_TEXT = st.none() | st.text()

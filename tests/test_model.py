@@ -1,14 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from traitline.features import FeatureMatrix
 from traitline.gbdt import ModelError, TrainConfig
 from traitline.model import (Imputer, baseline_majority, baseline_random,
                              cross_validate, evaluate, evaluate_model,
                              f1_growth_curve, feature_report,
-                             importance_ranking, impute, stratified_kfold,
+                             importance_ranking, impute,
+                             smallest_k_with_split_columns, stratified_kfold,
                              stratified_split, train_on_matrix)
 
 
@@ -269,6 +273,74 @@ def test_growth_curve_equals_per_point_resplit(workers):
     curve = f1_growth_curve(train, test, ranking, cfg, ks=ks, workers=workers)
     assert curve == [(k, resplit_curve_point(m, ranking, cfg, k)) for k in ks]
     assert len({f1 for _, f1 in curve}) > 1
+
+
+def split_columns(trees) -> set[int]:
+    found, stack = set(), list(trees)
+    while stack:
+        node = stack.pop()
+        if "feature" in node:
+            found.add(node["feature"])
+            stack += [node["left"], node["right"]]
+    return found
+
+
+def renumbered(node, kept):
+    """A copy of ``node`` with column j of a refit read as ``kept[j]``."""
+    if "value" in node:
+        return node
+    return {**node, "feature": kept[node["feature"]],
+            "left": renumbered(node["left"], kept),
+            "right": renumbered(node["right"], kept)}
+
+
+@st.composite
+def refit_cases(draw):
+    n = draw(st.integers(6, 30))
+    n_features = draw(st.integers(2, 6))
+    # few distinct values, so gains tie within and across columns
+    levels = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    values = draw(st.lists(st.lists(st.sampled_from(levels),
+                                    min_size=n_features, max_size=n_features),
+                           min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n - 2,
+                           max_size=n - 2)) + [0, 1]
+    cfg = small_cfg(n_trees=draw(st.integers(1, 4)),
+                    max_depth=draw(st.integers(1, 3)),
+                    min_samples_leaf=draw(st.integers(1, 4)))
+    # dropped columns may be copies of kept ones: their gains tie exactly
+    for j in range(n_features):
+        source = draw(st.none() | st.integers(0, n_features - 1))
+        if source is not None:
+            for row in values:
+                row[j] = row[source]
+    return matrix_of(values, labels), cfg, draw(st.randoms())
+
+
+@settings(max_examples=150, deadline=None)
+@given(refit_cases())
+def test_refit_holding_every_split_column_is_the_model(case):
+    m, cfg, rnd = case
+    full = train_on_matrix(m, cfg)
+    used = split_columns(full.trees)
+    assume(used)  # a model without splits has no ranking
+    ranking = importance_ranking(full)
+    least = smallest_k_with_split_columns(full, ranking)
+    assert {ranking.index(m.columns[j]) for j in used} <= set(range(least))
+    assert m.columns.index(ranking[least - 1]) in used
+    # any superset of the split columns, kept in matrix order
+    unused = [j for j in range(len(m.columns)) if j not in used]
+    kept = sorted(used | set(rnd.sample(unused, rnd.randint(0, len(unused)))))
+    refit = train_on_matrix(m.select_columns([m.columns[j] for j in kept]),
+                            cfg)
+    # json.dumps writes floats by repr, so equal text means equal bits
+    assert (json.dumps([renumbered(t, kept) for t in refit.trees])
+            == json.dumps(full.trees))
+    assert json.dumps(refit.loss_history) == json.dumps(full.loss_history)
+    assert (refit.feature_importance.tobytes()
+            == full.feature_importance[kept].tobytes())
+    assert evaluate_model(refit, m.select_columns(
+        [m.columns[j] for j in kept])) == evaluate_model(full, m)
 
 
 def test_growth_curve_requires_full_ranking():
