@@ -161,12 +161,14 @@ class RunConfig:
             errors.append("l_min must be >= 1")
         if self.s_min is not None and self.s_min < 1:
             errors.append("s_min must be >= 1")
+        if self.target_size is None and None in (self.l_min, self.s_min):
+            errors.append("config needs l_min and s_min, or target_size")
         if self.max_cov < 0:
             errors.append("max_cov must be >= 0")
-        if self.threshold_preference not in ("nearest", "balanced"):
-            errors.append("threshold_preference must be nearest or balanced")
-        if self.creation_bucket not in ("quarter", "month", "year"):
-            errors.append("creation_bucket must be quarter, month or year")
+        for name, allowed in (("threshold_preference", cohort.THRESHOLD_PREFERENCES),
+                              ("creation_bucket", cohort.CREATION_BUCKETS)):
+            if getattr(self, name) not in allowed:
+                errors.append(f"{name} must be one of {', '.join(allowed)}")
         if not 0.0 < self.test_fraction < 1.0:
             errors.append("test_fraction must be in (0, 1)")
         for name in ("n_trees", "max_depth", "min_samples_leaf",
@@ -177,6 +179,8 @@ class RunConfig:
             errors.append("learning_rate must be > 0")
         if self.k_folds < 2:
             errors.append("k_folds must be >= 2")
+        if any(k < 1 for k in self.curve_ks or ()):
+            errors.append("curve_ks entries must be >= 1")
         for p in self.lexicons:
             if not Path(p).exists():
                 errors.append(f"lexicon file not found: {p}")
@@ -336,12 +340,9 @@ class Runner:
                    for l in grid.l_axis for s in grid.s_axis))
         if cfg.l_min is not None and cfg.s_min is not None:
             l_min, s_min = cfg.l_min, cfg.s_min
-        elif cfg.target_size is not None:
+        else:
             l_min, s_min = cohort.auto_thresholds(
                 grid, cfg.target_size, prefer=cfg.threshold_preference)
-        else:
-            raise StageError("cohort.build",
-                             "config needs l_min/s_min or target_size")
         selected = cohort.select_cohort(matrix, l_min, s_min)
         payload = {"label": "conspiracy", "user_ids": sorted(selected),
                    "parameters": {"l_min": l_min, "s_min": s_min,
@@ -359,12 +360,10 @@ class Runner:
         with open(cohort_path, "r", encoding="utf-8") as fh:
             cohort_doc = json.load(fh)
         engaged = set(cohort_doc["user_ids"])
-        constraints = cohort.ControlConstraints(
-            target_language=cfg.control_language,
-            creation_bucket=cfg.creation_bucket,
-            excluded_users=cohort.seed_likers(corpus),
-            excluded_follow_targets=set(corpus.seeds))
-        eligible = cohort.eligible_controls(corpus, engaged, constraints)
+        if not engaged <= corpus.users.keys():
+            raise StageError("cohort.control", "cohort.json names users "
+                                               "without a profile record")
+        eligible = cohort.eligible_controls(corpus, cfg.control_language)
         rng_seed = stage_seed(cfg.seed, "control")
         n = min(len(engaged), len(eligible))
         if n < len(engaged):
@@ -382,8 +381,8 @@ class Runner:
             # the manifest still agrees with the file on disk
             self.record_stage("cohort.build", self.corpus_files(),
                               [self.out / "grid.csv", cohort_path])
-        control = cohort.build_control(corpus, engaged, eligible, n,
-                                       constraints, rng_seed)
+        control = cohort.build_control(corpus, engaged, eligible,
+                                       cfg.creation_bucket, rng_seed)
         payload = {"label": "control", "user_ids": sorted(control),
                    "parameters": {"language": cfg.control_language,
                                   "creation_bucket": cfg.creation_bucket,

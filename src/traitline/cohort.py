@@ -4,15 +4,15 @@ A user qualifies for the engaged cohort by (a) following at least one seed
 account, (b) spreading their likes evenly across the seeds they like
 (coefficient of variation over liked seeds at or below a cap), and (c)
 clearing minimum-total-likes / minimum-distinct-seeds thresholds. The
-control group is drawn from non-engaged users matched on language and
-account-creation period.
+control group is drawn from users who never liked or followed a seed,
+matched on language and on the account-creation histogram of the cohort.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .corpus import Corpus
@@ -20,8 +20,12 @@ from .statkit import coefficient_of_variation
 
 DEFAULT_L_AXIS = (1, 5, 10, 15, 20, 25, 30, 35)
 DEFAULT_S_AXIS = (1, 2, 3, 4, 5, 6, 7)
+# auto_thresholds' rules for picking a grid cell
+THRESHOLD_PREFERENCES = ("nearest", "balanced")
 # prefer="balanced" takes cells within this fraction below the target size
 BELOW_SLACK = 0.3
+# creation periods a control is matched within, as periods per year
+CREATION_BUCKETS = {"quarter": 4, "month": 12, "year": 1}
 
 
 class CohortError(ValueError):
@@ -70,38 +74,32 @@ class GridTable:
                     raise CohortError("grid not monotone along seeds axis")
 
 
-@dataclass
-class ControlConstraints:
-    target_language: str
-    creation_bucket: str = "quarter"  # quarter | month | year
-    excluded_users: set = field(default_factory=set)
-    excluded_follow_targets: set = field(default_factory=set)
-
-    def __post_init__(self):
-        if self.creation_bucket not in ("quarter", "month", "year"):
-            raise CohortError(
-                f"unknown creation bucket {self.creation_bucket!r}")
-
-
 def build_like_matrix(corpus: Corpus) -> LikeMatrix:
-    """Count likes per (user, seed); likes on non-seed accounts are ignored."""
+    """Count likes per (user, seed). Likes on non-seed accounts are left
+    out, and so are likes by users without a profile record, since control
+    matching needs the profile of every cohort user."""
     if not corpus.seeds:
         raise CohortError("corpus has an empty seed list")
-    seed_set = set(corpus.seeds)
+    seed_set, users = set(corpus.seeds), corpus.users
     rows: dict[str, dict[str, int]] = {}
     for user_id, seed_id, _liked_tweet in corpus.likes:
-        if seed_id not in seed_set:
+        if seed_id not in seed_set or user_id not in users:
             continue
         cells = rows.setdefault(user_id, {})
         cells[seed_id] = cells.get(seed_id, 0) + 1
     return LikeMatrix(seeds=list(corpus.seeds), rows=rows)
 
 
+def seed_followers(corpus: Corpus) -> set[str]:
+    """All users following at least one seed account."""
+    seed_set = set(corpus.seeds)
+    return {follower for follower, followee in corpus.follows
+            if followee in seed_set}
+
+
 def filter_follows_seed(matrix: LikeMatrix, corpus: Corpus) -> LikeMatrix:
     """Keep only users following at least one seed account."""
-    seed_set = set(matrix.seeds)
-    followers = {follower for follower, followee in corpus.follows
-                 if followee in seed_set}
+    followers = seed_followers(corpus)
     return matrix.restrict(u for u in matrix.rows if u in followers)
 
 
@@ -165,6 +163,8 @@ def auto_thresholds(grid: GridTable, target: int,
     """
     if not grid.entries:
         raise CohortError("empty grid")
+    if prefer not in THRESHOLD_PREFERENCES:
+        raise CohortError(f"unknown threshold preference {prefer!r}")
     cells = [(l, s, grid.entries[(l, s)])
              for l in grid.l_axis for s in grid.s_axis]
     if prefer == "balanced":
@@ -174,8 +174,6 @@ def auto_thresholds(grid: GridTable, target: int,
             best = max(window, key=lambda cell: (cell[0] * cell[1], cell[1],
                                                  cell[0]))
             return best[0], best[1]
-    elif prefer != "nearest":
-        raise CohortError(f"unknown threshold preference {prefer!r}")
     best = min(cells, key=lambda cell: (abs(cell[2] - target), -cell[1],
                                         -cell[0]))
     return best[0], best[1]
@@ -194,15 +192,14 @@ def top_hashtags(corpus: Corpus, cohort: set[str],
     return ranked[:k]
 
 
-def creation_bucket(epoch: int, bucket: str = "quarter") -> tuple[int, int]:
+def creation_bucket(epoch: int, bucket: str) -> int:
+    """Index of the creation period holding ``epoch``, counted from year 0
+    in periods of ``bucket``; consecutive periods differ by one."""
+    if bucket not in CREATION_BUCKETS:
+        raise CohortError(f"unknown creation bucket {bucket!r}")
+    per_year = CREATION_BUCKETS[bucket]
     dt = datetime.fromtimestamp(epoch, tz=timezone.utc)
-    if bucket == "quarter":
-        return dt.year, (dt.month - 1) // 3 + 1
-    if bucket == "month":
-        return dt.year, dt.month
-    if bucket == "year":
-        return dt.year, 0
-    raise CohortError(f"unknown creation bucket {bucket!r}")
+    return dt.year * per_year + (dt.month - 1) * per_year // 12
 
 
 def seed_likers(corpus: Corpus) -> set[str]:
@@ -212,95 +209,59 @@ def seed_likers(corpus: Corpus) -> set[str]:
             if seed_id in seed_set}
 
 
-def eligible_controls(corpus: Corpus, conspiracy: set[str],
-                      constraints: ControlConstraints) -> list[str]:
+def eligible_controls(corpus: Corpus, language: str) -> list[str]:
     """Corpus users that may join the control group, sorted.
 
-    Eligibility: not in the engaged cohort, not in the excluded (seed-liking)
-    set, not following any excluded target, and posting predominantly in the
-    target language.
+    Eligibility: never liked or followed a seed, and posting predominantly
+    in ``language``. Every cohort user liked a seed, so none is eligible.
     """
-    seed_set = set(constraints.excluded_follow_targets)
-    followers_of_excluded = {follower for follower, followee in corpus.follows
-                             if followee in seed_set}
-
-    eligible = []
-    for user_id in sorted(corpus.users):
-        if user_id in conspiracy or user_id in constraints.excluded_users:
-            continue
-        if user_id in followers_of_excluded:
-            continue
-        if corpus.predominant_language(user_id) != constraints.target_language:
-            continue
-        eligible.append(user_id)
-    return eligible
+    excluded = seed_likers(corpus) | seed_followers(corpus)
+    return [user_id for user_id in sorted(corpus.users)
+            if user_id not in excluded
+            and corpus.predominant_language(user_id) == language]
 
 
-def build_control(corpus: Corpus, conspiracy: set[str], eligible: list[str],
-                  n: int, constraints: ControlConstraints,
-                  rng_seed: int) -> set[str]:
-    """Draw n control users matched to the engaged cohort.
+def build_control(corpus: Corpus, engaged: set[str], eligible: list[str],
+                  bucket: str, rng_seed: int) -> set[str]:
+    """Draw one control user per engaged user.
 
     Controls come from ``eligible``, the sorted list ``eligible_controls``
-    returns for the same cohort and constraints. The account-creation
-    histogram of the result matches a size-n sample of the engaged cohort
-    bucket for bucket (greedy fill); when a bucket runs out of candidates
-    the remainder spills into the nearest buckets by creation time.
+    returns. The account-creation histogram of the result matches that of
+    the whole engaged cohort bucket for bucket (greedy fill); when a bucket
+    runs out of candidates the remainder spills into the nearest buckets by
+    creation time.
     """
+    def period(user_id: str) -> int:
+        return creation_bucket(corpus.users[user_id].created_at, bucket)
+
     rng = random.Random(rng_seed)
-    if n > len(eligible):
-        raise CohortError(
-            f"need {n} control users but only {len(eligible)} are eligible")
-
-    # target histogram from a size-n sample of the engaged cohort
-    conspiracy_sorted = sorted(conspiracy & set(corpus.users))
-    if n > len(conspiracy_sorted):
-        raise CohortError(
-            f"cannot match {n} controls against {len(conspiracy_sorted)} engaged users")
-    sample = (conspiracy_sorted if n == len(conspiracy_sorted)
-              else rng.sample(conspiracy_sorted, n))
-    bucket = constraints.creation_bucket
-    need = Counter(creation_bucket(corpus.users[u].created_at, bucket)
-                   for u in sample)
-
-    pools: dict[tuple[int, int], list[str]] = {}
+    need = Counter(period(u) for u in engaged)
+    pools: dict[int, list[str]] = {}
     for user_id in eligible:
-        pools.setdefault(
-            creation_bucket(corpus.users[user_id].created_at, bucket),
-            []).append(user_id)
+        pools.setdefault(period(user_id), []).append(user_id)
     for pool in pools.values():
         rng.shuffle(pool)
 
     chosen: list[str] = []
-    shortfalls: list[tuple[tuple[int, int], int]] = []
+
+    def take(pool: list[str], k: int) -> int:
+        """Move up to k users from the front of pool to chosen; how many."""
+        k = min(k, len(pool))
+        chosen.extend(pool[:k])
+        del pool[:k]
+        return k
+
+    shortfalls = []
     for b in sorted(need):
-        pool = pools.get(b, [])
-        take = min(need[b], len(pool))
-        chosen.extend(pool[:take])
-        del pool[:take]
-        if take < need[b]:
-            shortfalls.append((b, need[b] - take))
-
+        missing = need[b] - take(pools.get(b, []), need[b])
+        if missing:
+            shortfalls.append((b, missing))
     # overflow: fill remaining demand from the nearest buckets in time
-    def bucket_ordinal(b: tuple[int, int]) -> int:
-        year, sub = b
-        per_year = {"quarter": 4, "month": 12, "year": 1}[bucket]
-        return year * per_year + max(sub - 1, 0)
-
     for b, missing in shortfalls:
-        others = sorted(
-            (abs(bucket_ordinal(other) - bucket_ordinal(b)), other)
-            for other in pools if pools[other])
-        for _, other in others:
-            pool = pools[other]
-            take = min(missing, len(pool))
-            chosen.extend(pool[:take])
-            del pool[:take]
-            missing -= take
-            if missing == 0:
-                break
+        for other in sorted(pools, key=lambda p: (abs(p - b), p)):
+            missing -= take(pools[other], missing)
         if missing > 0:
             raise CohortError(
-                f"insufficient eligible control candidates: bucket {b} "
-                f"short by {missing}")
+                f"insufficient eligible control candidates: {len(eligible)} "
+                f"for {len(engaged)} engaged users")
     return set(chosen)

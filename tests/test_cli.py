@@ -325,6 +325,11 @@ def test_config_errors_reported_all_at_once(tmp_path):
           "lexicons must be list[str], got 'x.dic'",
           "workers must be int, got True", "seed must be int, got '42'",
           "max_depth must be >= 1", "unknown config key 'bogus_key'"]),
+        # checked before the first stage runs, not when curve or
+        # cohort.build reaches them
+        ({"curve_ks": [0, 5], "l_min": None},
+         ["curve_ks entries must be >= 1",
+          "config needs l_min and s_min, or target_size"]),
     ]:
         path.write_text(json.dumps(config))
         with pytest.raises(SystemExit) as exc:
@@ -443,6 +448,42 @@ def test_control_no_eligible_users_fails(tmp_path, corpus_dir, capsys):
     assert run("cohort", "build", "--config", config) == 0
     assert run("cohort", "control", "--config", config) == 1
     assert "no eligible control users" in capsys.readouterr().err
+
+
+def test_cohort_user_without_profile_left_out(tmp_path):
+    # "ghost" likes and follows seeds but has no users.jsonl row
+    corpus_dir = tmp_path / "partial"
+    assert run("synth", "generate", "--out", corpus_dir, "--n", 30,
+               "--seed", 42) == 0
+    seeds = json.loads((corpus_dir / "seeds.json").read_text())
+    with open(corpus_dir / "likes.jsonl", "a", encoding="utf-8") as fh:
+        for i in range(36):
+            fh.write(json.dumps({"user_id": "ghost", "seed_id": seeds[i % 6],
+                                 "liked_tweet_id": f"ghost_like{i}"}) + "\n")
+    with open(corpus_dir / "follows.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"follower_id": "ghost",
+                             "followee_id": seeds[0]}) + "\n")
+    out = tmp_path / "out"
+    config = config_file(tmp_path, corpus_dir, out, seed=42)
+    for command in (("ingest", "validate"), ("cohort", "build"),
+                    ("cohort", "control"), ("features", "extract")):
+        assert run(*command, "--config", config) == 0, command
+    engaged = json.loads((out / "cohort.json").read_text())["user_ids"]
+    control = json.loads((out / "control.json").read_text())["user_ids"]
+    assert "ghost" not in engaged + control
+    assert len(engaged) == len(control) == 27
+
+
+def test_control_rejects_cohort_user_without_profile(tmp_path, corpus_dir,
+                                                     capsys):
+    out = tmp_path / "edited"
+    config = config_file(tmp_path, corpus_dir, out)
+    assert run("cohort", "build", "--config", config) == 0
+    doc = json.loads((out / "cohort.json").read_text())
+    doc["user_ids"].append("ghost")
+    (out / "cohort.json").write_text(json.dumps(doc))
+    assert run("cohort", "control", "--config", config) == 1
+    assert "without a profile record" in capsys.readouterr().err
 
 
 def test_lexicon_columns_appended(tmp_path, corpus_dir):

@@ -1,16 +1,17 @@
 import random
 from collections import Counter
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_tweet, make_user
-from traitline.cohort import (CohortError, ControlConstraints, GridTable,
+from traitline.cohort import (CREATION_BUCKETS, CohortError, GridTable,
                               LikeMatrix, auto_thresholds, build_control,
                               build_like_matrix, creation_bucket,
                               eligible_controls, filter_cov,
-                              filter_follows_seed, seed_likers, select_cohort,
+                              filter_follows_seed, select_cohort,
                               threshold_grid, top_hashtags)
 from traitline.statkit import coefficient_of_variation
 
@@ -284,7 +285,8 @@ def test_top_hashtags_tie_is_lexicographic():
 # ---- control group ----------------------------------------------------------
 
 def control_fixture():
-    """5 engaged users and 15 others spread over known quarters."""
+    """5 engaged users, each liking the seed, and 15 others spread over
+    known quarters."""
     quarters = ["2020-01-15T00:00:00Z", "2020-02-10T00:00:00Z",  # 2020 Q1 x2
                 "2020-05-01T00:00:00Z",                          # 2020 Q2
                 "2021-08-01T00:00:00Z",                          # 2021 Q3
@@ -301,7 +303,8 @@ def control_fixture():
         lang = "en" if i != 14 else "it"
         users.append(make_user(uid, created=created, lang=lang))
     corpus = make_corpus(users=users,
-                         likes=[("r0", "s1", "p0")],
+                         likes=[(u, "s1", "p0") for u in sorted(engaged)]
+                         + [("r0", "s1", "p0")],
                          follows=[("r1", "s1")],
                          seeds=["s1"])
     return corpus, engaged
@@ -309,33 +312,26 @@ def control_fixture():
 
 def test_build_control_matches_creation_histogram():
     corpus, engaged = control_fixture()
-    constraints = ControlConstraints(
-        target_language="en", excluded_users=seed_likers(corpus),
-        excluded_follow_targets=set(corpus.seeds))
-    eligible = eligible_controls(corpus, engaged, constraints)
-    control = build_control(corpus, engaged, eligible, 5, constraints,
-                            rng_seed=3)
+    eligible = eligible_controls(corpus, "en")
+    assert engaged.isdisjoint(eligible)
+    control = build_control(corpus, engaged, eligible, "quarter", rng_seed=3)
     assert len(control) == 5
     assert control.isdisjoint(engaged)
     assert "r0" not in control      # liked a seed post
     assert "r1" not in control      # follows a seed
     assert "r14" not in control     # wrong language
-    want = Counter(creation_bucket(corpus.users[u].created_at)
+    want = Counter(creation_bucket(corpus.users[u].created_at, "quarter")
                    for u in engaged)
-    got = Counter(creation_bucket(corpus.users[u].created_at)
+    got = Counter(creation_bucket(corpus.users[u].created_at, "quarter")
                   for u in control)
     assert got == want
 
 
 def test_build_control_insufficient_candidates():
     corpus, engaged = control_fixture()
-    constraints = ControlConstraints(
-        target_language="en", excluded_users=seed_likers(corpus),
-        excluded_follow_targets=set(corpus.seeds))
-    with pytest.raises(CohortError, match="insufficient|eligible"):
-        build_control(corpus, engaged,
-                      eligible_controls(corpus, engaged, constraints),
-                      50, constraints, rng_seed=3)
+    short = eligible_controls(corpus, "en")[:len(engaged) - 1]
+    with pytest.raises(CohortError, match="insufficient"):
+        build_control(corpus, engaged, short, "quarter", rng_seed=3)
 
 
 def test_build_control_overflow_to_nearest_bucket():
@@ -343,29 +339,104 @@ def test_build_control_overflow_to_nearest_bucket():
              make_user("c1", created="2020-02-15T00:00:00Z"),
              # no 2020 Q1 candidates at all; nearest available is Q2
              make_user("r0", created="2020-05-01T00:00:00Z"),
-             make_user("r1", created="2020-06-01T00:00:00Z")]
-    corpus = make_corpus(users=users, seeds=["s1"])
-    constraints = ControlConstraints(target_language="en")
-    control = build_control(corpus, {"c0", "c1"}, ["r0", "r1"], 2,
-                            constraints, rng_seed=1)
+             make_user("r1", created="2020-06-01T00:00:00Z"),
+             # further away in time, so never drawn before r0 and r1
+             make_user("r2", created="2021-01-01T00:00:00Z")]
+    corpus = make_corpus(users=users, seeds=["s1"],
+                         likes=[("c0", "s1", "p0"), ("c1", "s1", "p0")])
+    eligible = eligible_controls(corpus, "en")
+    assert eligible == ["r0", "r1", "r2"]
+    control = build_control(corpus, {"c0", "c1"}, eligible, "quarter",
+                            rng_seed=1)
     assert control == {"r0", "r1"}
 
 
 def test_build_control_deterministic():
     corpus, engaged = control_fixture()
-    constraints = ControlConstraints(
-        target_language="en", excluded_users=seed_likers(corpus),
-        excluded_follow_targets=set(corpus.seeds))
-    eligible = eligible_controls(corpus, engaged, constraints)
-    a = build_control(corpus, engaged, eligible, 4, constraints, rng_seed=9)
-    b = build_control(corpus, engaged, eligible, 4, constraints, rng_seed=9)
+    eligible = eligible_controls(corpus, "en")
+    a = build_control(corpus, engaged, eligible, "month", rng_seed=9)
+    b = build_control(corpus, engaged, eligible, "month", rng_seed=9)
     assert a == b
 
 
 def test_creation_bucket_variants():
     epoch = make_user("x", created="2021-08-05T00:00:00Z").created_at
-    assert creation_bucket(epoch, "quarter") == (2021, 3)
-    assert creation_bucket(epoch, "month") == (2021, 8)
-    assert creation_bucket(epoch, "year") == (2021, 0)
+    assert creation_bucket(epoch, "quarter") == 2021 * 4 + 2
+    assert creation_bucket(epoch, "month") == 2021 * 12 + 7
+    assert creation_bucket(epoch, "year") == 2021
     with pytest.raises(CohortError):
         creation_bucket(epoch, "decade")
+
+
+def eligible_oracle(corpus, language):
+    seeds = set(corpus.seeds)
+    touched = ({u for u, seed, _ in corpus.likes if seed in seeds}
+               | {u for u, followee in corpus.follows if followee in seeds})
+    return sorted(u for u, user in corpus.users.items()
+                  if u not in touched and user.predominant_language == language)
+
+
+def period_oracle(epoch, bucket):
+    dt = datetime.fromtimestamp(epoch, tz=timezone.utc)
+    return {"quarter": (dt.year, (dt.month - 1) // 3),
+            "month": (dt.year, dt.month), "year": dt.year}[bucket]
+
+
+# creation months counted from January 2020: two share a quarter, two
+# neighbour each other across a year boundary
+MONTHS = (0, 1, 4, 11, 12, 20)
+
+
+@st.composite
+def control_inputs(draw):
+    """A small corpus whose users span two years of creation months, with
+    random seed likes and follows, and a cohort drawn from its seed likers."""
+    seeds = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    users = [make_user(f"u{i:02d}",
+                       created=f"{2020 + month // 12}-{month % 12 + 1:02d}-15"
+                               "T00:00:00Z",
+                       lang=lang)
+             for i, (month, lang) in enumerate(draw(st.lists(
+                 st.tuples(st.sampled_from(MONTHS),
+                           st.sampled_from(["en", "en", "it"])),
+                 min_size=1, max_size=40)))]
+    ids = [u.user_id for u in users]
+    likes = [(u, seed, "p0") for u, seed in draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(seeds)),
+        max_size=12))]
+    follows = draw(st.lists(st.tuples(st.sampled_from(ids),
+                                      st.sampled_from(ids + seeds)),
+                            max_size=12))
+    likers = sorted({u for u, _, _ in likes})
+    engaged = (draw(st.sets(st.sampled_from(likers), min_size=1))
+               if likers else set())
+    return (make_corpus(users=users, likes=likes, follows=follows,
+                        seeds=seeds),
+            engaged, draw(st.sampled_from(sorted(CREATION_BUCKETS))),
+            draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(control_inputs())
+def test_control_matching_properties(data):
+    corpus, engaged, bucket, rng_seed = data
+    eligible = eligible_controls(corpus, "en")
+    assert eligible == eligible_oracle(corpus, "en")
+    if len(eligible) < len(engaged):
+        with pytest.raises(CohortError):
+            build_control(corpus, engaged, eligible, bucket, rng_seed)
+        return
+    control = build_control(corpus, engaged, eligible, bucket, rng_seed)
+    assert len(control) == len(engaged)
+    assert control <= set(eligible)
+    assert control.isdisjoint(engaged)
+    assert control == build_control(corpus, engaged, eligible, bucket,
+                                    rng_seed)
+
+    def histogram(ids):
+        return Counter(period_oracle(corpus.users[u].created_at, bucket)
+                       for u in ids)
+
+    need, pool = histogram(engaged), histogram(eligible)
+    if all(pool[b] >= count for b, count in need.items()):
+        assert histogram(control) == need
