@@ -16,7 +16,6 @@ and empty cells in the CSV; imputation happens at training time.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import re
 import unicodedata
@@ -31,16 +30,14 @@ import numpy as np
 from .corpus import Corpus, TweetRecord
 from .statkit import PARAM_NAMES, dist_params, entropy_from_counts
 
-logger = logging.getLogger(__name__)
-
 TOKENIZER_VERSION = "1"
 
 URL_TOKEN = "⟨url⟩"
 MENTION_TOKEN = "⟨mention⟩"
 PLACEHOLDER_TOKENS = frozenset((URL_TOKEN, MENTION_TOKEN))
 
-_SPECIAL_RE = re.compile(r"(?P<url>https?://\S+|www\.\S+)|(?P<mention>@\w+)",
-                         re.IGNORECASE)
+# URLs and mentions; a match is a mention exactly when it starts with "@"
+_SPECIAL_RE = re.compile(r"https?://\S+|www\.\S+|@\w+", re.IGNORECASE)
 _WORD_RE = re.compile(r"[^\W_]+")
 _HASHTAG_RE = re.compile(r"#\w+")
 _URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
@@ -66,7 +63,8 @@ def tokenize(text: str) -> list[str]:
     pos = 0
     for match in _SPECIAL_RE.finditer(text):
         tokens.extend(t.lower() for t in _WORD_RE.findall(text[pos:match.start()]))
-        tokens.append(URL_TOKEN if match.lastgroup == "url" else MENTION_TOKEN)
+        tokens.append(MENTION_TOKEN if text[match.start()] == "@"
+                      else URL_TOKEN)
         pos = match.end()
     tokens.extend(t.lower() for t in _WORD_RE.findall(text[pos:]))
     return tokens
@@ -219,6 +217,31 @@ def pair_token_entropy(a: TokenizedTweet, b: TokenizedTweet) -> float | None:
     return entropy_from_counts(counts.values())
 
 
+def pair_entropies(timeline: list[TokenizedTweet]) -> list[float]:
+    """``pair_token_entropy`` of each adjacent pair that carries tokens, in
+    timeline order, from one numpy pass over all the pairs' counts.
+
+    Each term p * log2(p) is computed elementwise and each pair's terms are
+    summed over their own slice, in ``Counter`` order, so every entropy has
+    the bits the one-pair function gives.
+    """
+    counts: list[int] = []
+    totals: list[int] = []
+    bounds = [0]
+    for a, b in zip(timeline, timeline[1:]):
+        pair = Counter(a.tokens + b.tokens)
+        if pair:
+            counts.extend(pair.values())
+            totals.extend([len(a.tokens) + len(b.tokens)] * len(pair))
+            bounds.append(len(counts))
+    if not totals:
+        return []
+    p = np.array(counts, dtype=np.float64) / np.array(totals,
+                                                      dtype=np.float64)
+    terms = p * np.log2(p)
+    return [float(-terms[i:j].sum()) for i, j in zip(bounds, bounds[1:])]
+
+
 def initiative_features(timeline: list[TokenizedTweet]) -> dict[str, float]:
     """Activity-mix ratios and the two initiative distributions.
 
@@ -237,12 +260,7 @@ def initiative_features(timeline: list[TokenizedTweet]) -> dict[str, float]:
     }
     unique_words = [float(len(set(t.tokens))) for t in timeline]
     out.update(_dist_values("unique_words", unique_words))
-    pair_entropies = []
-    for a, b in zip(timeline, timeline[1:]):
-        h = pair_token_entropy(a, b)
-        if h is not None:
-            pair_entropies.append(h)
-    out.update(_dist_values("pair_entropy", pair_entropies))
+    out.update(_dist_values("pair_entropy", pair_entropies(timeline)))
     return out
 
 
@@ -450,24 +468,16 @@ def feature_matrix(corpus: Corpus, conspiracy: set[str], control: set[str],
 
     Columns are the 92 behavioral ones, then each lexicon's rate columns
     in the order given. Extraction is per-user independent; the result is
-    identical for every worker count. Users without a profile record are
-    skipped with a warning.
+    identical for every worker count. A user without a profile record
+    raises FeatureError naming the user.
     """
     overlap = conspiracy & control
     if overlap:
         raise FeatureError(f"cohorts overlap: {sorted(overlap)[:3]}")
-    ordered: list[tuple[str, int]] = []
-    for user_id in sorted(conspiracy):
-        ordered.append((user_id, 1))
-    for user_id in sorted(control):
-        ordered.append((user_id, 0))
-    kept = []
-    for user_id, label in ordered:
+    ids = sorted(conspiracy) + sorted(control)
+    for user_id in ids:
         if user_id not in corpus.users:
-            logger.warning("skipping user %s: no profile record", user_id)
-            continue
-        kept.append((user_id, label))
-    ids = [u for u, _ in kept]
+            raise FeatureError(f"user {user_id} has no profile record")
     columns = FEATURE_COLUMNS + [c for lex in lexicons
                                  for c in lex.column_names()]
     check_unique_columns(columns)
@@ -476,7 +486,9 @@ def feature_matrix(corpus: Corpus, conspiracy: set[str], control: set[str],
     values = (np.array(rows, dtype=np.float64)
               if rows else np.empty((0, len(columns))))
     return FeatureMatrix(columns=columns, user_ids=ids,
-                         labels=np.array([l for _, l in kept], dtype=np.int64),
+                         labels=np.array([1] * len(conspiracy)
+                                         + [0] * len(control),
+                                         dtype=np.int64),
                          values=values)
 
 

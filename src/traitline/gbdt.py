@@ -9,6 +9,15 @@ tie-breaking (lowest feature index, then lowest threshold) so training is
 deterministic for any worker count or platform. Per-feature importance is
 the summed split gain.
 
+Once per fit, ``_Grower`` builds a contiguous ``X.T``, its stable
+per-feature sort, a column of feature indices, a row mask and the buffers
+for leaf values and importance. A node then sums its gradients and
+hessians once, gathers its sorted values from ``X.T`` by fancy indexing,
+searches its block with ``_best_split``, and splits its sorted block into
+the children's by the row mask, which it clears again. Node sizes on the
+benchmark are small, so a node's cost is mostly per-call overhead and the
+kernel keeps the number of numpy calls per node low.
+
 A tree is held as the nested node dicts that ``model.json`` stores: a leaf
 is ``{"value": v}`` and a split is ``{"feature", "threshold", "gain",
 "left", "right"}``, where rows with ``X[:, feature] <= threshold`` go left.
@@ -52,24 +61,24 @@ class TrainConfig:
             raise ModelError("test_fraction must be in (0, 1)")
 
 
-def _best_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                rows: np.ndarray, order: np.ndarray, min_samples_leaf: int):
-    """Best (gain, feature, threshold) for the node holding ``rows``, or None.
+def _best_split(XT: np.ndarray, cols: np.ndarray, g: np.ndarray,
+                h: np.ndarray, order: np.ndarray, g_tot: np.float64,
+                h_tot: np.float64, min_samples_leaf: int):
+    """Best (gain, feature, threshold) for one node's block, or None.
 
-    ``rows`` are the node's row indices in ascending order and ``order`` is
-    the (features, len(rows)) block of the same rows sorted stably by each
-    feature. Gain is the Newton objective reduction
-    GL^2/HL + GR^2/HR - G^2/H. Equal gains resolve to the lowest feature
-    index, then the lowest threshold.
+    ``order`` is the (features, n) block of the node's rows sorted stably by
+    each feature, ``XT`` the contiguous ``X.T`` and ``cols`` the matching
+    column of feature indices into it. ``g_tot`` and ``h_tot`` are the
+    node's gradient and hessian sums in row order. Gain is the Newton
+    objective reduction GL^2/HL + GR^2/HR - G^2/H. Equal gains resolve to
+    the lowest feature of the block, then the lowest threshold.
     """
-    n = rows.size
+    n = order.shape[1]
     if n < 2 * min_samples_leaf:
         return None
-    xs = np.take_along_axis(X.T, order, axis=1)
-    gl = np.cumsum(g[order], axis=1)[:, :-1]
-    hl = np.cumsum(h[order], axis=1)[:, :-1]
-    # node totals in row order: the sum's rounding depends on the order
-    g_tot, h_tot = g[rows].sum(), h[rows].sum()
+    xs = XT[cols, order]
+    gl = g[order].cumsum(axis=1)[:, :-1]
+    hl = h[order].cumsum(axis=1)[:, :-1]
     # position p splits after p + 1 rows; only positions leaving at least
     # min_samples_leaf rows on each side are candidates
     lo, hi = min_samples_leaf - 1, n - min_samples_leaf
@@ -81,54 +90,80 @@ def _best_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,
     gain = np.where(xs[:, lo:hi] < xs[:, lo + 1:hi + 1], gain, -np.inf)
     # feature-major flattening makes argmax break ties toward the lowest
     # feature index, then the lowest split position (= lowest threshold)
-    best = int(np.argmax(gain))
-    feature, pos = divmod(best, hi - lo)
-    best_gain = gain[feature, pos]
-    if not np.isfinite(best_gain) or best_gain <= 0.0:
+    best = int(gain.argmax())
+    best_gain = gain.item(best)
+    if not math.isfinite(best_gain) or best_gain <= 0.0:
         return None
+    feature, pos = divmod(best, hi - lo)
     pos += lo
-    threshold = float((xs[feature, pos] + xs[feature, pos + 1]) / 2.0)
-    return float(best_gain), int(feature), threshold
+    threshold = (xs.item(feature, pos) + xs.item(feature, pos + 1)) / 2.0
+    return best_gain, feature, threshold
 
 
-def _build_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                rows: np.ndarray, order: np.ndarray, depth: int,
-                cfg: TrainConfig, importance: np.ndarray,
-                update: np.ndarray) -> dict:
-    """Grow the subtree over ``rows``; ``order`` is as in ``_best_split``.
+class _Grower:
+    """What one fit builds once and every node of every tree reads.
 
-    Children are built depth-first, left first, so ``importance`` receives
-    its additions in a fixed order. Each leaf writes its value into
-    ``update`` at its rows.
+    ``XT`` is a contiguous ``X.T`` and ``order`` its stable per-feature
+    sort, ``cols`` the column of feature indices that gathers a node's
+    sorted values from ``XT``, and ``in_left`` a row mask that each split
+    sets and clears again. ``update`` receives each tree's leaf values and
+    ``importance`` the summed split gains.
     """
-    split = None
-    if depth < cfg.max_depth:
-        split = _best_split(X, g, h, rows, order, cfg.min_samples_leaf)
-    if split is None:
-        value = float(-g[rows].sum() / (h[rows].sum() + _EPS))
-        update[rows] = value
-        return {"value": value}
-    gain, feature, threshold = split
-    importance[feature] += gain
-    go_left = X[rows, feature] <= threshold
-    # a stable partition of each sorted row list keeps it sorted, with ties
-    # still in row order, so no node sorts again
-    left_rows, right_rows = rows[go_left], rows[~go_left]
-    in_left = np.zeros(X.shape[0], dtype=bool)
-    in_left[left_rows] = True
-    sorted_left = in_left[order]
-    n_features = order.shape[0]
-    return {
-        "feature": feature, "threshold": threshold, "gain": gain,
-        "left": _build_tree(X, g, h, left_rows,
-                            order[sorted_left].reshape(n_features,
-                                                       left_rows.size),
-                            depth + 1, cfg, importance, update),
-        "right": _build_tree(X, g, h, right_rows,
-                             order[~sorted_left].reshape(n_features,
-                                                         right_rows.size),
-                             depth + 1, cfg, importance, update),
-    }
+
+    def __init__(self, X: np.ndarray, cfg: TrainConfig):
+        self.XT = np.ascontiguousarray(X.T)
+        self.cols = np.arange(X.shape[1])[:, None]
+        self.order = np.argsort(self.XT, axis=1, kind="stable")
+        self.rows = np.arange(X.shape[0])
+        self.in_left = np.zeros(X.shape[0], dtype=bool)
+        # every row reaches one leaf, so each tree overwrites all of update
+        self.update = np.empty(X.shape[0], dtype=np.float64)
+        self.importance = np.zeros(X.shape[1], dtype=np.float64)
+        self.max_depth = cfg.max_depth
+        self.min_samples_leaf = cfg.min_samples_leaf
+
+    def tree(self, g: np.ndarray, h: np.ndarray) -> dict:
+        """One tree on gradients ``g`` and hessians ``h``."""
+        return self._node(g, h, self.rows, self.order, 0)
+
+    def _node(self, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
+              order: np.ndarray, depth: int) -> dict:
+        """Grow the subtree over ``rows`` (ascending); ``order`` is as in
+        ``_best_split``.
+
+        A node sums ``g`` and ``h`` over its rows once, in row order, for
+        both its split search and its leaf value. Children are built
+        depth-first, left first, so ``importance`` receives its additions
+        in a fixed order. Each leaf writes its value into ``update`` at its
+        rows.
+        """
+        g_tot, h_tot = g[rows].sum(), h[rows].sum()
+        split = None
+        if depth < self.max_depth:
+            split = _best_split(self.XT, self.cols, g, h, order, g_tot, h_tot,
+                                self.min_samples_leaf)
+        if split is None:
+            value = float(-g_tot / (h_tot + _EPS))
+            self.update[rows] = value
+            return {"value": value}
+        gain, feature, threshold = split
+        self.importance[feature] += gain
+        go_left = self.XT[feature, rows] <= threshold
+        # a stable partition of each sorted row list keeps it sorted, with
+        # ties still in row order, so no node sorts again
+        left_rows, right_rows = rows[go_left], rows[~go_left]
+        in_left = self.in_left
+        in_left[left_rows] = True
+        sorted_left = in_left[order]
+        in_left[left_rows] = False
+        n_features = order.shape[0]
+        left_order = order[sorted_left].reshape(n_features, left_rows.size)
+        right_order = order[~sorted_left].reshape(n_features, right_rows.size)
+        return {
+            "feature": feature, "threshold": threshold, "gain": gain,
+            "left": self._node(g, h, left_rows, left_order, depth + 1),
+            "right": self._node(g, h, right_rows, right_order, depth + 1),
+        }
 
 
 def _tree_predict(root: dict, X: np.ndarray) -> np.ndarray:
@@ -190,25 +225,18 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, feature_names: list[str],
     p0 = float(y.mean())
     initial = math.log(p0 / (1.0 - p0))
     raw = np.full(y.shape[0], initial)
-    importance = np.zeros(X.shape[1], dtype=np.float64)
-    rows = np.arange(X.shape[0])
-    # one stable sort per fit; every node partitions its parent's block
-    order = np.argsort(X.T, axis=1, kind="stable")
-    # every row reaches one leaf, so each tree overwrites all of update
-    update = np.empty(X.shape[0], dtype=np.float64)
+    grower = _Grower(X, cfg)
     trees: list[dict] = []
     losses = [logistic_loss(y, _sigmoid(raw))]
     for _ in range(cfg.n_trees):
         p = _sigmoid(raw)
-        g = p - y
-        h = p * (1.0 - p)
-        trees.append(_build_tree(X, g, h, rows, order, 0, cfg, importance,
-                                 update))
-        raw = raw + cfg.learning_rate * update
+        trees.append(grower.tree(p - y, p * (1.0 - p)))
+        raw = raw + cfg.learning_rate * grower.update
         losses.append(logistic_loss(y, _sigmoid(raw)))
     return TreeEnsemble(trees=trees, learning_rate=cfg.learning_rate,
                         initial_score=initial, feature_names=list(feature_names),
-                        feature_importance=importance, loss_history=losses)
+                        feature_importance=grower.importance,
+                        loss_history=losses)
 
 
 def predict_scores(ensemble: TreeEnsemble, X: np.ndarray) -> np.ndarray:

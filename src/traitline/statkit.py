@@ -3,6 +3,10 @@
 All statistics use the population (divide-by-n) convention so that the
 coefficient of variation and the distribution summaries agree with each
 other. Entropy is Shannon entropy in bits.
+
+``dist_params`` sorts each sample once: the minimum, maximum, median and
+the entropy's category counts are all read from the sorted copy, while
+the moments sum the sample in its given order.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def _as_array(values: Sequence[float] | np.ndarray) -> np.ndarray:
         arr = arr.ravel()
     if arr.size == 0:
         raise EmptySampleError("empty sample")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("sample contains non-finite values")
     return arr
 
@@ -61,7 +65,32 @@ def entropy_from_counts(counts: Iterable[int]) -> float:
     if c.size == 0:
         raise EmptySampleError("empty sample")
     p = c / c.sum()
-    return float(-np.sum(p * np.log2(p)))
+    return float(-(p * np.log2(p)).sum())
+
+
+def _sorted_entropy(ordered: np.ndarray) -> float:
+    """``entropy_of`` a sample given sorted ascending.
+
+    An integer-valued sample counts each distinct value as its own
+    category; any other sample is cut into ``N_BINS`` equal-width bins
+    spanning [min, max]. Either key is nondecreasing along the sorted
+    sample, so each category's count is the length of one run of equal
+    keys, and the counts come out in ascending key order.
+    """
+    lo, hi = ordered.item(0), ordered.item(-1)
+    if lo == hi:
+        return 0.0
+    if (ordered == np.floor(ordered)).all():
+        keys = ordered
+    else:
+        width = (hi - lo) / N_BINS
+        keys = np.minimum(((ordered - lo) / width).astype(np.int64),
+                          N_BINS - 1)
+    n = keys.size
+    run_start = np.ones(n + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:n])
+    bounds = np.flatnonzero(run_start)
+    return entropy_from_counts(bounds[1:] - bounds[:-1])
 
 
 def entropy_of(values: Sequence[float] | np.ndarray) -> float:
@@ -71,17 +100,7 @@ def entropy_of(values: Sequence[float] | np.ndarray) -> float:
     category; any other sample is cut into ``N_BINS`` equal-width bins
     spanning [min, max]. A constant sample has entropy 0.
     """
-    arr = _as_array(values)
-    lo, hi = float(arr.min()), float(arr.max())
-    if lo == hi:
-        return 0.0
-    if np.all(arr == np.floor(arr)):
-        _, counts = np.unique(arr, return_counts=True)
-    else:
-        width = (hi - lo) / N_BINS
-        idx = np.minimum(((arr - lo) / width).astype(np.int64), N_BINS - 1)
-        counts = np.bincount(idx, minlength=N_BINS)
-    return entropy_from_counts(counts)
+    return _sorted_entropy(np.sort(_as_array(values)))
 
 
 def dist_params(values: Sequence[float] | np.ndarray) -> DistParams:
@@ -93,22 +112,31 @@ def dist_params(values: Sequence[float] | np.ndarray) -> DistParams:
     order statistics.
     """
     arr = _as_array(values)
-    mean = float(arr.mean())
+    ordered = np.sort(arr)
+    n = arr.size
+    # moments sum the sample in its given order: the rounding depends on it
+    mean = float(arr.sum() / n)
     centered = arr - mean
-    m2 = float(np.mean(centered ** 2))
+    m2 = float((centered ** 2).sum() / n)
     if m2 == 0.0:
         skew = 0.0
     else:
-        m3 = float(np.mean(centered ** 3))
+        # ** 3 is pow(); c * c * c would round differently
+        m3 = float((centered ** 3).sum() / n)
         skew = m3 / m2 ** 1.5
+    # the mean of the middle one or two values, summed from +0.0 as a numpy
+    # sum is: a median of zeros reads 0.0, never -0.0
+    half = n // 2
+    median = (0.0 + ordered.item(half) if n % 2
+              else (0.0 + ordered.item(half - 1) + ordered.item(half)) / 2)
     return DistParams(
-        min=float(arr.min()),
-        max=float(arr.max()),
+        min=ordered.item(0),
+        max=ordered.item(-1),
         mean=mean,
-        median=float(np.median(arr)),
+        median=median,
         std=math.sqrt(m2),
         skewness=skew,
-        entropy=entropy_of(arr),
+        entropy=_sorted_entropy(ordered),
     )
 
 

@@ -2,18 +2,25 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import threading
+import unicodedata
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SNAP, make_corpus, make_tweet, make_user
+from test_statkit import bits, oracle_entropy_from_counts
 from traitline.corpus import parse_timestamp
 from traitline.features import (FEATURE_COLUMNS, FeatureError, FeatureMatrix,
                                 MENTION_TOKEN, URL_TOKEN, Snapshot,
                                 adaptability_features, credibility_features,
                                 default_snapshot, feature_matrix,
                                 initiative_features, language_novelty_series,
+                                TokenizedTweet, pair_entropies,
                                 pair_token_entropy, parallel_map,
                                 registered_domain,
                                 tokenize, tokenize_timeline, user_features)
@@ -43,6 +50,44 @@ def test_tokenize_splits_on_nonalnum_runs():
 def test_tokenize_unicode_nfc():
     # e + combining acute normalizes to the precomposed character
     assert tokenize("café") == ["café"]
+
+
+# the tokenizer as it stood, kept verbatim as the oracle
+_ORACLE_SPECIAL_RE = re.compile(
+    r"(?P<url>https?://\S+|www\.\S+)|(?P<mention>@\w+)", re.IGNORECASE)
+_ORACLE_WORD_RE = re.compile(r"[^\W_]+")
+
+
+def oracle_tokenize(text):
+    if not text:
+        return []
+    text = unicodedata.normalize("NFC", text)
+    tokens = []
+    pos = 0
+    for match in _ORACLE_SPECIAL_RE.finditer(text):
+        tokens.extend(t.lower() for t in
+                      _ORACLE_WORD_RE.findall(text[pos:match.start()]))
+        tokens.append(URL_TOKEN if match.lastgroup == "url"
+                      else MENTION_TOKEN)
+        pos = match.end()
+    tokens.extend(t.lower() for t in _ORACLE_WORD_RE.findall(text[pos:]))
+    return tokens
+
+
+# pieces that stress case folding, URL and mention boundaries and NFC:
+# long s folds to "s", dotted capital I lowercases to two characters, the
+# Kelvin sign folds to "k", and combining marks compose or stay apart
+TEXT_PIECES = ["HTTP://", "hTtPs://", "httpſ://", "WwW.", "wWw.", "www.",
+               "ſ", "İ", "ı", "\u212a", "ß", "ǅ", "ﬁ", "@", "@@", "@_", "_",
+               "__", "a", "Z", "é", "e\u0301", "\u0301", "\u0327", "İ\u0301",
+               "٣", "x.y/z", "#tag", " ", "\t", "\n", ".", ":", "/", "-"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(TEXT_PIECES), st.text(max_size=4)),
+                max_size=20).map("".join))
+def test_tokenize_matches_oracle(text):
+    assert tokenize(text) == oracle_tokenize(text)
 
 
 def test_registered_domain():
@@ -310,6 +355,58 @@ def test_pair_entropy_uniform_pair():
     assert pair_token_entropy(a, b) == pytest.approx(2.0, abs=1e-12)
 
 
+def oracle_pair_entropies(timeline):
+    """The per-pair loop as it stood, with the one-pair entropy verbatim."""
+    out = []
+    for a, b in zip(timeline, timeline[1:]):
+        counts = Counter(a.tokens)
+        counts.update(b.tokens)
+        if counts:
+            out.append(oracle_entropy_from_counts(counts.values()))
+    return out
+
+
+def tweet_with(tokens):
+    return TokenizedTweet(tokens=tuple(tokens), is_reply=False,
+                          is_retweet=False, has_url=False, has_mention=False,
+                          timestamp=0, urls=(), n_chars=0,
+                          retweeted_author=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcdefghijklmnopqrstuvwxyz"[:12]),
+                         max_size=30),
+                max_size=40))
+def test_pair_entropies_match_per_pair_oracle(token_lists):
+    # empty token lists make token-free tweets and token-free pairs
+    timeline = [tweet_with(t) for t in token_lists]
+    want = oracle_pair_entropies(timeline)
+    assert bits(pair_entropies(timeline)) == bits(want)
+    one_pair = [pair_token_entropy(a, b) for a, b in zip(timeline, timeline[1:])]
+    assert bits(h for h in one_pair if h is not None) == bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 50), min_size=1, max_size=40),
+       st.lists(st.integers(1, 50), max_size=70),
+       st.lists(st.integers(1, 50), max_size=70))
+def test_log2_terms_do_not_depend_on_position(counts, before, after):
+    # pair_entropies computes p * log2(p) for all pairs in one array; that
+    # gives each pair's bits only if the elementwise result for a short
+    # vector is the same alone as at any offset inside a longer array
+    def probabilities(c):
+        c = np.array(c, dtype=np.float64)
+        return c / c.sum()
+
+    p = probabilities(counts)
+    alone = p * np.log2(p)
+    joined = np.concatenate([probabilities(before or [1]), p,
+                             probabilities(after or [1])])
+    inside = (joined * np.log2(joined))[len(before or [1]):][:p.size]
+    assert alone.tobytes() == inside.tobytes()
+    assert bits([alone.sum()]) == bits([inside.sum()])
+
+
 def test_single_tweet_timeline_has_missing_pair_params():
     tl = tokenize_timeline([make_tweet("x1", "u", 1, text="hello world")])
     feats = initiative_features(tl)
@@ -352,13 +449,11 @@ def test_feature_matrix_layout_and_labels():
     assert fm.labels.tolist() == [1, 0]
 
 
-def test_feature_matrix_skips_unknown_user(caplog):
+def test_feature_matrix_rejects_unknown_user():
     corpus = oracle_corpus()
-    with caplog.at_level("WARNING"):
-        fm = feature_matrix(corpus, {"alice", "ghost"}, {"bob"},
-                            Snapshot(as_of=AS_OF))
-    assert fm.user_ids == ["alice", "bob"]
-    assert "ghost" in caplog.text
+    with pytest.raises(FeatureError, match="user ghost has no profile record"):
+        feature_matrix(corpus, {"alice", "ghost"}, {"bob"},
+                       Snapshot(as_of=AS_OF))
 
 
 def test_feature_matrix_rejects_overlap():

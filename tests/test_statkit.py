@@ -2,7 +2,10 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traitline.statkit import (DistParams, EmptySampleError, UndefinedCovError,
                                coefficient_of_variation, dist_params,
@@ -38,6 +41,71 @@ def ref_dist_params(values):
     skew = 0.0 if m2 == 0 else m3 / m2 ** 1.5
     return (ordered[0], ordered[-1], mean, median, math.sqrt(m2), skew,
             ref_entropy(values))
+
+
+# ---- the single-pass kernels as they stood, kept verbatim as bitwise oracles --
+
+def _oracle_as_array(values):
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        arr = arr.ravel()
+    if arr.size == 0:
+        raise EmptySampleError("empty sample")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sample contains non-finite values")
+    return arr
+
+
+def oracle_entropy_from_counts(counts):
+    c = np.asarray(list(counts), dtype=np.float64)
+    c = c[c > 0]
+    if c.size == 0:
+        raise EmptySampleError("empty sample")
+    p = c / c.sum()
+    return float(-np.sum(p * np.log2(p)))
+
+
+def oracle_entropy_of(values):
+    arr = _oracle_as_array(values)
+    lo, hi = float(arr.min()), float(arr.max())
+    if lo == hi:
+        return 0.0
+    if np.all(arr == np.floor(arr)):
+        _, counts = np.unique(arr, return_counts=True)
+    else:
+        width = (hi - lo) / 20
+        idx = np.minimum(((arr - lo) / width).astype(np.int64), 20 - 1)
+        counts = np.bincount(idx, minlength=20)
+    return oracle_entropy_from_counts(counts)
+
+
+def oracle_dist_params(values):
+    arr = _oracle_as_array(values)
+    mean = float(arr.mean())
+    centered = arr - mean
+    m2 = float(np.mean(centered ** 2))
+    if m2 == 0.0:
+        skew = 0.0
+    else:
+        m3 = float(np.mean(centered ** 3))
+        skew = m3 / m2 ** 1.5
+    return (float(arr.min()), float(arr.max()), mean,
+            float(np.median(arr)), math.sqrt(m2), skew,
+            oracle_entropy_of(arr))
+
+
+def bits(values):
+    """Floats as hex strings: equal lists mean equal bits, signed zeros too."""
+    return [float(v).hex() for v in values]
+
+
+def outcome(fn, sample):
+    """``bits`` of what ``fn`` returns for ``sample``, or the error it raises."""
+    try:
+        out = fn(sample)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    return bits(out if isinstance(out, tuple) else [out])
 
 
 def ref_cov(values):
@@ -194,3 +262,59 @@ def test_entropy_upper_bound():
             bound = math.log2(20)
         assert h <= bound + 1e-12
         assert h >= 0.0
+
+
+# ---- the one-sort kernels against the oracles, bit for bit -------------------
+
+@st.composite
+def samples(draw):
+    """Constant, integer-valued, binned or tie-heavy samples of 1-300 values.
+
+    A sample holds zeros of one sign only. Which zero ``np.min`` returns
+    for a mixed pair is unspecified, and no feature sample mixes them: only
+    pair entropies can be -0.0, and those are never +0.0.
+    """
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["constant", "integer", "binned", "ties"]))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    if kind == "constant":
+        values = [draw(finite)] * n
+    elif kind == "integer":
+        values = draw(st.lists(st.integers(-50, 50).map(float),
+                               min_size=n, max_size=n))
+    elif kind == "binned":
+        values = draw(st.lists(finite, min_size=n, max_size=n))
+    else:
+        levels = draw(st.lists(finite, min_size=1, max_size=5))
+        values = draw(st.lists(st.sampled_from(levels), min_size=n,
+                               max_size=n))
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    return [zero if v == 0.0 else v for v in values]
+
+
+@settings(max_examples=400, deadline=None)
+@given(samples())
+def test_dist_params_bits_match_oracle(sample):
+    # a near-constant sample of tiny values can underflow m2 ** 1.5 to 0;
+    # both kernels then raise the same error
+    assert outcome(lambda v: dist_params(v).as_tuple(), sample) == \
+        outcome(oracle_dist_params, sample)
+    assert outcome(entropy_of, sample) == outcome(oracle_entropy_of, sample)
+
+
+def test_median_of_negative_zeros_reads_positive_zero():
+    # np.median sums the middle values from +0.0; the sorted read must too
+    for n in (1, 2, 3, 4):
+        assert bits([dist_params([-0.0] * n).median]) == bits([0.0])
+        assert bits([dist_params([-0.0] * n).min]) == bits([-0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=60))
+def test_entropy_from_counts_bits_match_oracle(counts):
+    if not any(counts):
+        with pytest.raises(EmptySampleError):
+            entropy_from_counts(counts)
+        return
+    assert bits([entropy_from_counts(counts)]) == \
+        bits([oracle_entropy_from_counts(counts)])
