@@ -8,9 +8,16 @@ disk and normalized to UTC epoch seconds on load. Timelines are sorted
 ascending by timestamp with tweet_id as the tie-break so downstream
 consecutive-pair features are deterministic.
 
-Records are slotted, and the loader holds each repeated string (ids,
-kinds, languages, hashtags, urls and mentions) once, through
+Records are read-only named tuples, and the loader holds each repeated
+string (ids, kinds, languages, hashtags, urls and mentions) once, through
 ``sys.intern``; tweet ids, texts and bios are not shared.
+
+Each line is decoded by the C scanner behind ``json.loads``, which must
+consume the whole line; a line it rejects goes to ``json.loads`` for the
+error message. Each parser then checks its record in one pass: every
+field's type where it is read, in a fixed order, and then the record's
+invariants (a known tweet kind; user counts ``>= 0`` and ``created_at``
+no later than ``snapshot_at``), so the first bad field names the error.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 TWEET_KINDS = ("original", "retweet", "reply", "quote")
 _ID = (str, int)  # JSON types of an id, matched exactly: a bool is no int
@@ -64,8 +72,7 @@ def format_timestamp(epoch: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass(frozen=True, slots=True)
-class UserRecord:
+class UserRecord(NamedTuple):
     user_id: str
     created_at: int
     followers_count: int
@@ -78,18 +85,8 @@ class UserRecord:
     predominant_language: str | None
     snapshot_at: int
 
-    def __post_init__(self):
-        for name in ("followers_count", "following_count", "tweet_count",
-                     "listed_count"):
-            if getattr(self, name) < 0:
-                raise CorpusError(f"{name} < 0 for user {self.user_id}")
-        if self.created_at > self.snapshot_at:
-            raise CorpusError(
-                f"created_at after snapshot_at for user {self.user_id}")
 
-
-@dataclass(frozen=True, slots=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
     tweet_id: str
     author_id: str
     created_at: int
@@ -100,11 +97,6 @@ class TweetRecord:
     mentions: tuple[str, ...]
     retweeted_author: str | None = None
     lang: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in TWEET_KINDS:
-            raise CorpusError(
-                f"tweet {self.tweet_id}: unknown kind {self.kind!r}")
 
 
 @dataclass
@@ -166,6 +158,29 @@ class ValidationReport:
         }
 
 
+_scan_once = json.JSONDecoder().scan_once  # the C scanner behind json.loads
+
+
+def _decode(line: str):
+    """``json.loads(line)`` for a line without surrounding whitespace.
+
+    The scanner decodes the one value at the start of the line; it is the
+    whole line exactly when ``json.loads`` accepts the line. Otherwise (no
+    value, text after it, a leading BOM) ``json.loads`` is called only for
+    its error message.
+    """
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"malformed JSON: {exc.msg}") from None
+
+
 def _iter_jsonl(path: Path, parse, unique: str | None = None):
     """``parse(obj)`` for each object line of ``path``; with ``unique``, that
     attribute of the records may not repeat.
@@ -179,11 +194,8 @@ def _iter_jsonl(path: Path, parse, unique: str | None = None):
             if not line:
                 continue
             try:
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"malformed JSON: {exc.msg}") from None
-                if not isinstance(obj, dict):
+                obj = _decode(line)
+                if type(obj) is not dict:
                     raise CorpusError("non-object")
                 record = parse(obj)
                 if unique is not None:
@@ -197,43 +209,29 @@ def _iter_jsonl(path: Path, parse, unique: str | None = None):
             yield record
 
 
-def _require(obj: dict, name: str):
-    if name not in obj or obj[name] is None:
-        raise CorpusError(f"missing field {name}")
-    return obj[name]
+# The parsers check each field where they read it, in a fixed order, so the
+# first bad field of a record names the error. These helpers only word it.
+
+def _missing(name: str) -> CorpusError:
+    return CorpusError(f"missing field {name}")
 
 
-def _require_type(obj: dict, name: str, kinds: tuple[type, ...],
-                  optional: bool = False):
-    """Field ``name`` of exactly one of the types ``kinds``: no coercion, no
-    bool as int. An optional field may be absent or null, giving None."""
-    value = obj.get(name) if optional else _require(obj, name)
-    if value is None or type(value) in kinds:
-        return value
-    names = " or ".join(kind.__name__ for kind in kinds)
-    raise CorpusError(f"field {name} must be a JSON {names}, got {value!r}")
+def _field_error(name: str, value, kinds: str) -> CorpusError:
+    """A null or absent ``value`` is missing; any other is of no JSON type
+    named in ``kinds``."""
+    if value is None:
+        return _missing(name)
+    return CorpusError(f"field {name} must be a JSON {kinds}, got {value!r}")
 
 
-def _shared(value: str | None) -> str | None:
-    """The one copy of a repeated string value."""
-    return None if value is None else sys.intern(value)
+def _list_error(name: str, values) -> CorpusError:
+    if type(values) is not list:
+        return _field_error(name, values, "list")
+    return CorpusError(f"field {name} must be a list of strings, "
+                       f"got {values!r}")
 
 
-def _require_id(obj: dict, name: str) -> str:
-    return str(_require_type(obj, name, _ID))
-
-
-def _strings(obj: dict, name: str) -> tuple[str, ...]:
-    """An optional list-of-strings field, each held once; absent or null
-    gives ()."""
-    values = _require_type(obj, name, (list,), optional=True) or ()
-    if values and not all(type(v) is str for v in values):
-        raise CorpusError(f"field {name} must be a list of strings, "
-                          f"got {values!r}")
-    return tuple(map(sys.intern, values))
-
-
-def _norm_hashtags(raw: tuple[str, ...]) -> tuple[str, ...]:
+def _norm_hashtags(raw: list[str]) -> tuple[str, ...]:
     seen = []
     for tag in raw:
         tag = tag.lower().lstrip("#")
@@ -242,42 +240,107 @@ def _norm_hashtags(raw: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(seen)
 
 
+_USER_COUNTS = ("followers_count", "following_count", "tweet_count",
+                "listed_count")
+_USER_SCALARS = tuple((name, int) for name in _USER_COUNTS) + (
+    ("verified", bool), ("has_default_pic", bool))
+
+
 def _parse_user(obj: dict) -> UserRecord:
-    return UserRecord(
-        user_id=_shared(_require_id(obj, "user_id")),
-        created_at=parse_timestamp(_require(obj, "created_at")),
-        followers_count=_require_type(obj, "followers_count", (int,)),
-        following_count=_require_type(obj, "following_count", (int,)),
-        tweet_count=_require_type(obj, "tweet_count", (int,)),
-        listed_count=_require_type(obj, "listed_count", (int,)),
-        verified=_require_type(obj, "verified", (bool,)),
-        has_default_pic=_require_type(obj, "has_default_pic", (bool,)),
-        bio=_require_type(obj, "bio", (str,), optional=True),
-        predominant_language=_shared(_require_type(
-            obj, "predominant_language", (str,), optional=True)),
-        snapshot_at=parse_timestamp(_require(obj, "snapshot_at")),
-    )
+    get = obj.get
+    user_id = get("user_id")
+    if type(user_id) not in _ID:
+        raise _field_error("user_id", user_id, "str or int")
+    user_id = sys.intern(str(user_id))
+    created_at = get("created_at")
+    if created_at is None:
+        raise _missing("created_at")
+    created_at = parse_timestamp(created_at)
+    scalars = []  # the four counts, then the two flags
+    for name, kind in _USER_SCALARS:
+        value = get(name)
+        if type(value) is not kind:
+            raise _field_error(name, value, kind.__name__)
+        scalars.append(value)
+    bio = get("bio")
+    if bio is not None and type(bio) is not str:
+        raise _field_error("bio", bio, "str")
+    language = get("predominant_language")
+    if language is not None:
+        if type(language) is not str:
+            raise _field_error("predominant_language", language, "str")
+        language = sys.intern(language)
+    snapshot_at = get("snapshot_at")
+    if snapshot_at is None:
+        raise _missing("snapshot_at")
+    snapshot_at = parse_timestamp(snapshot_at)
+    # the record's invariants, once every field has its type
+    for name, value in zip(_USER_COUNTS, scalars):
+        if value < 0:
+            raise CorpusError(f"{name} < 0 for user {user_id}")
+    if created_at > snapshot_at:
+        raise CorpusError(f"created_at after snapshot_at for user {user_id}")
+    return UserRecord(user_id, created_at, *scalars, bio, language,
+                      snapshot_at)
 
 
 def _parse_tweet(obj: dict) -> TweetRecord:
-    retweeted = _require_type(obj, "retweeted_author", _ID, optional=True)
+    get = obj.get
+    retweeted = get("retweeted_author")
+    if retweeted is not None and type(retweeted) not in _ID:
+        raise _field_error("retweeted_author", retweeted, "str or int")
+    tweet_id = get("tweet_id")
+    if type(tweet_id) not in _ID:
+        raise _field_error("tweet_id", tweet_id, "str or int")
+    tweet_id = str(tweet_id)
+    author_id = get("author_id")
+    if type(author_id) not in _ID:
+        raise _field_error("author_id", author_id, "str or int")
+    created_at = get("created_at")
+    if created_at is None:
+        raise _missing("created_at")
+    created_at = parse_timestamp(created_at)
+    kind = get("kind")
+    if type(kind) is not str:
+        raise _field_error("kind", kind, "str")
+    text = get("text")
+    if text is None:
+        text = ""
+    elif type(text) is not str:
+        raise _field_error("text", text, "str")
+    lists = []
+    for name in ("hashtags", "urls", "mentions"):
+        values = get(name)
+        if values is None:
+            values = ()
+        elif type(values) is not list or not all(type(v) is str
+                                                 for v in values):
+            raise _list_error(name, values)
+        lists.append(values)
+    hashtags, urls, mentions = lists
+    lang = get("lang")
+    if lang is not None:
+        if type(lang) is not str:
+            raise _field_error("lang", lang, "str")
+        lang = sys.intern(lang)
+    if kind not in TWEET_KINDS:
+        raise CorpusError(f"tweet {tweet_id}: unknown kind {kind!r}")
     return TweetRecord(
-        tweet_id=_require_id(obj, "tweet_id"),
-        author_id=_shared(_require_id(obj, "author_id")),
-        created_at=parse_timestamp(_require(obj, "created_at")),
-        kind=_shared(_require_type(obj, "kind", (str,))),
-        text=_require_type(obj, "text", (str,), optional=True) or "",
-        hashtags=_norm_hashtags(_strings(obj, "hashtags")),
-        urls=_strings(obj, "urls"),
-        mentions=_strings(obj, "mentions"),
-        retweeted_author=(None if retweeted in (None, "")
-                          else _shared(str(retweeted))),
-        lang=_shared(_require_type(obj, "lang", (str,), optional=True)),
-    )
+        tweet_id, sys.intern(str(author_id)), created_at, sys.intern(kind),
+        text, _norm_hashtags(hashtags), tuple(map(sys.intern, urls)),
+        tuple(map(sys.intern, mentions)),
+        None if retweeted in (None, "") else sys.intern(str(retweeted)),
+        lang)
 
 
 def _parse_ids(names: tuple[str, ...], obj: dict) -> tuple:
-    return tuple(_shared(_require_id(obj, name)) for name in names)
+    ids = []
+    for name in names:
+        value = obj.get(name)
+        if type(value) not in _ID:
+            raise _field_error(name, value, "str or int")
+        ids.append(sys.intern(str(value)))
+    return tuple(ids)
 
 
 def load_users(path: Path) -> dict[str, UserRecord]:

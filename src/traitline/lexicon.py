@@ -14,6 +14,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,9 @@ logger = logging.getLogger(__name__)
 
 class LexiconError(ValueError):
     pass
+
+
+_NO_CATEGORIES: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -42,24 +46,23 @@ class Lexicon:
                        if not w.endswith("*")}
         self._prefixes = {w[:-1]: c for w, c in self.entries.items()
                           if w.endswith("*")}
-        self._longest_prefix = max(map(len, self._prefixes), default=-1)
+        self._prefix_lengths = sorted(set(map(len, self._prefixes)))
 
     def column_names(self) -> list[str]:
         return [f"{self.name}_{c}" for c in self.categories]
 
     def categories_of(self, token: str) -> frozenset[str]:
         """Categories of the exact entry for ``token`` and of every
-        wildcard whose prefix starts it: one dict probe per prefix length,
-        however many entries the lexicon holds."""
-        exact = self._exact.get(token, frozenset())
-        if not self._prefixes:
-            return exact
-        cats = set(exact)
-        for i in range(min(len(token), self._longest_prefix) + 1):
-            hit = self._prefixes.get(token[:i])
+        wildcard whose prefix starts it: one dict probe per prefix length
+        that some wildcard has, however many entries the lexicon holds."""
+        cats = self._exact.get(token, _NO_CATEGORIES)
+        for n in self._prefix_lengths:
+            if n > len(token):
+                break
+            hit = self._prefixes.get(token[:n])
             if hit:
-                cats |= hit
-        return frozenset(cats)
+                cats = cats | hit
+        return cats
 
 
 def _load_tsv(path: Path, name: str) -> Lexicon:
@@ -147,8 +150,9 @@ def lexicon_features(timeline: list[TokenizedTweet],
     URL and mention placeholders count neither as matches nor in the
     denominator. With no scoreable tokens every column is NaN.
     """
-    tokens = Counter(tok for tweet in timeline for tok in tweet.tokens
-                     if tok not in PLACEHOLDER_TOKENS)
+    tokens = Counter(chain.from_iterable(tweet.tokens for tweet in timeline))
+    for placeholder in PLACEHOLDER_TOKENS:
+        del tokens[placeholder]
     out: dict[str, float] = {}
     if not tokens:
         for lex in lexicons:

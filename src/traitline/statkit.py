@@ -107,7 +107,9 @@ def dist_params(values: Sequence[float] | np.ndarray) -> DistParams:
     """Summarize a nonempty sample by the seven distribution parameters.
 
     Standard deviation is population std. Skewness is the Fisher-Pearson
-    coefficient g1 = m3 / m2^1.5, defined as 0 for zero-variance samples.
+    coefficient g1 = m3 / m2^1.5, defined as 0 when m2^1.5 is 0: for
+    zero-variance samples, and for samples of values so small that m2^1.5
+    underflows.
     The median of an even-sized sample is the midpoint of the two middle
     order statistics.
     """
@@ -118,12 +120,13 @@ def dist_params(values: Sequence[float] | np.ndarray) -> DistParams:
     mean = float(arr.sum() / n)
     centered = arr - mean
     m2 = float((centered ** 2).sum() / n)
-    if m2 == 0.0:
+    scale = m2 ** 1.5  # 0 for zero variance, and where a tiny m2 underflows
+    if scale == 0.0:
         skew = 0.0
     else:
         # ** 3 is pow(); c * c * c would round differently
         m3 = float((centered ** 3).sum() / n)
-        skew = m3 / m2 ** 1.5
+        skew = m3 / scale
     # the mean of the middle one or two values, summed from +0.0 as a numpy
     # sum is: a median of zeros reads 0.0, never -0.0
     half = n // 2

@@ -1,14 +1,23 @@
+import dataclasses
+import itertools
 import json
 import pickle
+import sys
+import tempfile
+from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_tweet, make_user
-from traitline.corpus import (CorpusError, CorpusPaths, load_corpus,
-                              parse_timestamp, record_counts, save_corpus,
-                              validate_corpus)
+from traitline import corpus as loader
+from traitline.corpus import (TWEET_KINDS, CorpusError, CorpusPaths,
+                              load_corpus, parse_timestamp, record_counts,
+                              save_corpus, validate_corpus)
+from traitline.features import tokenize_tweet
 
 
 def write_jsonl(path, rows):
@@ -481,3 +490,345 @@ def test_predominant_language_fallback():
                           make_tweet("t3", "u1", 3, lang="en")]},
         seeds=["s1"])
     assert corpus.predominant_language("u1") == "it"
+
+
+# ---- the loader as it stood, kept verbatim as the oracle ----------------------
+# (renamed with an oracle_ prefix; its records are the frozen dataclasses,
+# which checked the tweet kind and the user invariants in __post_init__)
+
+@dataclass(frozen=True, slots=True)
+class OracleUserRecord:
+    user_id: str
+    created_at: int
+    followers_count: int
+    following_count: int
+    tweet_count: int
+    listed_count: int
+    verified: bool
+    has_default_pic: bool
+    bio: str | None
+    predominant_language: str | None
+    snapshot_at: int
+
+    def __post_init__(self):
+        for name in ("followers_count", "following_count", "tweet_count",
+                     "listed_count"):
+            if getattr(self, name) < 0:
+                raise CorpusError(f"{name} < 0 for user {self.user_id}")
+        if self.created_at > self.snapshot_at:
+            raise CorpusError(
+                f"created_at after snapshot_at for user {self.user_id}")
+
+
+@dataclass(frozen=True, slots=True)
+class OracleTweetRecord:
+    tweet_id: str
+    author_id: str
+    created_at: int
+    kind: str
+    text: str
+    hashtags: tuple[str, ...]
+    urls: tuple[str, ...]
+    mentions: tuple[str, ...]
+    retweeted_author: str | None = None
+    lang: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in TWEET_KINDS:
+            raise CorpusError(
+                f"tweet {self.tweet_id}: unknown kind {self.kind!r}")
+
+
+def oracle_iter_jsonl(path: Path, parse, unique: str | None = None):
+    seen: set[str] = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"malformed JSON: {exc.msg}") from None
+                if not isinstance(obj, dict):
+                    raise CorpusError("non-object")
+                record = parse(obj)
+                if unique is not None:
+                    key = getattr(record, unique)
+                    if key in seen:
+                        raise CorpusError(f"duplicate {unique} {key}")
+                    seen.add(key)
+            except CorpusError as exc:
+                raise CorpusError(
+                    f"{path.name}: line {lineno}: {exc}") from None
+            yield record
+
+
+_ID = (str, int)
+
+
+def _require(obj: dict, name: str):
+    if name not in obj or obj[name] is None:
+        raise CorpusError(f"missing field {name}")
+    return obj[name]
+
+
+def _require_type(obj: dict, name: str, kinds: tuple[type, ...],
+                  optional: bool = False):
+    value = obj.get(name) if optional else _require(obj, name)
+    if value is None or type(value) in kinds:
+        return value
+    names = " or ".join(kind.__name__ for kind in kinds)
+    raise CorpusError(f"field {name} must be a JSON {names}, got {value!r}")
+
+
+def _shared(value: str | None) -> str | None:
+    return None if value is None else sys.intern(value)
+
+
+def _require_id(obj: dict, name: str) -> str:
+    return str(_require_type(obj, name, _ID))
+
+
+def _strings(obj: dict, name: str) -> tuple[str, ...]:
+    values = _require_type(obj, name, (list,), optional=True) or ()
+    if values and not all(type(v) is str for v in values):
+        raise CorpusError(f"field {name} must be a list of strings, "
+                          f"got {values!r}")
+    return tuple(map(sys.intern, values))
+
+
+def _norm_hashtags(raw: tuple[str, ...]) -> tuple[str, ...]:
+    seen = []
+    for tag in raw:
+        tag = tag.lower().lstrip("#")
+        if tag and tag not in seen:
+            seen.append(sys.intern(tag))
+    return tuple(seen)
+
+
+def oracle_parse_user(obj: dict) -> OracleUserRecord:
+    return OracleUserRecord(
+        user_id=_shared(_require_id(obj, "user_id")),
+        created_at=parse_timestamp(_require(obj, "created_at")),
+        followers_count=_require_type(obj, "followers_count", (int,)),
+        following_count=_require_type(obj, "following_count", (int,)),
+        tweet_count=_require_type(obj, "tweet_count", (int,)),
+        listed_count=_require_type(obj, "listed_count", (int,)),
+        verified=_require_type(obj, "verified", (bool,)),
+        has_default_pic=_require_type(obj, "has_default_pic", (bool,)),
+        bio=_require_type(obj, "bio", (str,), optional=True),
+        predominant_language=_shared(_require_type(
+            obj, "predominant_language", (str,), optional=True)),
+        snapshot_at=parse_timestamp(_require(obj, "snapshot_at")),
+    )
+
+
+def oracle_parse_tweet(obj: dict) -> OracleTweetRecord:
+    retweeted = _require_type(obj, "retweeted_author", _ID, optional=True)
+    return OracleTweetRecord(
+        tweet_id=_require_id(obj, "tweet_id"),
+        author_id=_shared(_require_id(obj, "author_id")),
+        created_at=parse_timestamp(_require(obj, "created_at")),
+        kind=_shared(_require_type(obj, "kind", (str,))),
+        text=_require_type(obj, "text", (str,), optional=True) or "",
+        hashtags=_norm_hashtags(_strings(obj, "hashtags")),
+        urls=_strings(obj, "urls"),
+        mentions=_strings(obj, "mentions"),
+        retweeted_author=(None if retweeted in (None, "")
+                          else _shared(str(retweeted))),
+        lang=_shared(_require_type(obj, "lang", (str,), optional=True)),
+    )
+
+
+def oracle_parse_ids(names: tuple[str, ...], obj: dict) -> tuple:
+    return tuple(_shared(_require_id(obj, name)) for name in names)
+
+
+# ---- the loader against the oracle -------------------------------------------
+
+MISSING = object()
+# any JSON value, NaN and the infinities included, nested a little
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=2)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=4)
+IDS = st.one_of(st.sampled_from(["a", "b", "u1", ""]), st.integers(-2, 3))
+# mostly valid, in every form the loader accepts
+STAMPS = st.sampled_from(
+    ["2021-05-01T00:00:00Z", "2021-05-01T12:00:00+02:00",
+     "2021-05-01 00:00:00", " 2023-01-01T00:00:00Z ", 1600000000,
+     1600000000.0, 1700000000] * 3 + ["2021-13-01T00:00:00Z", 1.5])
+STRINGS = st.lists(st.sampled_from(["#News", "news", "#", "", "é", "x"]),
+                   max_size=3)
+OPTIONAL = st.one_of(st.just(MISSING), st.none())
+# a field's value of the wrong type, or none: the near misses, or any value
+WRONG = st.one_of(
+    st.sampled_from([MISSING, None, True, False, 0, 1, -1, 1.5, 2.0,
+                     float("nan"), "", "1", [], ["x", 1], [None], {"id": 1}]),
+    ANY_JSON, st.lists(ANY_JSON, min_size=1, max_size=3))
+
+TWEET_FIELDS = {
+    "tweet_id": IDS, "author_id": IDS, "created_at": STAMPS,
+    "kind": st.sampled_from(TWEET_KINDS * 3 + ("boost", "")),
+    "text": st.text(max_size=4) | OPTIONAL,
+    "hashtags": STRINGS | OPTIONAL, "urls": STRINGS | OPTIONAL,
+    "mentions": STRINGS | OPTIONAL,
+    "retweeted_author": IDS | st.just("") | OPTIONAL,
+    "lang": st.sampled_from(["en", "it"]) | OPTIONAL,
+}
+USER_FIELDS = {
+    "user_id": IDS, "created_at": STAMPS,
+    **dict.fromkeys(("followers_count", "following_count", "tweet_count",
+                     "listed_count"), st.integers(-1, 5)),
+    "verified": st.booleans(), "has_default_pic": st.booleans(),
+    "bio": st.text(max_size=4) | OPTIONAL,
+    "predominant_language": st.sampled_from(["en", "it"]) | OPTIONAL,
+    "snapshot_at": STAMPS,
+}
+ID_FIELDS = {"user_id": IDS, "seed_id": IDS, "liked_tweet_id": IDS}
+
+
+@st.composite
+def objects(draw, fields):
+    """A record whose fields are mostly of their type, with up to two
+    fields missing, null or of any other JSON value."""
+    values = {name: draw(strategy) for name, strategy in fields.items()}
+    for name in draw(st.lists(st.sampled_from(sorted(fields)), max_size=2,
+                              unique=True)):
+        values[name] = draw(WRONG)
+    return {k: v for k, v in values.items() if v is not MISSING}
+
+
+@st.composite
+def jsonl_lines(draw, fields):
+    text = json.dumps(draw(objects(fields)), ensure_ascii=draw(st.booleans()))
+    form = draw(st.sampled_from(["plain"] * 20 + [
+        "padded", "blank", "bom", "after", "non-object", "cut"]))
+    if form == "padded":
+        return " \t" + text + "  "
+    if form == "blank":
+        return " "
+    if form == "bom":
+        return "\ufeff" + text
+    if form == "after":
+        return text + draw(st.sampled_from([" x", "{}", " 1", "]", ",", "}"]))
+    if form == "non-object":
+        return json.dumps(draw(ANY_JSON))
+    if form == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def typed(record):
+    """A record's field values, each with its type."""
+    values = (dataclasses.astuple(record) if dataclasses.is_dataclass(record)
+              else record)
+    return [(type(v), v) for v in values]
+
+
+def load_outcome(iterate, path, parse, unique):
+    """The typed records, or the error raised."""
+    try:
+        return [typed(record) for record in iterate(path, parse, unique)]
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+LOADERS = {
+    "tweets": (TWEET_FIELDS, loader._parse_tweet, oracle_parse_tweet,
+               "tweet_id"),
+    "users": (USER_FIELDS, loader._parse_user, oracle_parse_user, "user_id"),
+    "likes": (ID_FIELDS,
+              partial(loader._parse_ids, tuple(ID_FIELDS)),
+              partial(oracle_parse_ids, tuple(ID_FIELDS)), None),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(LOADERS)))
+def test_loader_matches_oracle(data, name):
+    fields, parse, oracle_parse, unique = LOADERS[name]
+    lines = data.draw(st.lists(jsonl_lines(fields), min_size=1, max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.jsonl"
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+        got = load_outcome(loader._iter_jsonl, path, parse, unique)
+        assert got == load_outcome(oracle_iter_jsonl, path, oracle_parse,
+                                   unique)
+
+
+# values that fail a field's check: missing, of a wrong type, or of the
+# right type but breaking one of the record's invariants
+FAILING = [MISSING, None, True, 0, 1.5, "", [], ["x", 1], {"id": 1}]
+BREAKING = {"kind": ["boost"], "created_at": ["2030-01-01T00:00:00Z"],
+            "snapshot_at": ["2019-01-01T00:00:00Z"],
+            **dict.fromkeys(("followers_count", "following_count",
+                             "tweet_count", "listed_count"), [-1])}
+
+
+def parse_outcome(parse, obj):
+    try:
+        return typed(parse(obj))
+    except CorpusError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("base, parse, oracle_parse", [
+    (tweet_row("t1", "u1", "2021-05-01T00:00:00Z", lang="en",
+               hashtags=["#A"], retweeted_author="s1"),
+     loader._parse_tweet, oracle_parse_tweet),
+    (user_row("u1"), loader._parse_user, oracle_parse_user),
+], ids=["tweet", "user"])
+def test_first_of_two_bad_fields_matches_oracle(base, parse, oracle_parse):
+    for a, b in itertools.combinations(sorted(base), 2):
+        for bad_a in FAILING + BREAKING.get(a, []):
+            for bad_b in FAILING + BREAKING.get(b, []):
+                obj = {**base, a: bad_a, b: bad_b}
+                obj = {k: v for k, v in obj.items() if v is not MISSING}
+                assert parse_outcome(parse, obj) == \
+                    parse_outcome(oracle_parse, obj), (a, bad_a, b, bad_b)
+
+
+@pytest.mark.parametrize("line, message", [
+    # the kind is checked only once every field has its type
+    ('{"tweet_id": "t", "author_id": "a", "created_at": true, '
+     '"kind": "boost"}', "bad timestamp True"),
+    ('{"tweet_id": "t", "author_id": "a", "created_at": 1, "kind": "boost", '
+     '"lang": 3}', "field lang must be a JSON str, got 3"),
+    ('{"tweet_id": "t", "author_id": "a", "created_at": 1, "kind": "boost"}',
+     "tweet t: unknown kind 'boost'"),
+    # the retweeted author is read first
+    ('{"retweeted_author": 1.5}',
+     "field retweeted_author must be a JSON str or int, got 1.5"),
+    ('\ufeff{"tweet_id": "t"}',
+     "malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ('{"tweet_id": "t"} x', "malformed JSON: Extra data"),
+    ('{"tweet_id": NaN}',
+     "field tweet_id must be a JSON str or int, got nan"),
+])
+def test_first_bad_field_names_the_error(tmp_path, line, message):
+    path = tmp_path / "tweets.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    for iterate, parse in ((loader._iter_jsonl, loader._parse_tweet),
+                           (oracle_iter_jsonl, oracle_parse_tweet)):
+        with pytest.raises(CorpusError) as err:
+            list(iterate(path, parse, "tweet_id"))
+        assert str(err.value) == f"tweets.jsonl: line 1: {message}"
+
+
+def test_records_are_read_only(tmp_path):
+    loaded = load_corpus(two_author_fixture(tmp_path))
+    user = loaded.users["u1"]
+    tweet = loaded.timeline("u1")[0]
+    tokenized = tokenize_tweet(tweet)
+    for record, name in ((user, "followers_count"), (tweet, "text"),
+                         (tokenized, "tokens")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1

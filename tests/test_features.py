@@ -90,6 +90,23 @@ def test_tokenize_matches_oracle(text):
     assert tokenize(text) == oracle_tokenize(text)
 
 
+# ASCII pieces for the path that lowercases the whole text before the split
+ASCII_PIECES = ["HTTP://", "hTtPs://", "http:/", "https//", "WwW.", "wWw.",
+                "www", "@", "@@", "@_", "@A1", "_", "__", "a", "Z", "Q9",
+                "0", "42", "x.y/z", "#tag", " ", "\t", "\n", ".", ":", "/",
+                "-", "!", "'"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(ASCII_PIECES),
+                          st.text(st.characters(max_codepoint=127),
+                                  max_size=4)),
+                max_size=20).map("".join))
+def test_tokenize_ascii_matches_oracle(text):
+    assert text.isascii()
+    assert tokenize(text) == oracle_tokenize(text)
+
+
 def test_registered_domain():
     assert registered_domain("https://www.alpha.example/a") == "alpha.example"
     assert registered_domain("http://beta.example/b?q=1") == "beta.example"

@@ -127,6 +127,47 @@ def test_indexed_lookup_equals_scan_of_entries(lex, tokens):
         assert lex.categories_of(token) == scan_categories(lex, token), token
 
 
+# wildcard prefix lengths with gaps between them (1 and 4, 2 and 5), so that
+# the lookup skips lengths no wildcard has, and tokens shorter than all of them
+GAPPED = {"a*": {"joy"}, "abcd*": {"swear"}, "abc": {"assent"},
+          "bc*": {"assent"}, "bcdab*": {"joy"}, "d": {"swear"}}
+
+
+@pytest.mark.parametrize("token", ["", "a", "ab", "abc", "abcd", "abcde",
+                                   "b", "bc", "bcda", "bcdab", "bcdabc",
+                                   "d", "da", "c"])
+def test_lookup_with_gapped_prefix_lengths_equals_scan(token):
+    lex = Lexicon(name="gaps", entries={w: frozenset(c)
+                                        for w, c in GAPPED.items()},
+                  categories=list(CATEGORIES))
+    assert lex.categories_of(token) == scan_categories(lex, token)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+           st.one_of(st.text(alphabet="abcd", min_size=1, max_size=1),
+                     st.text(alphabet="abcd", min_size=4, max_size=4),
+                     st.text(alphabet="abcd", min_size=6, max_size=6))
+           .map(lambda w: w + "*") | st.text(alphabet="abcd", max_size=7),
+           st.frozensets(st.sampled_from(CATEGORIES), min_size=1),
+           max_size=10),
+       st.lists(st.text(alphabet="abcd", max_size=7), max_size=10))
+def test_gapped_lookup_equals_scan_of_entries(entries, tokens):
+    lex = Lexicon(name="gaps", entries=entries, categories=list(CATEGORIES))
+    for token in tokens:
+        assert lex.categories_of(token) == scan_categories(lex, token), token
+
+
+def test_lookup_of_token_shorter_than_every_prefix():
+    lex = Lexicon(name="long", entries={"abc*": frozenset({"joy"}),
+                                        "abcde*": frozenset({"swear"}),
+                                        "ab": frozenset({"assent"})},
+                  categories=list(CATEGORIES))
+    for token in ("", "a", "ab", "b"):
+        assert lex.categories_of(token) == scan_categories(lex, token)
+    assert lex.categories_of("ab") == {"assent"}
+
+
 # ---- scoring -----------------------------------------------------------------
 
 def tally_rates(timeline, lexs):

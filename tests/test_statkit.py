@@ -292,14 +292,39 @@ def samples(draw):
     return [zero if v == 0.0 else v for v in values]
 
 
+def oracle_fields_but_skewness(values):
+    """The oracle's other six fields, in ``as_tuple`` order with the
+    skewness set to 0.0: for samples whose m2 ** 1.5 underflows, where the
+    oracle divides by zero."""
+    arr = _oracle_as_array(values)
+    mean = float(arr.mean())
+    m2 = float(np.mean((arr - mean) ** 2))
+    return (float(arr.min()), float(arr.max()), mean, float(np.median(arr)),
+            math.sqrt(m2), 0.0, oracle_entropy_of(arr))
+
+
 @settings(max_examples=400, deadline=None)
 @given(samples())
 def test_dist_params_bits_match_oracle(sample):
-    # a near-constant sample of tiny values can underflow m2 ** 1.5 to 0;
-    # both kernels then raise the same error
-    assert outcome(lambda v: dist_params(v).as_tuple(), sample) == \
-        outcome(oracle_dist_params, sample)
+    expected = outcome(oracle_dist_params, sample)
+    if expected == "ZeroDivisionError":
+        # a near-constant sample of tiny values underflows m2 ** 1.5 to 0
+        expected = outcome(oracle_fields_but_skewness, sample)
+    assert outcome(lambda v: dist_params(v).as_tuple(), sample) == expected
     assert outcome(entropy_of, sample) == outcome(oracle_entropy_of, sample)
+
+
+@pytest.mark.parametrize("sample", [[1e-155, 3e-155],
+                                    [1e-160, 1e-160, 2e-160]])
+def test_skewness_is_zero_where_the_variance_power_underflows(sample):
+    # m2 is a positive subnormal, and m2 ** 1.5 underflows to 0
+    with pytest.raises(ZeroDivisionError):
+        oracle_dist_params(sample)
+    params = dist_params(sample)
+    assert params.std > 0.0
+    assert bits([params.skewness]) == bits([0.0])
+    assert outcome(lambda v: dist_params(v).as_tuple(), sample) == \
+        outcome(oracle_fields_but_skewness, sample)
 
 
 def test_median_of_negative_zeros_reads_positive_zero():
