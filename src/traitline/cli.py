@@ -25,7 +25,7 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from . import __version__, cohort, model, synth, topics
+from . import __version__, cohort, gbdt, model, synth, topics
 from .corpus import Corpus, CorpusPaths, load_corpus, record_counts, validate_corpus
 from .features import (FeatureMatrix, TOKENIZER_VERSION, default_snapshot,
                        feature_matrix)
@@ -108,11 +108,12 @@ class RunConfig:
     # hashtags / topics
     top_hashtags_k: int = 10
     top_nodes_k: int = 50
-    # training
-    n_trees: int = 200
-    max_depth: int = 6
-    learning_rate: float = 0.1
-    min_samples_leaf: int = 5
+    # training: the tree parameters (TrainConfig states their defaults and
+    # rules), then the evaluation protocol
+    n_trees: int = TrainConfig.n_trees
+    max_depth: int = TrainConfig.max_depth
+    learning_rate: float = TrainConfig.learning_rate
+    min_samples_leaf: int = TrainConfig.min_samples_leaf
     k_folds: int = 10
     test_fraction: float = 0.20
     run_cv: bool = False
@@ -169,14 +170,21 @@ class RunConfig:
                               ("creation_bucket", cohort.CREATION_BUCKETS)):
             if getattr(self, name) not in allowed:
                 errors.append(f"{name} must be one of {', '.join(allowed)}")
-        if not 0.0 < self.test_fraction < 1.0:
-            errors.append("test_fraction must be in (0, 1)")
-        for name in ("n_trees", "max_depth", "min_samples_leaf",
-                     "top_hashtags_k", "top_nodes_k"):
+        for name in ("top_hashtags_k", "top_nodes_k"):
             if getattr(self, name) < 1:
                 errors.append(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            errors.append("learning_rate must be > 0")
+        # TrainConfig and threshold_grid state the tree and grid-axis rules
+        try:
+            self.train_config()
+        except gbdt.ModelError as exc:
+            errors.append(str(exc))
+        try:
+            cohort.threshold_grid(cohort.LikeMatrix(seeds=[], rows={}),
+                                  self.grid_l_axis, self.grid_s_axis)
+        except cohort.CohortError as exc:
+            errors.append(str(exc))
+        if not 0.0 < self.test_fraction < 1.0:
+            errors.append("test_fraction must be in (0, 1)")
         if self.k_folds < 2:
             errors.append("k_folds must be >= 2")
         if any(k < 1 for k in self.curve_ks or ()):
@@ -194,12 +202,8 @@ class RunConfig:
         return "sha256:" + hashlib.sha256(blob).hexdigest()
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(n_trees=self.n_trees, max_depth=self.max_depth,
-                           learning_rate=self.learning_rate,
-                           min_samples_leaf=self.min_samples_leaf,
-                           rng_seed=stage_seed(self.seed, "model"),
-                           k_folds=self.k_folds,
-                           test_fraction=self.test_fraction)
+        return TrainConfig(**{f.name: getattr(self, f.name)
+                              for f in fields(TrainConfig)})
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,8 @@ class Runner:
         self.out = Path(config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self._corpus: Corpus | None = None
+        # seed of the train/test split and of the CV folds
+        self.model_seed = stage_seed(config.seed, "model")
         # parsed upstream artifacts by file name, until a stage rewrites one
         self._artifacts: dict[str, object] = {}
         # features() split and imputed, until a stage rewrites features.csv
@@ -435,9 +441,8 @@ class Runner:
     def partition(self) -> tuple[FeatureMatrix, FeatureMatrix]:
         """The imputed (train, test) split of features(), once per parse."""
         if self._partition is None:
-            cfg = self.config.train_config()
             train, test = model.stratified_split(
-                self.features(), cfg.test_fraction, cfg.rng_seed)
+                self.features(), self.config.test_fraction, self.model_seed)
             self._partition = model.impute(train, test)
         return self._partition
 
@@ -469,7 +474,9 @@ class Runner:
             "seed": cfg.seed,
         }
         if cfg.run_cv:
-            folds = model.cross_validate(self.features(), cfg.train_config())
+            folds = model.cross_validate(self.features(), cfg.train_config(),
+                                         cfg.k_folds, self.model_seed,
+                                         cfg.workers)
             payload["cv"] = {
                 "folds": [m.as_dict() for m in folds],
                 "mean_f1": sum(m.f1 for m in folds) / len(folds),

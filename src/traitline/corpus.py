@@ -39,19 +39,21 @@ class CorpusError(ValueError):
     """Raised for malformed or inconsistent input files."""
 
 
+# epochs of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, the datetime range
+MIN_EPOCH, MAX_EPOCH = -62135596800, 253402300799
+
+
 def parse_timestamp(value) -> int:
     """ISO-8601 string (or integral epoch number) -> UTC epoch seconds.
 
     Booleans, fractional and non-finite numbers are rejected rather than
-    truncated.
+    truncated, and so is any instant outside years 1 to 9999 UTC.
     """
-    if isinstance(value, bool):
-        raise CorpusError(f"bad timestamp {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        if not value.is_integer():  # also false for nan and inf
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, float) and not value.is_integer():  # nan, inf
             raise CorpusError(f"bad timestamp {value!r}: not a whole second")
+        if not MIN_EPOCH <= value <= MAX_EPOCH:
+            raise CorpusError(f"bad timestamp {value!r}: out of range")
         return int(value)
     if not isinstance(value, str):
         raise CorpusError(f"bad timestamp {value!r}")
@@ -60,16 +62,17 @@ def parse_timestamp(value) -> int:
         text = text[:-1] + "+00:00"
     try:
         dt = datetime.fromisoformat(text)
-    except ValueError as exc:
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return int(dt.astimezone(timezone.utc).timestamp())
+    except (ValueError, OverflowError) as exc:  # an offset past year 1 or 9999
         raise CorpusError(f"bad timestamp {value!r}: {exc}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.astimezone(timezone.utc).timestamp())
 
 
 def format_timestamp(epoch: int) -> str:
+    """``YYYY-MM-DDTHH:MM:SSZ``, the year zero-padded to four digits."""
     dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return dt.isoformat()[:19] + "Z"
 
 
 class UserRecord(NamedTuple):

@@ -46,19 +46,15 @@ class TrainConfig:
     max_depth: int = 6
     learning_rate: float = 0.1
     min_samples_leaf: int = 5
-    rng_seed: int = 0
-    k_folds: int = 10
-    test_fraction: float = 0.20
 
     def __post_init__(self):
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
-            raise ModelError("tree parameters must be positive")
+        errors = [f"{name} must be >= 1"
+                  for name in ("n_trees", "max_depth", "min_samples_leaf")
+                  if getattr(self, name) < 1]
         if self.learning_rate <= 0:
-            raise ModelError("learning_rate must be positive")
-        if self.k_folds < 2:
-            raise ModelError("k_folds must be >= 2")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ModelError("test_fraction must be in (0, 1)")
+            errors.append("learning_rate must be > 0")
+        if errors:
+            raise ModelError("; ".join(errors))
 
 
 def _best_split(XT: np.ndarray, cols: np.ndarray, g: np.ndarray,

@@ -180,16 +180,18 @@ def evaluate_model(ensemble: TreeEnsemble, test: FeatureMatrix) -> Metrics:
     return evaluate(predict_labels(ensemble, test.values), test.labels)
 
 
-def cross_validate(matrix: FeatureMatrix, cfg: TrainConfig) -> list[Metrics]:
-    """Stratified k-fold metrics; imputation refit inside every fold."""
-    results = []
-    for train_idx, test_idx in stratified_kfold(matrix, cfg.k_folds,
-                                                cfg.rng_seed):
-        train, test = impute(matrix.select_rows(train_idx),
-                             matrix.select_rows(test_idx))
-        ensemble = train_on_matrix(train, cfg)
-        results.append(evaluate_model(ensemble, test))
-    return results
+def _fold_metrics(matrix: FeatureMatrix, cfg: TrainConfig,
+                  fold: tuple[np.ndarray, np.ndarray]) -> Metrics:
+    train, test = impute(*(matrix.select_rows(idx) for idx in fold))
+    return evaluate_model(train_on_matrix(train, cfg), test)
+
+
+def cross_validate(matrix: FeatureMatrix, cfg: TrainConfig, k: int,
+                   rng_seed: int, workers: int = 1) -> list[Metrics]:
+    """Stratified k-fold metrics; imputation refit inside every fold. The
+    folds run in a process pool when ``workers > 1``, with the same results."""
+    return parallel_map(partial(_fold_metrics, matrix, cfg),
+                        stratified_kfold(matrix, k, rng_seed), workers)
 
 
 def feature_report(ensemble: TreeEnsemble) -> list[tuple[str, float]]:

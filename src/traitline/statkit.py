@@ -69,7 +69,7 @@ def entropy_from_counts(counts: Iterable[int]) -> float:
 
 
 def _sorted_entropy(ordered: np.ndarray) -> float:
-    """``entropy_of`` a sample given sorted ascending.
+    """Shannon entropy (bits) of a sample given sorted ascending.
 
     An integer-valued sample counts each distinct value as its own
     category; any other sample is cut into ``N_BINS`` equal-width bins
@@ -91,16 +91,6 @@ def _sorted_entropy(ordered: np.ndarray) -> float:
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:n])
     bounds = np.flatnonzero(run_start)
     return entropy_from_counts(bounds[1:] - bounds[:-1])
-
-
-def entropy_of(values: Sequence[float] | np.ndarray) -> float:
-    """Shannon entropy (bits) of the empirical distribution of a sample.
-
-    An integer-valued sample counts each distinct value as its own
-    category; any other sample is cut into ``N_BINS`` equal-width bins
-    spanning [min, max]. A constant sample has entropy 0.
-    """
-    return _sorted_entropy(np.sort(_as_array(values)))
 
 
 def dist_params(values: Sequence[float] | np.ndarray) -> DistParams:

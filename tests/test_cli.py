@@ -330,6 +330,14 @@ def test_config_errors_reported_all_at_once(tmp_path):
         ({"curve_ks": [0, 5], "l_min": None},
          ["curve_ks entries must be >= 1",
           "config needs l_min and s_min, or target_size"]),
+        # the tree rules come from TrainConfig and the axis rules from
+        # cohort.threshold_grid, each named in the one message
+        ({"n_trees": 0, "learning_rate": 0, "test_fraction": 1.5,
+          "k_folds": 1, "grid_l_axis": [5, 1]},
+         ["n_trees must be >= 1", "learning_rate must be > 0",
+          "test_fraction must be in (0, 1)", "k_folds must be >= 2",
+          "grid axes must be ascending"]),
+        ({"grid_s_axis": []}, ["grid axes must be nonempty"]),
     ]:
         path.write_text(json.dumps(config))
         with pytest.raises(SystemExit) as exc:
@@ -402,6 +410,10 @@ def test_cross_validation_in_metrics(tmp_path, corpus_dir):
     assert 0.0 <= metrics["cv"]["mean_f1"] <= 1.0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["run_cv"] is True
+    # the folds fit in a process pool give the same metrics.json
+    serial = (out / "metrics.json").read_bytes()
+    assert run("evaluate", "--config", config, "--workers", 2) == 0
+    assert (out / "metrics.json").read_bytes() == serial
 
 
 def test_control_shortage_trims_cohort(tmp_path):

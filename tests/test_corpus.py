@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from conftest import make_corpus, make_tweet, make_user
 from traitline import corpus as loader
-from traitline.corpus import (TWEET_KINDS, CorpusError, CorpusPaths,
-                              load_corpus, parse_timestamp, record_counts,
-                              save_corpus, validate_corpus)
+from traitline.corpus import (MAX_EPOCH, MIN_EPOCH, TWEET_KINDS, CorpusError,
+                              CorpusPaths, format_timestamp, load_corpus,
+                              parse_timestamp, record_counts, save_corpus,
+                              validate_corpus)
 from traitline.features import tokenize_tweet
 
 
@@ -239,6 +240,37 @@ def test_boolean_timestamp_rejected_with_file_and_line(tmp_path):
     with pytest.raises(CorpusError,
                        match="users.jsonl: line 2: bad timestamp True"):
         load_corpus(paths)
+
+
+@pytest.mark.parametrize("value, message", [
+    # a UTC offset moves the instant past year 1 or year 9999
+    ("0001-01-01T00:00:00+01:00", "date value out of range"),
+    ("9999-12-31T23:59:59-01:00", "date value out of range"),
+    (MIN_EPOCH - 1, "out of range"),
+    (MAX_EPOCH + 1, "out of range"),
+    (1e300, "out of range"),
+])
+def test_out_of_range_timestamp_rejected_with_file_and_line(tmp_path, value,
+                                                            message):
+    paths = write_fixture(tmp_path, users=[user_row("u1"),
+                                           user_row("u2", created_at=value)],
+                          tweets=[], seeds=["s1"])
+    with pytest.raises(CorpusError, match=f"^users.jsonl: line 2: bad "
+                                          f"timestamp .*: {message}$"):
+        load_corpus(paths)
+
+
+def test_format_timestamp_pads_the_year():
+    assert format_timestamp(MIN_EPOCH) == "0001-01-01T00:00:00Z"
+    assert format_timestamp(-30610224000) == "1000-01-01T00:00:00Z"
+    assert format_timestamp(-30610224001) == "0999-12-31T23:59:59Z"
+    assert format_timestamp(MAX_EPOCH) == "9999-12-31T23:59:59Z"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(MIN_EPOCH, MAX_EPOCH))
+def test_timestamp_round_trips(epoch):
+    assert parse_timestamp(format_timestamp(epoch)) == epoch
 
 
 def test_duplicate_tweet_id_rejected(tmp_path):

@@ -14,7 +14,7 @@ from traitline.gbdt import (ModelError, TrainConfig, TreeEnsemble,
 
 def cfg(**kwargs):
     base = dict(n_trees=10, max_depth=3, learning_rate=0.5,
-                min_samples_leaf=2, rng_seed=0)
+                min_samples_leaf=2)
     base.update(kwargs)
     return TrainConfig(**base)
 
@@ -169,14 +169,16 @@ def test_missing_values_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(ModelError):
-        TrainConfig(n_trees=0)
-    with pytest.raises(ModelError):
-        TrainConfig(test_fraction=1.5)
-    with pytest.raises(ModelError):
+    for field, value in [("n_trees", 0), ("max_depth", 0),
+                         ("min_samples_leaf", -1)]:
+        with pytest.raises(ModelError, match=f"^{field} must be >= 1$"):
+            TrainConfig(**{field: value})
+    with pytest.raises(ModelError, match="^learning_rate must be > 0$"):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ModelError):
-        TrainConfig(k_folds=1)
+    # every bad field is named in the one error
+    with pytest.raises(ModelError, match="^max_depth must be >= 1; "
+                                         "learning_rate must be > 0$"):
+        TrainConfig(max_depth=0, learning_rate=-1.0)
 
 
 # ---- presorted split search against a per-node sort ----------------------------

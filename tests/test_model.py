@@ -25,10 +25,13 @@ def matrix_of(values, labels, columns=None, user_ids=None):
                          values=values)
 
 
+# the split that the protocol tests draw
+TEST_FRACTION, SPLIT_SEED = 0.25, 11
+
+
 def small_cfg(**kwargs):
     base = dict(n_trees=20, max_depth=3, learning_rate=0.3,
-                min_samples_leaf=2, rng_seed=11, k_folds=2,
-                test_fraction=0.25)
+                min_samples_leaf=2)
     base.update(kwargs)
     return TrainConfig(**base)
 
@@ -124,6 +127,14 @@ def test_stratified_split_rejects_tiny_class():
         stratified_split(m, 0.5, rng_seed=0)
 
 
+@pytest.mark.parametrize("test_fraction", [0.0, 1.0, 1.5])
+def test_stratified_split_rejects_fraction_outside_unit_interval(
+        test_fraction):
+    m = labeled_noise_matrix(n_per_class=10)
+    with pytest.raises(ModelError, match=r"^test_fraction must be in \(0, 1\)$"):
+        stratified_split(m, test_fraction, rng_seed=0)
+
+
 def test_stratified_kfold_balanced_folds():
     m = labeled_noise_matrix(n_per_class=10)
     folds = stratified_kfold(m, 10, rng_seed=2)
@@ -142,6 +153,12 @@ def test_stratified_kfold_rejects_small_class():
     m = labeled_noise_matrix(n_per_class=4)
     with pytest.raises(ModelError, match="fewer than k"):
         stratified_kfold(m, 5, rng_seed=0)
+
+
+def test_stratified_kfold_rejects_single_fold():
+    m = labeled_noise_matrix(n_per_class=10)
+    with pytest.raises(ModelError, match="^k must be >= 2$"):
+        stratified_kfold(m, 1, rng_seed=0)
 
 
 # ---- metrics and baselines --------------------------------------------------------
@@ -217,7 +234,7 @@ def test_feature_report_requires_splits():
 def test_growth_curve_final_point_equals_full_model():
     m = labeled_noise_matrix(n_per_class=30, n_features=4, separate_col=2)
     cfg = small_cfg()
-    train, test = stratified_split(m, cfg.test_fraction, cfg.rng_seed)
+    train, test = stratified_split(m, TEST_FRACTION, SPLIT_SEED)
     train, test = impute(train, test)
     ensemble = train_on_matrix(train, cfg)
     full_f1 = evaluate_model(ensemble, test).f1
@@ -232,7 +249,7 @@ def test_growth_curve_pool_matches_serial():
     cfg = small_cfg()
     ranking = importance_ranking(train_on_matrix(impute(m), cfg))
     ks = [2, 1, 4, 2]  # unsorted, with a repeat: results stay in ks order
-    train, test = impute(*stratified_split(m, cfg.test_fraction, cfg.rng_seed))
+    train, test = impute(*stratified_split(m, TEST_FRACTION, SPLIT_SEED))
     serial = f1_growth_curve(train, test, ranking, cfg, ks=ks, workers=1)
     assert [k for k, _ in serial] == ks
     assert f1_growth_curve(train, test, ranking, cfg, ks=ks,
@@ -244,8 +261,7 @@ def resplit_curve_point(matrix, ranking, cfg, k):
     slice of the raw matrix."""
     top = set(ranking[:k])
     sub = matrix.select_columns([c for c in matrix.columns if c in top])
-    train, test = impute(*stratified_split(sub, cfg.test_fraction,
-                                           cfg.rng_seed))
+    train, test = impute(*stratified_split(sub, TEST_FRACTION, SPLIT_SEED))
     return evaluate_model(train_on_matrix(train, cfg), test).f1
 
 
@@ -265,7 +281,7 @@ def test_growth_curve_equals_per_point_resplit(workers):
     m = matrix_of(values, labels)
     assert np.isnan(m.values).any(axis=0).all()
     cfg = small_cfg()
-    train, test = impute(*stratified_split(m, cfg.test_fraction, cfg.rng_seed))
+    train, test = impute(*stratified_split(m, TEST_FRACTION, SPLIT_SEED))
     # binary columns stay binary after imputation: they were mode-filled
     assert set(np.unique(train.values[:, [1, 3]])) == {0.0, 1.0}
     ranking = importance_ranking(train_on_matrix(train, cfg))
@@ -353,6 +369,13 @@ def test_growth_curve_requires_full_ranking():
 
 def test_cross_validate_returns_fold_metrics():
     m = labeled_noise_matrix(n_per_class=20, separate_col=0)
-    results = cross_validate(m, small_cfg(k_folds=4))
+    results = cross_validate(m, small_cfg(), 4, SPLIT_SEED)
     assert len(results) == 4
     assert all(r.f1 == 1.0 for r in results)
+
+
+def test_cross_validate_pool_matches_serial():
+    m = labeled_noise_matrix(n_per_class=20, n_features=4, seed=3)
+    serial = cross_validate(m, small_cfg(), 4, SPLIT_SEED, workers=1)
+    assert len({r.f1 for r in serial}) > 1
+    assert cross_validate(m, small_cfg(), 4, SPLIT_SEED, workers=2) == serial

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from traitline.statkit import (DistParams, EmptySampleError, UndefinedCovError,
                                coefficient_of_variation, dist_params,
-                               entropy_from_counts, entropy_of)
+                               entropy_from_counts)
 
 
 # ---- naive reference implementations (pure python, from the definitions) --
@@ -141,17 +141,19 @@ def test_median_even_sample():
 
 
 def test_entropy_uniform_four():
-    assert entropy_of([4, 7, 9, 11]) == pytest.approx(2.0, abs=1e-12)
+    assert dist_params([4, 7, 9, 11]).entropy == pytest.approx(2.0,
+                                                               abs=1e-12)
 
 
 def test_entropy_three_one_pattern():
     expected = 0.75 * math.log2(4 / 3) + 0.25 * math.log2(4)
-    assert entropy_of([7, 7, 7, 2]) == pytest.approx(expected, abs=1e-12)
+    assert dist_params([7, 7, 7, 2]).entropy == pytest.approx(expected,
+                                                              abs=1e-12)
     assert expected == pytest.approx(0.8113, abs=1e-4)
 
 
 def test_entropy_constant_is_zero():
-    assert entropy_of([3.3, 3.3, 3.3]) == 0.0
+    assert dist_params([3.3, 3.3, 3.3]).entropy == 0.0
 
 
 def test_entropy_from_counts():
@@ -162,13 +164,13 @@ def test_entropy_from_counts():
 
 def test_entropy_binned_continuous():
     # 0.0 -> bin 0, 0.5 -> bin 10, 1.0 -> top bin; three equal categories
-    assert entropy_of([0.0, 0.5, 1.0]) == pytest.approx(math.log2(3),
-                                                        abs=1e-12)
+    assert dist_params([0.0, 0.5, 1.0]).entropy == pytest.approx(
+        math.log2(3), abs=1e-12)
 
 
 def test_entropy_integer_valued_floats_use_exact_categories():
-    assert entropy_of([600.0, 600.0, 1200.0, 1800.0]) == pytest.approx(
-        0.5 + 0.5 * math.log2(4), abs=1e-12)
+    assert dist_params([600.0, 600.0, 1200.0, 1800.0]).entropy == \
+        pytest.approx(0.5 + 0.5 * math.log2(4), abs=1e-12)
 
 
 def test_cov_examples():
@@ -188,7 +190,7 @@ def test_empty_sample_rejected():
     with pytest.raises(EmptySampleError, match="empty sample"):
         dist_params([])
     with pytest.raises(EmptySampleError):
-        entropy_of([])
+        dist_params([]).entropy
     with pytest.raises(EmptySampleError):
         coefficient_of_variation([])
 
@@ -255,7 +257,7 @@ def test_affine_shift_keeps_skewness():
 def test_entropy_upper_bound():
     rng = random.Random(11)
     for sample in _random_samples(200, rng):
-        h = entropy_of(sample)
+        h = dist_params(sample).entropy
         if all(v == math.floor(v) for v in sample):
             bound = math.log2(max(len(set(sample)), 1))
         else:
@@ -311,7 +313,8 @@ def test_dist_params_bits_match_oracle(sample):
         # a near-constant sample of tiny values underflows m2 ** 1.5 to 0
         expected = outcome(oracle_fields_but_skewness, sample)
     assert outcome(lambda v: dist_params(v).as_tuple(), sample) == expected
-    assert outcome(entropy_of, sample) == outcome(oracle_entropy_of, sample)
+    assert outcome(lambda v: dist_params(v).entropy, sample) == \
+        outcome(oracle_entropy_of, sample)
 
 
 @pytest.mark.parametrize("sample", [[1e-155, 3e-155],

@@ -128,15 +128,14 @@ def test_downstream_separability_monotone_in_separation():
     from traitline.model import (evaluate_model, impute, stratified_split,
                                  train_on_matrix)
 
-    cfg = TrainConfig(n_trees=50, max_depth=4, min_samples_leaf=2,
-                      rng_seed=3)
+    cfg = TrainConfig(n_trees=50, max_depth=4, min_samples_leaf=2)
     f1s = []
     for separation in (0.0, 0.5, 1.0):
         corpus, truth = small_corpus(n=60, seed=13, separation=separation)
         planted = {u for u, label in truth.items() if label == 1}
         rest = set(corpus.users) - planted
         fm = feature_matrix(corpus, planted, rest, default_snapshot(corpus))
-        train, test = stratified_split(fm, 0.25, cfg.rng_seed)
+        train, test = stratified_split(fm, 0.25, 3)
         train, test = impute(train, test)
         f1s.append(evaluate_model(train_on_matrix(train, cfg), test).f1)
     assert f1s[0] <= f1s[1] + 0.05
