@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import random
 import sys
 from collections.abc import Callable
@@ -72,8 +73,9 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _has_type(value, hint) -> bool:
-    """Whether a JSON value has the declared type: a bool is no int, and an
-    int is a float."""
+    """Whether a JSON value has the declared type: a bool is no int, an int
+    is a float, and a float is finite (``json.load`` reads NaN and
+    Infinity)."""
     origin = get_origin(hint)
     if origin is UnionType:
         return any(_has_type(value, h) for h in get_args(hint))
@@ -81,7 +83,8 @@ def _has_type(value, hint) -> bool:
         return (type(value) is list
                 and all(_has_type(v, get_args(hint)[0]) for v in value))
     if hint is float:
-        return type(value) in (int, float)
+        return type(value) is int or (type(value) is float
+                                      and math.isfinite(value))
     return type(value) is hint
 
 
@@ -162,8 +165,13 @@ class RunConfig:
             errors.append("l_min must be >= 1")
         if self.s_min is not None and self.s_min < 1:
             errors.append("s_min must be >= 1")
-        if self.target_size is None and None in (self.l_min, self.s_min):
+        # both thresholds given, or both picked from the grid for target_size
+        given = [n for n in ("l_min", "s_min") if getattr(self, n) is not None]
+        if self.target_size is None and len(given) < 2:
             errors.append("config needs l_min and s_min, or target_size")
+        if self.target_size is not None and given:
+            errors.append(f"target_size conflicts with {' and '.join(given)}: "
+                          f"set target_size or both thresholds to null")
         if self.max_cov < 0:
             errors.append("max_cov must be >= 0")
         for name, allowed in (("threshold_preference", cohort.THRESHOLD_PREFERENCES),
@@ -327,8 +335,8 @@ class Runner:
         corpus = self.corpus()
         report = validate_corpus(corpus)
         payload = {"counts": record_counts(corpus),
-                   "report": report.as_dict(),
-                   "consistent": report.is_empty()}
+                   "report": report,
+                   "consistent": not any(report.values())}
         if not payload["consistent"]:
             logger.warning("inconsistent corpus; see validation_report.json")
         write_json(self.output("validation_report.json"), payload)
@@ -344,7 +352,7 @@ class Runner:
         write_csv(self.output("grid.csv"), ["l_min", "s_min", "count"],
                   ([l, s, grid.entries[(l, s)]]
                    for l in grid.l_axis for s in grid.s_axis))
-        if cfg.l_min is not None and cfg.s_min is not None:
+        if cfg.target_size is None:
             l_min, s_min = cfg.l_min, cfg.s_min
         else:
             l_min, s_min = cohort.auto_thresholds(
@@ -424,14 +432,14 @@ class Runner:
         corpus = self.corpus()
         engaged = self.load_cohort_ids("cohort.json")
         control = self.load_cohort_ids("control.json")
-        snapshot = default_snapshot(corpus)
+        as_of = default_snapshot(corpus)
         lexicons = [load_lexicon(p) for p in cfg.lexicons]
-        matrix = feature_matrix(corpus, engaged, control, snapshot,
+        matrix = feature_matrix(corpus, engaged, control, as_of,
                                 workers=cfg.workers, lexicons=lexicons)
         if cfg.external_features:
             matrix = join_external_features(matrix, cfg.external_features)
         matrix.to_csv(self.output("features.csv"))
-        meta = {"snapshot_as_of": snapshot.as_of,
+        meta = {"snapshot_as_of": as_of,
                 "tokenizer_version": TOKENIZER_VERSION,
                 "n_rows": matrix.n_rows,
                 "columns": matrix.columns}

@@ -130,6 +130,8 @@ def threshold_grid(matrix: LikeMatrix,
         raise CohortError("grid axes must be nonempty")
     if list(l_axis) != sorted(l_axis) or list(s_axis) != sorted(s_axis):
         raise CohortError("grid axes must be ascending")
+    if min(l_axis) < 1 or min(s_axis) < 1:
+        raise CohortError("grid axis values must be >= 1")
     totals = [(matrix.row_total(u), matrix.distinct_seeds(u))
               for u in matrix.rows]
     entries = {}

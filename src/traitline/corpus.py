@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -139,26 +139,6 @@ class CorpusPaths:
         return cls(users=d / "users.jsonl", tweets=d / "tweets.jsonl",
                    likes=d / "likes.jsonl", follows=d / "follows.jsonl",
                    seeds=d / "seeds.json")
-
-
-@dataclass
-class ValidationReport:
-    dangling_likes: list[tuple[str, str, str]] = field(default_factory=list)
-    dangling_follows: list[tuple[str, str]] = field(default_factory=list)
-    retweets_missing_author: list[str] = field(default_factory=list)
-    empty_timelines: list[str] = field(default_factory=list)
-
-    def is_empty(self) -> bool:
-        return not (self.dangling_likes or self.dangling_follows
-                    or self.retweets_missing_author or self.empty_timelines)
-
-    def as_dict(self) -> dict:
-        return {
-            "dangling_likes": [list(x) for x in self.dangling_likes],
-            "dangling_follows": [list(x) for x in self.dangling_follows],
-            "retweets_missing_author": list(self.retweets_missing_author),
-            "empty_timelines": list(self.empty_timelines),
-        }
 
 
 _scan_once = json.JSONDecoder().scan_once  # the C scanner behind json.loads
@@ -404,64 +384,48 @@ def record_counts(corpus: Corpus) -> dict[str, int]:
     }
 
 
-def validate_corpus(corpus: Corpus) -> ValidationReport:
+def validate_corpus(corpus: Corpus) -> dict[str, list]:
     """Report-only consistency check; the corpus is never modified.
 
-    Dangling references are warnings rather than errors because real
-    archives are partial.
+    The four lists of ``validation_report.json``, all empty for a
+    consistent corpus. Dangling references are warnings rather than errors
+    because real archives are partial.
     """
-    report = ValidationReport()
+    report = {"dangling_likes": [], "dangling_follows": [],
+              "retweets_missing_author": [], "empty_timelines": []}
     users = corpus.users
     seeds = set(corpus.seeds)
     for user_id, seed_id, liked_tweet_id in corpus.likes:
         if user_id not in users or seed_id not in seeds:
-            report.dangling_likes.append((user_id, seed_id, liked_tweet_id))
+            report["dangling_likes"].append((user_id, seed_id, liked_tweet_id))
     for follower, followee in corpus.follows:
         if follower not in users or (followee not in users
                                      and followee not in seeds):
-            report.dangling_follows.append((follower, followee))
+            report["dangling_follows"].append((follower, followee))
     for timeline in corpus.timelines.values():
         for tweet in timeline:
             if tweet.kind == "retweet" and tweet.retweeted_author is None:
-                report.retweets_missing_author.append(tweet.tweet_id)
+                report["retweets_missing_author"].append(tweet.tweet_id)
     for user_id in users:
         if not corpus.timelines.get(user_id):
-            report.empty_timelines.append(user_id)
-    report.retweets_missing_author.sort()
-    report.empty_timelines.sort()
+            report["empty_timelines"].append(user_id)
+    report["retweets_missing_author"].sort()
+    report["empty_timelines"].sort()
     return report
 
 
+# a record's own fields, with the timestamps in ISO-8601 (JSON writes the
+# tuples as lists)
 def _user_to_json(u: UserRecord) -> dict:
-    return {
-        "user_id": u.user_id,
-        "created_at": format_timestamp(u.created_at),
-        "followers_count": u.followers_count,
-        "following_count": u.following_count,
-        "tweet_count": u.tweet_count,
-        "listed_count": u.listed_count,
-        "verified": u.verified,
-        "has_default_pic": u.has_default_pic,
-        "bio": u.bio,
-        "predominant_language": u.predominant_language,
-        "snapshot_at": format_timestamp(u.snapshot_at),
-    }
+    return u._asdict() | {"created_at": format_timestamp(u.created_at),
+                          "snapshot_at": format_timestamp(u.snapshot_at)}
 
 
 def _tweet_to_json(t: TweetRecord) -> dict:
-    obj = {
-        "tweet_id": t.tweet_id,
-        "author_id": t.author_id,
-        "created_at": format_timestamp(t.created_at),
-        "kind": t.kind,
-        "text": t.text,
-        "hashtags": list(t.hashtags),
-        "urls": list(t.urls),
-        "mentions": list(t.mentions),
-        "retweeted_author": t.retweeted_author,
-    }
-    if t.lang is not None:
-        obj["lang"] = t.lang
+    obj = t._asdict()
+    obj["created_at"] = format_timestamp(t.created_at)
+    if t.lang is None:
+        del obj["lang"]
     return obj
 
 

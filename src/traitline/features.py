@@ -132,13 +132,6 @@ def tokenize_timeline(timeline: list[TweetRecord]) -> list[TokenizedTweet]:
     return [tokenize_tweet(t) for t in timeline]
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Reference instant for account-age features (UTC epoch seconds)."""
-
-    as_of: int
-
-
 def _dist_cols(base: str) -> list[str]:
     return [f"{base}_{p}" for p in PARAM_NAMES]
 
@@ -175,17 +168,17 @@ TRAIT_GROUPS = {
 }
 
 
-def credibility_features(user, snapshot: Snapshot) -> dict[str, float]:
-    """Profile-metadata columns.
+def credibility_features(user, as_of: int) -> dict[str, float]:
+    """Profile-metadata columns as of ``as_of`` (UTC epoch seconds).
 
     followers_ratio divides by the squared follower count with a guard of
     1 for accounts without followers; age-ratio denominators are floored
     at one day.
     """
-    if snapshot.as_of < user.created_at:
+    if as_of < user.created_at:
         raise FeatureError(
             f"snapshot predates creation of user {user.user_id}")
-    age_days = (snapshot.as_of - user.created_at) / SECONDS_PER_DAY
+    age_days = (as_of - user.created_at) / SECONDS_PER_DAY
     age_den = max(age_days, 1.0)
     bio = user.bio or ""
     has_bio = 1.0 if bio.strip() else 0.0
@@ -220,8 +213,7 @@ def credibility_features(user, snapshot: Snapshot) -> dict[str, float]:
 def _dist_values(base: str, sample: list[float]) -> dict[str, float]:
     if not sample:
         return {c: math.nan for c in _dist_cols(base)}
-    params = dist_params(sample)
-    return dict(zip(_dist_cols(base), params.as_tuple()))
+    return dict(zip(_dist_cols(base), dist_params(sample)))
 
 
 def pair_token_entropy(a: TokenizedTweet, b: TokenizedTweet) -> float | None:
@@ -338,13 +330,13 @@ def adaptability_features(timeline: list[TokenizedTweet]) -> dict[str, float]:
     return out
 
 
-def user_features(corpus: Corpus, user_id: str, snapshot: Snapshot,
+def user_features(corpus: Corpus, user_id: str, as_of: int,
                   lexicons=()) -> dict[str, float]:
     """All 92 behavioral columns for one user, then the rate columns of
     each lexicon, all from one tokenization of the timeline."""
     user = corpus.users[user_id]
     timeline = tokenize_timeline(corpus.timeline(user_id))
-    feats = credibility_features(user, snapshot)
+    feats = credibility_features(user, as_of)
     feats.update(initiative_features(timeline))
     feats.update(adaptability_features(timeline))
     if lexicons:
@@ -472,14 +464,14 @@ def parallel_map(fn, items, workers: int) -> list:
                              chunksize=max(1, len(items) // (workers * 4))))
 
 
-def _row(corpus: Corpus, snapshot: Snapshot, lexicons, columns: list[str],
+def _row(corpus: Corpus, as_of: int, lexicons, columns: list[str],
          user_id: str) -> list[float]:
-    feats = user_features(corpus, user_id, snapshot, lexicons)
+    feats = user_features(corpus, user_id, as_of, lexicons)
     return [feats[c] for c in columns]
 
 
 def feature_matrix(corpus: Corpus, conspiracy: set[str], control: set[str],
-                   snapshot: Snapshot, workers: int = 1,
+                   as_of: int, workers: int = 1,
                    lexicons=()) -> FeatureMatrix:
     """One labeled row per cohort user (engaged=1 first, control=0 after).
 
@@ -498,7 +490,7 @@ def feature_matrix(corpus: Corpus, conspiracy: set[str], control: set[str],
     columns = FEATURE_COLUMNS + [c for lex in lexicons
                                  for c in lex.column_names()]
     check_unique_columns(columns)
-    rows = parallel_map(partial(_row, corpus, snapshot, lexicons, columns),
+    rows = parallel_map(partial(_row, corpus, as_of, lexicons, columns),
                         ids, workers)
     values = (np.array(rows, dtype=np.float64)
               if rows else np.empty((0, len(columns))))
@@ -509,8 +501,8 @@ def feature_matrix(corpus: Corpus, conspiracy: set[str], control: set[str],
                          values=values)
 
 
-def default_snapshot(corpus: Corpus) -> Snapshot:
-    """Latest profile snapshot instant in the corpus."""
+def default_snapshot(corpus: Corpus) -> int:
+    """Latest profile snapshot instant in the corpus (UTC epoch seconds)."""
     if not corpus.users:
         raise FeatureError("corpus has no users")
-    return Snapshot(as_of=max(u.snapshot_at for u in corpus.users.values()))
+    return max(u.snapshot_at for u in corpus.users.values())

@@ -188,8 +188,9 @@ def add_lexicon_features(matrix: FeatureMatrix, corpus,
 def join_external_features(matrix: FeatureMatrix, path) -> FeatureMatrix:
     """Append externally computed numeric columns keyed by user_id.
 
-    Users absent from the file get missing cells; an empty file leaves the
-    matrix unchanged (with a warning).
+    Users absent from the file, and empty cells, are missing cells; a
+    non-numeric or non-finite value ("nan", "inf") fails the load. An
+    empty file leaves the matrix unchanged (with a warning).
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -225,10 +226,14 @@ def join_external_features(matrix: FeatureMatrix, path) -> FeatureMatrix:
             if i == key_idx:
                 continue
             try:
-                vals.append(float(v) if v != "" else math.nan)
+                value = float(v) if v else math.nan  # empty: a missing cell
             except ValueError:
                 raise LexiconError(f"{where}: column {col}: non-numeric "
                                    f"value {v!r}") from None
+            if v and not math.isfinite(value):
+                raise LexiconError(f"{where}: column {col}: non-finite "
+                                   f"value {v!r}")
+            vals.append(value)
         by_user[user_id] = vals
     block = np.full((matrix.n_rows, len(names)), math.nan)
     for i, user_id in enumerate(matrix.user_ids):

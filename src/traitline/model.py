@@ -33,56 +33,41 @@ class Metrics:
                                              "tn": self.tn, "fn": self.fn}}
 
 
-class Imputer:
-    """Per-column fill values learned from a training matrix.
+def impute(train: FeatureMatrix,
+           test: FeatureMatrix | None = None):
+    """Impute train (and optionally test) with values fit on train alone.
 
     Columns whose observed values are all in {0, 1} are treated as
     binary/categorical and filled with the training mode (ties toward the
     smaller value); every other column is filled with the training mean.
     """
+    if test is not None and test.columns != train.columns:
+        raise ModelError("test partition has different columns from train")
+    fill = np.empty(len(train.columns), dtype=np.float64)
+    for j, name in enumerate(train.columns):
+        col = train.values[:, j]
+        observed = col[~np.isnan(col)]
+        if observed.size == 0:
+            raise ModelError(
+                f"column {name!r} has no observed values in the "
+                f"training partition")
+        if np.all(np.isin(observed, (0.0, 1.0))):
+            values, counts = np.unique(observed, return_counts=True)
+            fill[j] = values[np.argmax(counts)]  # first max = smaller value
+        else:
+            fill[j] = observed.mean()
 
-    def __init__(self):
-        self.columns: list[str] = []
-        self.fill: np.ndarray | None = None
-
-    def fit(self, matrix: FeatureMatrix) -> "Imputer":
-        self.columns = list(matrix.columns)
-        fill = np.empty(len(self.columns), dtype=np.float64)
-        for j, name in enumerate(self.columns):
-            col = matrix.values[:, j]
-            observed = col[~np.isnan(col)]
-            if observed.size == 0:
-                raise ModelError(
-                    f"column {name!r} has no observed values in the "
-                    f"training partition")
-            if np.all(np.isin(observed, (0.0, 1.0))):
-                values, counts = np.unique(observed, return_counts=True)
-                fill[j] = values[np.argmax(counts)]  # first max = smaller value
-            else:
-                fill[j] = observed.mean()
-        self.fill = fill
-        return self
-
-    def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
-        if self.fill is None:
-            raise ModelError("imputer not fitted")
-        if list(matrix.columns) != self.columns:
-            raise ModelError("imputer was fitted on different columns")
+    def filled(matrix: FeatureMatrix) -> FeatureMatrix:
         values = matrix.values.copy()
         nan_rows, nan_cols = np.where(np.isnan(values))
-        values[nan_rows, nan_cols] = self.fill[nan_cols]
+        values[nan_rows, nan_cols] = fill[nan_cols]
         return FeatureMatrix(columns=list(matrix.columns),
                              user_ids=list(matrix.user_ids),
                              labels=matrix.labels.copy(), values=values)
 
-
-def impute(train: FeatureMatrix,
-           test: FeatureMatrix | None = None):
-    """Impute train (and optionally test) with statistics fit on train."""
-    imputer = Imputer().fit(train)
     if test is None:
-        return imputer.transform(train)
-    return imputer.transform(train), imputer.transform(test)
+        return filled(train)
+    return filled(train), filled(test)
 
 
 def _class_indices(labels: np.ndarray) -> dict[int, np.ndarray]:

@@ -12,12 +12,9 @@ the moments sum the sample in its given order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-PARAM_NAMES = ("min", "max", "mean", "median", "std", "skewness", "entropy")
 
 N_BINS = 20
 
@@ -30,8 +27,7 @@ class UndefinedCovError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DistParams:
+class DistParams(NamedTuple):
     """The seven summary statistics of a sample distribution."""
 
     min: float
@@ -42,9 +38,8 @@ class DistParams:
     skewness: float
     entropy: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.min, self.max, self.mean, self.median, self.std,
-                self.skewness, self.entropy)
+
+PARAM_NAMES = DistParams._fields
 
 
 def _as_array(values: Sequence[float] | np.ndarray) -> np.ndarray:

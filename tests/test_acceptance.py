@@ -20,7 +20,7 @@ from traitline import cli
 from traitline.cohort import (LikeMatrix, filter_cov,
                               filter_follows_seed, select_cohort,
                               threshold_grid)
-from traitline.features import Snapshot, TRAIT_GROUPS, user_features
+from traitline.features import TRAIT_GROUPS, user_features
 from traitline.statkit import coefficient_of_variation, dist_params
 from traitline.topics import cooccurrence_graph, top_k_subgraph
 
@@ -51,7 +51,7 @@ def test_acceptance_1_kernel_exactness():
                 sample = [float(rng.randint(-30, 30)) for _ in range(size)]
             else:
                 sample = [rng.uniform(-1e3, 1e3) for _ in range(size)]
-            got = dist_params(sample).as_tuple()
+            got = tuple(dist_params(sample))
             want = ref_dist_params(sample)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
@@ -136,7 +136,7 @@ def test_acceptance_3_feature_oracle():
         corpus = oracle_corpus()
         for user_id in ("alice", "bob"):
             timeline = corpus.timeline(user_id)
-            feats = user_features(corpus, user_id, Snapshot(as_of=AS_OF))
+            feats = user_features(corpus, user_id, AS_OF)
             quote = sum(t.kind == "quote" for t in timeline) / len(timeline)
             orig = sum(t.kind == "original" for t in timeline) / len(timeline)
             assert feats["retweet_ratio"] + feats["reply_ratio"] + quote \

@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import math
 import weakref
 from dataclasses import astuple
 from pathlib import Path
@@ -338,6 +339,18 @@ def test_config_errors_reported_all_at_once(tmp_path):
           "test_fraction must be in (0, 1)", "k_folds must be >= 2",
           "grid axes must be ascending"]),
         ({"grid_s_axis": []}, ["grid axes must be nonempty"]),
+        # an axis value of 0 could become a threshold select_cohort rejects
+        ({"grid_l_axis": [0], "l_min": None, "s_min": None,
+          "target_size": 5}, ["grid axis values must be >= 1"]),
+        # json.load reads NaN and Infinity; a float key takes finite numbers
+        ({"learning_rate": math.nan, "max_cov": math.inf},
+         ["learning_rate must be float, got nan",
+          "max_cov must be float, got inf"]),
+        # target_size with a threshold set used to be ignored, or to drop it
+        ({"target_size": 500},
+         ["target_size conflicts with l_min and s_min"]),
+        ({"s_min": None, "target_size": 9},
+         ["target_size conflicts with l_min:"]),
     ]:
         path.write_text(json.dumps(config))
         with pytest.raises(SystemExit) as exc:

@@ -192,6 +192,15 @@ def test_grid_requires_ascending_axes():
         threshold_grid(matrix, l_axis=(), s_axis=(1,))
 
 
+def test_grid_rejects_axis_values_below_one():
+    # a 0 on an axis could be picked by auto_thresholds, which select_cohort
+    # then rejects after the corpus load
+    matrix = LikeMatrix(seeds=["a"], rows={})
+    for l_axis, s_axis in (((0, 5), (1,)), ((1,), (-1, 2))):
+        with pytest.raises(CohortError, match="grid axis values must be >= 1"):
+            threshold_grid(matrix, l_axis=l_axis, s_axis=s_axis)
+
+
 def test_grid_and_select_match_brute_force():
     rng = random.Random(17)
     l_axis = (1, 5, 10, 15)

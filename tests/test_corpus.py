@@ -374,6 +374,24 @@ def test_round_trip(tmp_path):
     for name in ("users.jsonl", "tweets.jsonl", "likes.jsonl",
                  "follows.jsonl", "seeds.json"):
         assert (out / name).read_bytes() == (tmp_path / "rt2" / name).read_bytes()
+    # the written keys: every record field, timestamps in ISO-8601, and
+    # lang only when the tweet has one
+    assert (out / "users.jsonl").read_bytes().splitlines()[0] == (
+        b'{"bio": "hey there", "created_at": "2020-01-01T00:00:00Z", '
+        b'"followers_count": 10, "following_count": 100, '
+        b'"has_default_pic": true, "listed_count": 3, '
+        b'"predominant_language": "en", "snapshot_at": '
+        b'"2022-01-01T00:00:00Z", "tweet_count": 1462, "user_id": "u1", '
+        b'"verified": false}')
+    assert (out / "tweets.jsonl").read_bytes().splitlines() == [
+        b'{"author_id": "u1", "created_at": "1970-01-01T00:16:40Z", '
+        b'"hashtags": ["news"], "kind": "retweet", "mentions": ["x"], '
+        b'"retweeted_author": "x", "text": "rt @x: hello", "tweet_id": "t1", '
+        b'"urls": ["https://a.example/x"]}',
+        b'{"author_id": "u1", "created_at": "1970-01-01T00:33:20Z", '
+        b'"hashtags": [], "kind": "original", "lang": "it", "mentions": [], '
+        b'"retweeted_author": null, "text": "ciao", "tweet_id": "t2", '
+        b'"urls": []}']
 
 
 
@@ -469,14 +487,14 @@ def consistent_corpus():
 
 def test_validate_consistent_corpus_is_empty():
     report = validate_corpus(consistent_corpus())
-    assert report.is_empty()
+    assert not any(report.values())
 
 
 def test_validate_flags_dangling_like():
     corpus = consistent_corpus()
     corpus.likes.append(("u1", "unknown_seed", "p9"))
     report = validate_corpus(corpus)
-    assert report.dangling_likes == [("u1", "unknown_seed", "p9")]
+    assert report["dangling_likes"] == [("u1", "unknown_seed", "p9")]
 
 
 def test_validate_flags_dangling_follow():
@@ -484,15 +502,15 @@ def test_validate_flags_dangling_follow():
     corpus.follows.append(("ghost", "s1"))
     corpus.follows.append(("u1", "nowhere"))
     report = validate_corpus(corpus)
-    assert ("ghost", "s1") in report.dangling_follows
-    assert ("u1", "nowhere") in report.dangling_follows
+    assert ("ghost", "s1") in report["dangling_follows"]
+    assert ("u1", "nowhere") in report["dangling_follows"]
 
 
 def test_validate_flags_empty_timeline():
     corpus = make_corpus(users=[make_user("u1"), make_user("u2")],
                          timelines={"u1": [make_tweet("t1", "u1", 1)]},
                          seeds=["s1"])
-    assert validate_corpus(corpus).empty_timelines == ["u2"]
+    assert validate_corpus(corpus)["empty_timelines"] == ["u2"]
 
 
 def test_validate_flags_retweet_missing_author():
@@ -500,7 +518,7 @@ def test_validate_flags_retweet_missing_author():
         users=[make_user("u1")],
         timelines={"u1": [make_tweet("t1", "u1", 1, kind="retweet")]},
         seeds=["s1"])
-    assert validate_corpus(corpus).retweets_missing_author == ["t1"]
+    assert validate_corpus(corpus)["retweets_missing_author"] == ["t1"]
 
 
 def test_validate_does_not_mutate():

@@ -16,7 +16,7 @@ from conftest import SNAP, make_corpus, make_tweet, make_user
 from test_statkit import bits, oracle_entropy_from_counts
 from traitline.corpus import parse_timestamp
 from traitline.features import (FEATURE_COLUMNS, FeatureError, FeatureMatrix,
-                                MENTION_TOKEN, URL_TOKEN, Snapshot,
+                                MENTION_TOKEN, URL_TOKEN,
                                 adaptability_features, credibility_features,
                                 default_snapshot, feature_matrix,
                                 initiative_features, language_novelty_series,
@@ -303,7 +303,7 @@ def oracle_corpus():
 
 def check_user(user_id, expected):
     corpus = oracle_corpus()
-    got = user_features(corpus, user_id, Snapshot(as_of=AS_OF))
+    got = user_features(corpus, user_id, AS_OF)
     assert set(got) == set(FEATURE_COLUMNS)
     assert set(expected) == set(FEATURE_COLUMNS)
     for column in FEATURE_COLUMNS:
@@ -326,7 +326,7 @@ def test_kind_shares_partition_to_one():
     for user_id in ("alice", "bob"):
         corpus = oracle_corpus()
         timeline = corpus.timeline(user_id)
-        feats = user_features(corpus, user_id, Snapshot(as_of=AS_OF))
+        feats = user_features(corpus, user_id, AS_OF)
         quote = sum(t.kind == "quote" for t in timeline) / len(timeline)
         original = sum(t.kind == "original" for t in timeline) / len(timeline)
         total = feats["retweet_ratio"] + feats["reply_ratio"] + quote + original
@@ -438,10 +438,10 @@ def test_empty_timeline_initiative_all_missing():
 
 def test_credibility_guards():
     user = make_user("u", followers=0, following=7)
-    feats = credibility_features(user, Snapshot(as_of=AS_OF))
+    feats = credibility_features(user, AS_OF)
     assert feats["followers_ratio"] == 7.0
     with pytest.raises(FeatureError, match="snapshot predates"):
-        credibility_features(user, Snapshot(as_of=0))
+        credibility_features(user, 0)
 
 
 def test_time_between_samples_nonnegative():
@@ -459,7 +459,7 @@ def test_time_between_samples_nonnegative():
 
 def test_feature_matrix_layout_and_labels():
     corpus = oracle_corpus()
-    fm = feature_matrix(corpus, {"alice"}, {"bob"}, Snapshot(as_of=AS_OF))
+    fm = feature_matrix(corpus, {"alice"}, {"bob"}, AS_OF)
     assert fm.columns == list(FEATURE_COLUMNS)
     assert len(fm.columns) == 92
     assert fm.user_ids == ["alice", "bob"]
@@ -470,13 +470,13 @@ def test_feature_matrix_rejects_unknown_user():
     corpus = oracle_corpus()
     with pytest.raises(FeatureError, match="user ghost has no profile record"):
         feature_matrix(corpus, {"alice", "ghost"}, {"bob"},
-                       Snapshot(as_of=AS_OF))
+                       AS_OF)
 
 
 def test_feature_matrix_rejects_overlap():
     corpus = oracle_corpus()
     with pytest.raises(FeatureError, match="overlap"):
-        feature_matrix(corpus, {"alice"}, {"alice"}, Snapshot(as_of=AS_OF))
+        feature_matrix(corpus, {"alice"}, {"alice"}, AS_OF)
 
 
 def test_no_cross_user_state():
@@ -484,8 +484,8 @@ def test_no_cross_user_state():
     full = oracle_corpus()
     alone = make_corpus(users=[alice()], timelines={"alice": alice_timeline()},
                         seeds=["s1"])
-    batch = user_features(full, "alice", Snapshot(as_of=AS_OF))
-    solo = user_features(alone, "alice", Snapshot(as_of=AS_OF))
+    batch = user_features(full, "alice", AS_OF)
+    solo = user_features(alone, "alice", AS_OF)
     for column in FEATURE_COLUMNS:
         a, b = batch[column], solo[column]
         assert (math.isnan(a) and math.isnan(b)) or a == b
@@ -493,9 +493,9 @@ def test_no_cross_user_state():
 
 def test_feature_matrix_worker_count_invariant():
     corpus = oracle_corpus()
-    one = feature_matrix(corpus, {"alice"}, {"bob"}, Snapshot(as_of=AS_OF),
+    one = feature_matrix(corpus, {"alice"}, {"bob"}, AS_OF,
                          workers=1)
-    two = feature_matrix(corpus, {"alice"}, {"bob"}, Snapshot(as_of=AS_OF),
+    two = feature_matrix(corpus, {"alice"}, {"bob"}, AS_OF,
                          workers=2)
     assert one.user_ids == two.user_ids
     assert np.array_equal(one.values, two.values, equal_nan=True)
@@ -503,7 +503,7 @@ def test_feature_matrix_worker_count_invariant():
 
 def test_csv_round_trip_bit_exact(tmp_path):
     corpus = oracle_corpus()
-    fm = feature_matrix(corpus, {"alice"}, {"bob"}, Snapshot(as_of=AS_OF))
+    fm = feature_matrix(corpus, {"alice"}, {"bob"}, AS_OF)
     path = tmp_path / "features.csv"
     fm.to_csv(path)
     back = FeatureMatrix.from_csv(path)
@@ -518,7 +518,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
 
 def test_append_columns_rejects_duplicates():
     corpus = oracle_corpus()
-    fm = feature_matrix(corpus, {"alice"}, {"bob"}, Snapshot(as_of=AS_OF))
+    fm = feature_matrix(corpus, {"alice"}, {"bob"}, AS_OF)
     with pytest.raises(FeatureError, match="duplicate column"):
         fm.append_columns(["verified"], np.zeros((2, 1)))
     with pytest.raises(FeatureError, match="duplicate column name: extra"):
@@ -537,7 +537,7 @@ def test_duplicate_column_names_rejected(tmp_path):
 
 def test_default_snapshot_is_latest():
     corpus = oracle_corpus()
-    assert default_snapshot(corpus).as_of == SNAP
+    assert default_snapshot(corpus) == SNAP
 
 
 # ---- parallel_map ----------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SNAP, make_corpus, make_tweet, make_user
-from traitline.features import (PLACEHOLDER_TOKENS, FeatureError, Snapshot,
+from traitline.features import (PLACEHOLDER_TOKENS, FeatureError,
                                 feature_matrix, tokenize_timeline)
 from traitline.lexicon import (Lexicon, LexiconError, add_lexicon_features,
                                join_external_features, lexicon_features,
@@ -259,7 +259,7 @@ def two_user_corpus():
 
 def test_add_lexicon_features_appends_columns():
     corpus = two_user_corpus()
-    fm = feature_matrix(corpus, {"u1"}, {"u2"}, Snapshot(as_of=SNAP))
+    fm = feature_matrix(corpus, {"u1"}, {"u2"}, SNAP)
     out = add_lexicon_features(fm, corpus, [joy_lexicon()])
     assert out.columns[-2:] == ["emo_joy", "emo_anger"]
     assert out.column("emo_joy").tolist() == [1.0, 0.0]
@@ -273,13 +273,13 @@ def test_lexicon_column_clash_rejected_before_extraction(monkeypatch,
 
     monkeypatch.setattr("traitline.features.user_features", never)
     with pytest.raises(FeatureError, match="duplicate column name: emo_joy"):
-        feature_matrix(two_user_corpus(), {"u1"}, {"u2"}, Snapshot(as_of=SNAP),
+        feature_matrix(two_user_corpus(), {"u1"}, {"u2"}, SNAP,
                        workers=workers, lexicons=[joy_lexicon(), joy_lexicon()])
 
 
 def test_join_external_features(tmp_path):
     corpus = two_user_corpus()
-    fm = feature_matrix(corpus, {"u1"}, {"u2"}, Snapshot(as_of=SNAP))
+    fm = feature_matrix(corpus, {"u1"}, {"u2"}, SNAP)
     path = tmp_path / "big5.csv"
     path.write_text("user_id,openness,rigor\nu1,0.5,0.1\n")
     out = join_external_features(fm, path)
@@ -288,9 +288,18 @@ def test_join_external_features(tmp_path):
     assert math.isnan(out.column("openness")[1])
 
 
+def test_join_external_empty_cell_is_missing(tmp_path):
+    fm = feature_matrix(two_user_corpus(), {"u1"}, {"u2"}, SNAP)
+    path = tmp_path / "big5.csv"
+    path.write_text("user_id,openness,rigor\nu1,,0.1\n")
+    out = join_external_features(fm, path)
+    assert math.isnan(out.column("openness")[0])
+    assert out.column("rigor")[0] == 0.1
+
+
 def test_join_external_duplicate_column_rejected(tmp_path):
     corpus = two_user_corpus()
-    fm = feature_matrix(corpus, {"u1"}, {"u2"}, Snapshot(as_of=SNAP))
+    fm = feature_matrix(corpus, {"u1"}, {"u2"}, SNAP)
     path = tmp_path / "dup.csv"
     path.write_text("user_id,verified\nu1,1\n")
     with pytest.raises(Exception, match="duplicate column"):
@@ -305,11 +314,18 @@ def test_join_external_duplicate_column_rejected(tmp_path):
      r"line 3: column y: non-numeric value 'high'"),
     # a repeated user used to keep its last row
     ("user_id,x,y\nu1,1,2\nu2,3,4\nu1,5,6\n", r"line 4: repeated user_id u1"),
-], ids=["short-row", "long-row", "non-numeric", "repeated-user"])
+    # "nan" used to read as a missing cell, and "inf" passed through to the
+    # imputer's mean and the split thresholds
+    ("user_id,x,y\nu1,1,2\nu2,nan,4\n", r"line 3: column x: non-finite "
+                                        r"value 'nan'"),
+    ("user_id,x,y\nu1,1,-inf\n", r"line 2: column y: non-finite value "
+                                 r"'-inf'"),
+], ids=["short-row", "long-row", "non-numeric", "repeated-user", "nan",
+        "inf"])
 def test_join_external_bad_row_rejected_with_file_and_line(tmp_path, text,
                                                            error):
     corpus = two_user_corpus()
-    fm = feature_matrix(corpus, {"u1"}, {"u2"}, Snapshot(as_of=SNAP))
+    fm = feature_matrix(corpus, {"u1"}, {"u2"}, SNAP)
     path = tmp_path / "big5.csv"
     path.write_text(text)
     with pytest.raises(LexiconError, match=r"^big5\.csv: " + error + "$"):
@@ -318,7 +334,7 @@ def test_join_external_bad_row_rejected_with_file_and_line(tmp_path, text,
 
 def test_join_external_empty_file_unchanged(tmp_path, caplog):
     corpus = two_user_corpus()
-    fm = feature_matrix(corpus, {"u1"}, {"u2"}, Snapshot(as_of=SNAP))
+    fm = feature_matrix(corpus, {"u1"}, {"u2"}, SNAP)
     path = tmp_path / "empty.csv"
     path.write_text("")
     with caplog.at_level("WARNING"):
@@ -353,7 +369,7 @@ def cohort_corpora(draw):
 @given(cohort_corpora())
 def test_in_pass_lexicon_columns_equal_appended_ones(data):
     corpus, engaged, control, lexs = data
-    snapshot = Snapshot(as_of=SNAP)
+    snapshot = SNAP
     got = feature_matrix(corpus, engaged, control, snapshot, lexicons=lexs)
     want = add_lexicon_features(
         feature_matrix(corpus, engaged, control, snapshot), corpus, lexs)
@@ -367,7 +383,7 @@ def test_in_pass_lexicon_columns_equal_appended_ones(data):
 @given(cohort_corpora())
 def test_lexicon_row_independent_of_batch_and_workers(data):
     corpus, engaged, control, lexs = data
-    snapshot = Snapshot(as_of=SNAP)
+    snapshot = SNAP
     batch = feature_matrix(corpus, engaged, control, snapshot, lexicons=lexs)
     pooled = feature_matrix(corpus, engaged, control, snapshot, workers=2,
                             lexicons=lexs)

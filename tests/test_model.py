@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from traitline.features import FeatureMatrix
 from traitline.gbdt import ModelError, TrainConfig
-from traitline.model import (Imputer, baseline_majority, baseline_random,
+from traitline.model import (baseline_majority, baseline_random,
                              cross_validate, evaluate, evaluate_model,
                              f1_growth_curve, feature_report,
                              importance_ranking, impute,
@@ -74,6 +74,13 @@ def test_impute_test_rows_use_train_statistics():
     assert test_out.values[0, 0] == 3.0  # train mean, not pooled
 
 
+def test_impute_rejects_test_with_other_columns():
+    train = matrix_of([[1.0, 2.0]], [1], columns=["a", "b"])
+    test = matrix_of([[1.0, 2.0]], [1], columns=["b", "a"])
+    with pytest.raises(ModelError, match="different columns"):
+        impute(train, test)
+
+
 def test_impute_fully_missing_column_rejected():
     m = matrix_of([[math.nan, 1.0], [math.nan, 2.0]], [1, 0],
                   columns=["void", "ok"])
@@ -84,10 +91,8 @@ def test_impute_fully_missing_column_rejected():
 def test_imputer_statistics_ignore_test_partition():
     train = matrix_of([[2.0], [4.0]], [1, 0])
     poisoned = matrix_of([[1e9], [math.nan]], [1, 0])
-    imputer = Imputer().fit(train)
-    out = imputer.transform(poisoned)
+    _, out = impute(train, poisoned)
     assert out.values[1, 0] == 3.0
-    assert np.array_equal(imputer.fill, [3.0])
 
 
 # ---- splits ---------------------------------------------------------------------

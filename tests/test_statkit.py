@@ -216,7 +216,7 @@ def _random_samples(n_samples, rng):
 def test_matches_naive_reference():
     rng = random.Random(7)
     for sample in _random_samples(300, rng):
-        got = dist_params(sample).as_tuple()
+        got = tuple(dist_params(sample))
         want = ref_dist_params(sample)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
@@ -295,7 +295,7 @@ def samples(draw):
 
 
 def oracle_fields_but_skewness(values):
-    """The oracle's other six fields, in ``as_tuple`` order with the
+    """The oracle's other six fields, in ``DistParams`` field order with the
     skewness set to 0.0: for samples whose m2 ** 1.5 underflows, where the
     oracle divides by zero."""
     arr = _oracle_as_array(values)
@@ -312,7 +312,7 @@ def test_dist_params_bits_match_oracle(sample):
     if expected == "ZeroDivisionError":
         # a near-constant sample of tiny values underflows m2 ** 1.5 to 0
         expected = outcome(oracle_fields_but_skewness, sample)
-    assert outcome(lambda v: dist_params(v).as_tuple(), sample) == expected
+    assert outcome(lambda v: tuple(dist_params(v)), sample) == expected
     assert outcome(lambda v: dist_params(v).entropy, sample) == \
         outcome(oracle_entropy_of, sample)
 
@@ -326,7 +326,7 @@ def test_skewness_is_zero_where_the_variance_power_underflows(sample):
     params = dist_params(sample)
     assert params.std > 0.0
     assert bits([params.skewness]) == bits([0.0])
-    assert outcome(lambda v: dist_params(v).as_tuple(), sample) == \
+    assert outcome(lambda v: tuple(dist_params(v)), sample) == \
         outcome(oracle_fields_but_skewness, sample)
 
 
