@@ -73,9 +73,9 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _has_type(value, hint) -> bool:
-    """Whether a JSON value has the declared type: a bool is no int, an int
-    is a float, and a float is finite (``json.load`` reads NaN and
-    Infinity)."""
+    """Whether a JSON value has the declared type: a bool is no int, and a
+    float is finite (``json.load`` reads NaN and Infinity), as is an int
+    given for a float once converted."""
     origin = get_origin(hint)
     if origin is UnionType:
         return any(_has_type(value, h) for h in get_args(hint))
@@ -83,8 +83,12 @@ def _has_type(value, hint) -> bool:
         return (type(value) is list
                 and all(_has_type(v, get_args(hint)[0]) for v in value))
     if hint is float:
-        return type(value) is int or (type(value) is float
-                                      and math.isfinite(value))
+        if type(value) is int:
+            try:
+                value = float(value)
+            except OverflowError:
+                return False
+        return type(value) is float and math.isfinite(value)
     return type(value) is hint
 
 

@@ -9,14 +9,20 @@ tie-breaking (lowest feature index, then lowest threshold) so training is
 deterministic for any worker count or platform. Per-feature importance is
 the summed split gain.
 
-Once per fit, ``_Grower`` builds a contiguous ``X.T``, its stable
-per-feature sort, a column of feature indices, a row mask and the buffers
-for leaf values and importance. A node then sums its gradients and
-hessians once, gathers its sorted values from ``X.T`` by fancy indexing,
-searches its block with ``_best_split``, and splits its sorted block into
-the children's by the row mask, which it clears again. Node sizes on the
-benchmark are small, so a node's cost is mostly per-call overhead and the
-kernel keeps the number of numpy calls per node low.
+Consecutive trees of one fit mostly regrow the same nodes, so ``_Grower``
+keeps a trie of node records across the fit's trees. A record caches only
+what its rows fix: the rows, their sorted block, the block's tie mask and
+the node's last split with that split's two child records. It never caches
+anything that depends on a tree's gradients or hessians, so each tree's
+sums, gains and leaf values are computed afresh and every fit has the bits
+of a per-node sort. Each tree walks the trie from the root (all rows and
+the presort). A node searches its cached block, and it partitions its rows
+and block again only when its winning split differs from the cached one.
+Only nodes that will be searched keep a block, and each record holds one
+split, so the trie is one binary tree of depth ``max_depth`` and its blocks
+and tie masks take at most ``max_depth * features * rows * 9`` bytes.
+Node sizes on the benchmark are small, so a node's cost is mostly per-call
+overhead and the kernel keeps the number of numpy calls per node low.
 
 A tree is held as the nested node dicts that ``model.json`` stores: a leaf
 is ``{"value": v}`` and a split is ``{"feature", "threshold", "gain",
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,81 +58,73 @@ class TrainConfig:
         errors = [f"{name} must be >= 1"
                   for name in ("n_trees", "max_depth", "min_samples_leaf")
                   if getattr(self, name) < 1]
-        if self.learning_rate <= 0:
-            errors.append("learning_rate must be > 0")
+        # NaN and infinity fail this, as does an int too large for a double
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            errors.append("learning_rate must be finite and > 0")
         if errors:
             raise ModelError("; ".join(errors))
 
 
-def _best_split(XT: np.ndarray, cols: np.ndarray, g: np.ndarray,
-                h: np.ndarray, order: np.ndarray, g_tot: np.float64,
-                h_tot: np.float64, min_samples_leaf: int):
-    """Best (gain, feature, threshold) for one node's block, or None.
+class _Node:
+    """One record of a fit's node trie: what a node's rows fix.
 
-    ``order`` is the (features, n) block of the node's rows sorted stably by
-    each feature, ``XT`` the contiguous ``X.T`` and ``cols`` the matching
-    column of feature indices into it. ``g_tot`` and ``h_tot`` are the
-    node's gradient and hessian sums in row order. Gain is the Newton
-    objective reduction GL^2/HL + GR^2/HR - G^2/H. Equal gains resolve to
-    the lowest feature of the block, then the lowest threshold.
+    ``rows`` are the node's rows, ascending, and ``order`` its (features,
+    n) block of them sorted stably by each feature, or None for a node that
+    is never searched. ``ties`` marks the candidate positions ``p`` whose
+    sorted value equals the next (``xs[:, p] >= xs[:, p + 1]``), built on
+    the first search. ``feature``/``threshold`` is the node's last split,
+    and ``left``/``right`` the records of that split's children.
     """
-    n = order.shape[1]
-    if n < 2 * min_samples_leaf:
-        return None
-    xs = XT[cols, order]
-    gl = g[order].cumsum(axis=1)[:, :-1]
-    hl = h[order].cumsum(axis=1)[:, :-1]
-    # position p splits after p + 1 rows; only positions leaving at least
-    # min_samples_leaf rows on each side are candidates
-    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
-    gl, hl = gl[:, lo:hi], hl[:, lo:hi]
-    gr = g_tot - gl
-    hr = h_tot - hl
-    gain = gl ** 2 / (hl + _EPS) + gr ** 2 / (hr + _EPS) \
-        - g_tot ** 2 / (h_tot + _EPS)
-    gain = np.where(xs[:, lo:hi] < xs[:, lo + 1:hi + 1], gain, -np.inf)
-    # feature-major flattening makes argmax break ties toward the lowest
-    # feature index, then the lowest split position (= lowest threshold)
-    best = int(gain.argmax())
-    best_gain = gain.item(best)
-    if not math.isfinite(best_gain) or best_gain <= 0.0:
-        return None
-    feature, pos = divmod(best, hi - lo)
-    pos += lo
-    threshold = (xs.item(feature, pos) + xs.item(feature, pos + 1)) / 2.0
-    return best_gain, feature, threshold
+
+    __slots__ = ("rows", "order", "ties", "feature", "threshold", "left",
+                 "right")
+
+    def __init__(self, rows: np.ndarray, order: np.ndarray | None):
+        self.rows = rows
+        self.order = order
+        self.ties = None
+        self.feature = -1
+        self.threshold = math.nan
+        self.left = self.right = None
 
 
 class _Grower:
-    """What one fit builds once and every node of every tree reads.
+    """What one fit builds once and every tree of it reads.
 
-    ``XT`` is a contiguous ``X.T`` and ``order`` its stable per-feature
-    sort, ``cols`` the column of feature indices that gathers a node's
-    sorted values from ``XT``, and ``in_left`` a row mask that each split
-    sets and clears again. ``update`` receives each tree's leaf values and
-    ``importance`` the summed split gains.
+    ``XT`` is a contiguous ``X.T``, ``offsets`` the column of row offsets
+    that turns a block into flat indices into it, and ``root`` the trie's
+    record of all rows with the stable per-feature presort as its block.
+    ``update`` receives each tree's leaf values and ``importance`` the
+    summed split gains.
     """
 
     def __init__(self, X: np.ndarray, cfg: TrainConfig):
         self.XT = np.ascontiguousarray(X.T)
-        self.cols = np.arange(X.shape[1])[:, None]
-        self.order = np.argsort(self.XT, axis=1, kind="stable")
-        self.rows = np.arange(X.shape[0])
-        self.in_left = np.zeros(X.shape[0], dtype=bool)
+        self.offsets = np.arange(0, X.size, X.shape[0])[:, None]
+        self.max_depth = cfg.max_depth
+        self.min_samples_leaf = cfg.min_samples_leaf
+        rows = np.arange(X.shape[0])
+        self.root = _Node(rows, np.argsort(self.XT, axis=1, kind="stable")
+                          if self._searched(rows.size, 0) else None)
         # every row reaches one leaf, so each tree overwrites all of update
         self.update = np.empty(X.shape[0], dtype=np.float64)
         self.importance = np.zeros(X.shape[1], dtype=np.float64)
-        self.max_depth = cfg.max_depth
-        self.min_samples_leaf = cfg.min_samples_leaf
+
+    def _searched(self, n: int, depth: int) -> bool:
+        """Whether a node of ``n`` rows at ``depth`` searches for a split."""
+        return depth < self.max_depth and n >= 2 * self.min_samples_leaf
 
     def tree(self, g: np.ndarray, h: np.ndarray) -> dict:
         """One tree on gradients ``g`` and hessians ``h``."""
-        return self._node(g, h, self.rows, self.order, 0)
+        # complex adds are component-wise, so one cumsum of g + ih gives
+        # both prefix sums with the bits of two
+        gh = np.empty(g.size, dtype=np.complex128)
+        gh.real, gh.imag = g, h
+        return self._grow(self.root, 0, g, h, gh)
 
-    def _node(self, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
-              order: np.ndarray, depth: int) -> dict:
-        """Grow the subtree over ``rows`` (ascending); ``order`` is as in
-        ``_best_split``.
+    def _grow(self, node: _Node, depth: int, g: np.ndarray, h: np.ndarray,
+              gh: np.ndarray) -> dict:
+        """Grow the subtree of ``node`` on this tree's ``g`` and ``h``.
 
         A node sums ``g`` and ``h`` over its rows once, in row order, for
         both its split search and its leaf value. Children are built
@@ -133,33 +132,96 @@ class _Grower:
         in a fixed order. Each leaf writes its value into ``update`` at its
         rows.
         """
-        g_tot, h_tot = g[rows].sum(), h[rows].sum()
+        rows = node.rows
+        g_tot, h_tot = np.add.reduce(g[rows]), np.add.reduce(h[rows])
         split = None
-        if depth < self.max_depth:
-            split = _best_split(self.XT, self.cols, g, h, order, g_tot, h_tot,
-                                self.min_samples_leaf)
+        if node.order is not None:
+            split = self._best_split(node, gh, g_tot, h_tot)
         if split is None:
             value = float(-g_tot / (h_tot + _EPS))
             self.update[rows] = value
             return {"value": value}
         gain, feature, threshold = split
         self.importance[feature] += gain
-        go_left = self.XT[feature, rows] <= threshold
-        # a stable partition of each sorted row list keeps it sorted, with
-        # ties still in row order, so no node sorts again
-        left_rows, right_rows = rows[go_left], rows[~go_left]
-        in_left = self.in_left
-        in_left[left_rows] = True
-        sorted_left = in_left[order]
-        in_left[left_rows] = False
-        n_features = order.shape[0]
-        left_order = order[sorted_left].reshape(n_features, left_rows.size)
-        right_order = order[~sorted_left].reshape(n_features, right_rows.size)
+        # a NaN threshold never equals the cached one, so it repartitions
+        if feature != node.feature or threshold != node.threshold:
+            self._partition(node, feature, threshold, depth + 1)
         return {
             "feature": feature, "threshold": threshold, "gain": gain,
-            "left": self._node(g, h, left_rows, left_order, depth + 1),
-            "right": self._node(g, h, right_rows, right_order, depth + 1),
+            "left": self._grow(node.left, depth + 1, g, h, gh),
+            "right": self._grow(node.right, depth + 1, g, h, gh),
         }
+
+    def _best_split(self, node: _Node, gh: np.ndarray, g_tot: np.float64,
+                    h_tot: np.float64):
+        """Best (gain, feature, threshold) for ``node``'s block, or None.
+
+        ``g_tot`` and ``h_tot`` are the node's gradient and hessian sums in
+        row order. Gain is the Newton objective reduction GL^2/HL +
+        GR^2/HR - G^2/H. Equal gains resolve to the lowest feature, then
+        the lowest threshold.
+        """
+        order = node.order
+        n = order.shape[1]
+        # position p splits after p + 1 rows; only positions leaving at least
+        # min_samples_leaf rows on each side are candidates
+        lo, hi = self.min_samples_leaf - 1, n - self.min_samples_leaf
+        if node.ties is None:
+            xs = self.XT.take(order[:, lo:hi + 1] + self.offsets)
+            node.ties = xs[:, :-1] >= xs[:, 1:]
+        sums = gh.take(order[:, :hi])
+        np.add.accumulate(sums, axis=1, out=sums)
+        # contiguous copies make the passes below cheaper than on the views
+        gl, hl = sums.real[:, lo:].copy(), sums.imag[:, lo:].copy()
+        gr = g_tot - gl
+        hr = h_tot - hl
+        gain = np.square(gl, out=gl)
+        hl += _EPS
+        gain /= hl
+        np.square(gr, out=gr)
+        hr += _EPS
+        gr /= hr
+        gain += gr
+        # the parent term stays np.float64 scalar arithmetic: a scalar ** 2
+        # can differ in the last bit from an array's
+        gain -= g_tot ** 2 / (h_tot + _EPS)
+        np.putmask(gain, node.ties, -np.inf)
+        # feature-major flattening makes argmax break ties toward the lowest
+        # feature index, then the lowest split position (= lowest threshold)
+        best = int(gain.argmax())
+        best_gain = gain.item(best)
+        if not math.isfinite(best_gain) or best_gain <= 0.0:
+            return None
+        feature, pos = divmod(best, hi - lo)
+        pos += lo
+        below, above = order.item(feature, pos), order.item(feature, pos + 1)
+        threshold = (self.XT.item(feature, below)
+                     + self.XT.item(feature, above)) / 2.0
+        return best_gain, feature, threshold
+
+    def _partition(self, node: _Node, feature: int, threshold: float,
+                   depth: int) -> None:
+        """Give ``node`` this split and fresh child records at ``depth``."""
+        go_left = self.XT[feature] <= threshold
+        row_left = go_left[node.rows]
+        node.feature, node.threshold = feature, threshold
+        node.left = self._child(node, row_left, go_left, depth)
+        node.right = self._child(node, ~row_left, ~go_left, depth)
+
+    def _child(self, parent: _Node, row_mask: np.ndarray, goes: np.ndarray,
+               depth: int) -> _Node:
+        """The record of the parent's rows where ``row_mask`` holds; ``goes``
+        is the same choice over all rows. Only a child that will be
+        searched gets a block: a stable partition of each sorted row list
+        keeps it sorted, with ties still in row order, so no node sorts
+        again."""
+        rows = parent.rows[row_mask]
+        order = None
+        if self._searched(rows.size, depth):
+            # on large blocks np.compress beats boolean indexing
+            order = np.compress(goes[parent.order].ravel(), parent.order
+                                ).reshape(parent.order.shape[0], rows.size)
+        return _Node(rows, order)
 
 
 def _tree_predict(root: dict, X: np.ndarray) -> np.ndarray:
@@ -223,12 +285,14 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, feature_names: list[str],
     raw = np.full(y.shape[0], initial)
     grower = _Grower(X, cfg)
     trees: list[dict] = []
-    losses = [logistic_loss(y, _sigmoid(raw))]
+    # the p after each update serves both its round's loss and the next tree
+    p = _sigmoid(raw)
+    losses = [logistic_loss(y, p)]
     for _ in range(cfg.n_trees):
-        p = _sigmoid(raw)
         trees.append(grower.tree(p - y, p * (1.0 - p)))
         raw = raw + cfg.learning_rate * grower.update
-        losses.append(logistic_loss(y, _sigmoid(raw)))
+        p = _sigmoid(raw)
+        losses.append(logistic_loss(y, p))
     return TreeEnsemble(trees=trees, learning_rate=cfg.learning_rate,
                         initial_score=initial, feature_names=list(feature_names),
                         feature_importance=grower.importance,

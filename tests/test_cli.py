@@ -335,7 +335,7 @@ def test_config_errors_reported_all_at_once(tmp_path):
         # cohort.threshold_grid, each named in the one message
         ({"n_trees": 0, "learning_rate": 0, "test_fraction": 1.5,
           "k_folds": 1, "grid_l_axis": [5, 1]},
-         ["n_trees must be >= 1", "learning_rate must be > 0",
+         ["n_trees must be >= 1", "learning_rate must be finite and > 0",
           "test_fraction must be in (0, 1)", "k_folds must be >= 2",
           "grid axes must be ascending"]),
         ({"grid_s_axis": []}, ["grid axes must be nonempty"]),
@@ -346,6 +346,9 @@ def test_config_errors_reported_all_at_once(tmp_path):
         ({"learning_rate": math.nan, "max_cov": math.inf},
          ["learning_rate must be float, got nan",
           "max_cov must be float, got inf"]),
+        # an int for a float key must convert to a finite double
+        ({"learning_rate": 10 ** 400},
+         ["learning_rate must be float, got 1000"]),
         # target_size with a threshold set used to be ignored, or to drop it
         ({"target_size": 500},
          ["target_size conflicts with l_min and s_min"]),

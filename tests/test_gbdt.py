@@ -173,12 +173,23 @@ def test_config_validation():
                          ("min_samples_leaf", -1)]:
         with pytest.raises(ModelError, match=f"^{field} must be >= 1$"):
             TrainConfig(**{field: value})
-    with pytest.raises(ModelError, match="^learning_rate must be > 0$"):
+    with pytest.raises(ModelError,
+                       match="^learning_rate must be finite and > 0$"):
         TrainConfig(learning_rate=0.0)
     # every bad field is named in the one error
-    with pytest.raises(ModelError, match="^max_depth must be >= 1; "
-                                         "learning_rate must be > 0$"):
+    with pytest.raises(ModelError,
+                       match="^max_depth must be >= 1; "
+                             "learning_rate must be finite and > 0$"):
         TrainConfig(max_depth=0, learning_rate=-1.0)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int-past-double"])
+def test_learning_rate_must_be_finite(rate):
+    # NaN is not <= 0, and 10**400 only overflows once the fit multiplies
+    with pytest.raises(ModelError,
+                       match="^learning_rate must be finite and > 0$"):
+        TrainConfig(learning_rate=rate)
 
 
 # ---- presorted split search against a per-node sort ----------------------------
@@ -241,7 +252,7 @@ def reference_train(X, y, config):
 
 @st.composite
 def training_sets(draw):
-    n = draw(st.integers(4, 40))
+    n = draw(st.integers(4, 80))
     n_features = draw(st.integers(1, 5))
     # few distinct values, so columns carry ties; some are constant
     levels = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False,
@@ -256,7 +267,9 @@ def training_sets(draw):
     X[:, np.array(constant)] = levels[0]
     y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
                                min_size=n - 2, max_size=n - 2)) + [0.0, 1.0])
-    config = cfg(n_trees=draw(st.integers(1, 4)),
+    # enough trees that later ones repeat earlier splits and reuse the
+    # grower's cached nodes
+    config = cfg(n_trees=draw(st.integers(5, 25)),
                  max_depth=draw(st.integers(1, 4)),
                  min_samples_leaf=draw(st.integers(1, 5)))
     return X, y, config
@@ -273,6 +286,63 @@ def test_presorted_fit_equals_per_node_sort(data):
     assert json.dumps(ensemble.trees) == json.dumps(trees)
     assert ensemble.feature_importance.tobytes() == importance.tobytes()
     assert json.dumps(ensemble.loss_history) == json.dumps(losses)
+
+
+def test_column_subset_fit_equals_per_node_sort():
+    # the growth curve refits on the top-k columns of the full matrix
+    rng = np.random.default_rng(11)
+    full = np.round(rng.normal(size=(90, 7)), 1)
+    y = (full[:, 2] + full[:, 5] + 0.5 * rng.normal(size=90) > 0).astype(float)
+    X = np.ascontiguousarray(full[:, [5, 2, 0]])
+    config = cfg(n_trees=20, max_depth=4, learning_rate=0.3)
+    ensemble = train_gbdt(X, y, ["f5", "f2", "f0"], config)
+    trees, importance, losses = reference_train(X, y, config)
+    assert json.dumps(ensemble.trees) == json.dumps(trees)
+    assert ensemble.feature_importance.tobytes() == importance.tobytes()
+    assert json.dumps(ensemble.loss_history) == json.dumps(losses)
+
+
+def count_records(node):
+    if node is None:
+        return 0
+    return 1 + count_records(node.left) + count_records(node.right)
+
+
+def test_repeated_splits_reuse_cached_nodes(monkeypatch):
+    x, y = separable_data(n_per_side=20)
+    noise = np.random.default_rng(3).normal(size=(40, 2))
+    X = np.hstack([x, noise])
+    config = cfg(n_trees=15, max_depth=3, learning_rate=0.1)
+    partitions, records = [], []
+    partition, tree = gbdt._Grower._partition, gbdt._Grower.tree
+
+    def counting_partition(self, *args):
+        partitions.append(args)
+        return partition(self, *args)
+
+    def counting_tree(self, g, h):
+        out = tree(self, g, h)
+        records.append(count_records(self.root))
+        return out
+
+    monkeypatch.setattr(gbdt._Grower, "_partition", counting_partition)
+    monkeypatch.setattr(gbdt._Grower, "tree", counting_tree)
+    ensemble = train_gbdt(X, y, ["x", "a", "b"], config)
+
+    def splits(node):
+        return 0 if "value" in node else \
+            1 + splits(node["left"]) + splits(node["right"])
+
+    # the separating split wins the root of every tree, and only the first
+    # tree partitions it
+    assert [t["feature"] for t in ensemble.trees] == [0] * 15
+    assert len({t["threshold"] for t in ensemble.trees}) == 1
+    assert [args[3] for args in partitions].count(1) == 1
+    assert len(partitions) < sum(splits(t) for t in ensemble.trees)
+    assert max(records) <= 2 ** (config.max_depth + 1) - 1
+    trees, importance, _ = reference_train(X, y, config)
+    assert json.dumps(ensemble.trees) == json.dumps(trees)
+    assert ensemble.feature_importance.tobytes() == importance.tobytes()
 
 
 # ---- serialization --------------------------------------------------------------
