@@ -429,6 +429,10 @@ def _tweet_to_json(t: TweetRecord) -> dict:
     return obj
 
 
+# ``json.dumps(obj, sort_keys=True)``, without building an encoder per call
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def save_corpus(corpus: Corpus, paths: CorpusPaths) -> None:
     """Write a corpus back to disk in the load schema (round-trip safe)."""
     for p in (paths.users, paths.tweets, paths.likes, paths.follows,
@@ -436,23 +440,20 @@ def save_corpus(corpus: Corpus, paths: CorpusPaths) -> None:
         Path(p).parent.mkdir(parents=True, exist_ok=True)
     with open(paths.users, "w", encoding="utf-8") as fh:
         for uid in sorted(corpus.users):
-            fh.write(json.dumps(_user_to_json(corpus.users[uid]),
-                                sort_keys=True) + "\n")
+            fh.write(_encode_sorted(_user_to_json(corpus.users[uid])) + "\n")
     with open(paths.tweets, "w", encoding="utf-8") as fh:
         for uid in sorted(corpus.timelines):
             for tweet in corpus.timelines[uid]:
-                fh.write(json.dumps(_tweet_to_json(tweet),
-                                    sort_keys=True) + "\n")
+                fh.write(_encode_sorted(_tweet_to_json(tweet)) + "\n")
     with open(paths.likes, "w", encoding="utf-8") as fh:
         for user_id, seed_id, liked_tweet_id in corpus.likes:
-            fh.write(json.dumps({"user_id": user_id, "seed_id": seed_id,
-                                 "liked_tweet_id": liked_tweet_id},
-                                sort_keys=True) + "\n")
+            fh.write(_encode_sorted({"user_id": user_id, "seed_id": seed_id,
+                                     "liked_tweet_id": liked_tweet_id})
+                     + "\n")
     with open(paths.follows, "w", encoding="utf-8") as fh:
         for follower, followee in corpus.follows:
-            fh.write(json.dumps({"follower_id": follower,
-                                 "followee_id": followee},
-                                sort_keys=True) + "\n")
+            fh.write(_encode_sorted({"follower_id": follower,
+                                     "followee_id": followee}) + "\n")
     with open(paths.seeds, "w", encoding="utf-8") as fh:
         json.dump(corpus.seeds, fh)
         fh.write("\n")

@@ -23,6 +23,7 @@ from collections import Counter
 from concurrent import futures
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
@@ -355,6 +356,40 @@ def check_unique_columns(columns) -> None:
         seen.add(name)
 
 
+def parse_keyed_row(row: list[str], header: list[str], key: int, numeric,
+                    seen: set[str], where: str,
+                    error: type[ValueError] = FeatureError) -> list[float]:
+    """The numeric cells of one CSV data row keyed by user_id.
+
+    The row must have one cell per ``header`` name, and its user_id (the
+    cell at index ``key``) must not be in ``seen``; it is added there. Each
+    cell at an index in ``numeric`` must be empty (a missing cell, NaN) or
+    a finite number. A fault raises ``error`` prefixed with ``where``.
+    """
+    if len(row) != len(header):
+        raise error(f"{where}: expected {len(header)} cells, got {len(row)}")
+    user_id = row[key]
+    if user_id in seen:
+        raise error(f"{where}: repeated user_id {user_id}")
+    seen.add(user_id)
+    values = []
+    for i in numeric:
+        v = row[i]
+        if not v:
+            values.append(math.nan)
+            continue
+        try:
+            value = float(v)
+        except ValueError:
+            raise error(f"{where}: column {header[i]}: non-numeric value "
+                        f"{v!r}") from None
+        if not math.isfinite(value):
+            raise error(f"{where}: column {header[i]}: non-finite value "
+                        f"{v!r}")
+        values.append(value)
+    return values
+
+
 @dataclass
 class FeatureMatrix:
     """Labeled rows of named numeric columns; NaN marks a missing cell."""
@@ -418,16 +453,25 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
+        """Read a ``to_csv`` file; a malformed row raises FeatureError naming
+        the file and line."""
+        name = Path(path).name
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if header[-2:] != ["user_id", "label"]:
                 raise FeatureError("feature CSV must end with user_id,label")
             columns = header[:-2]
+            numeric = range(len(columns))
             user_ids, labels, rows = [], [], []
+            seen: set[str] = set()
             for row in reader:
-                rows.append([float(v) if v else math.nan
-                             for v in row[:-2]])
+                where = f"{name}: line {reader.line_num}"
+                rows.append(parse_keyed_row(row, header, len(columns),
+                                            numeric, seen, where))
+                if row[-1] not in ("0", "1"):
+                    raise FeatureError(f"{where}: label must be 0 or 1, "
+                                       f"got {row[-1]!r}")
                 user_ids.append(row[-2])
                 labels.append(int(row[-1]))
         return cls(columns=columns, user_ids=user_ids,

@@ -353,8 +353,10 @@ def save_ensemble(ensemble: TreeEnsemble, path) -> None:
         "loss_history": ensemble.loss_history,
         "trees": ensemble.trees,
     }
+    # one json.dumps runs the C encoder; json.dump to a file runs the
+    # pure-Python one, for the same bytes
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
 
 

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import (FeatureMatrix, PLACEHOLDER_TOKENS, TokenizedTweet)
+from .features import (FeatureMatrix, PLACEHOLDER_TOKENS, TokenizedTweet,
+                       parse_keyed_row)
 
 logger = logging.getLogger(__name__)
 
@@ -212,29 +213,13 @@ def join_external_features(matrix: FeatureMatrix, path) -> FeatureMatrix:
         logger.warning("external feature file %s has no feature columns",
                        path.name)
         return matrix
+    numeric = [i for i in range(len(header)) if i != key_idx]
     by_user: dict[str, list[float]] = {}
+    seen: set[str] = set()
     for lineno, row in rows:
-        where = f"{path.name}: line {lineno}"
-        if len(row) != len(header):
-            raise LexiconError(f"{where}: expected {len(header)} cells, "
-                               f"got {len(row)}")
-        user_id = row[key_idx]
-        if user_id in by_user:
-            raise LexiconError(f"{where}: repeated user_id {user_id}")
-        vals = []
-        for i, (col, v) in enumerate(zip(header, row)):
-            if i == key_idx:
-                continue
-            try:
-                value = float(v) if v else math.nan  # empty: a missing cell
-            except ValueError:
-                raise LexiconError(f"{where}: column {col}: non-numeric "
-                                   f"value {v!r}") from None
-            if v and not math.isfinite(value):
-                raise LexiconError(f"{where}: column {col}: non-finite "
-                                   f"value {v!r}")
-            vals.append(value)
-        by_user[user_id] = vals
+        values = parse_keyed_row(row, header, key_idx, numeric, seen,
+                                 f"{path.name}: line {lineno}", LexiconError)
+        by_user[row[key_idx]] = values
     block = np.full((matrix.n_rows, len(names)), math.nan)
     for i, user_id in enumerate(matrix.user_ids):
         if user_id in by_user:

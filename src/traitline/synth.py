@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -179,6 +180,10 @@ def _zipf_cum_weights(n: int) -> list[float]:
     return out
 
 
+# Each builder takes a prefix: a sequential sum's prefix has the same bits.
+_ZIPF_CUM = _zipf_cum_weights(len(BASE_VOCAB))
+
+
 def _decay_cum_weights(n: int, decay: float) -> list[float]:
     out, acc = [], 0.0
     for i in range(n):
@@ -227,7 +232,8 @@ class _UserBuilder:
                             * rng.lognormvariate(0.0, self.VOCAB_LOG_SD)))
         vocab_n = min(max(vocab_n, 50), len(BASE_VOCAB))
         self.vocab = BASE_VOCAB[:vocab_n]
-        self.vocab_cum = _zipf_cum_weights(vocab_n)
+        self.vocab_cum = _ZIPF_CUM[:vocab_n]
+        self.vocab_total = self.vocab_cum[-1] + 0.0
         self.catchphrase_p = rate(spec.catchphrase_p, self.RATE_SD)
         self.hashtag_p = rate(spec.hashtag_p, self.RATE_SD)
         self.url_p = rate(spec.url_p, self.RATE_SD)
@@ -235,6 +241,7 @@ class _UserBuilder:
         self.mood_p = rate(spec.mood_p, self.RATE_SD)
         self.heated_share = rate(spec.heated_share, self.RATE_SD)
         self.tag_cum = _decay_cum_weights(len(TAG_POOL), spec.tag_decay)
+        self.tag_total = self.tag_cum[-1] + 0.0
         self.is_weak = rng.random() < spec.weak_engager_fraction
 
     def _pick_kind(self) -> str:
@@ -247,17 +254,32 @@ class _UserBuilder:
             return "quote"
         return "original"
 
+    # The one-item weighted draws below are ``rng.choices(pop,
+    # cum_weights=cw, k=1)[0]`` written out as ``Random.choices`` computes
+    # it (CPython 3.11 Lib/random.py, lines 507 and 514): ``total =
+    # cum_weights[-1] + 0.0``, then ``population[bisect(cum_weights,
+    # random() * total, 0, n - 1)]``. They take the same one random() call
+    # and return the same item, so the stream and every corpus byte stay the
+    # same; test_synth.py checks both against ``choices``.
+
+    def _vocab_word(self) -> str:
+        return self.vocab[bisect_right(
+            self.vocab_cum, self.rng.random() * self.vocab_total, 0,
+            len(self.vocab) - 1)]
+
     def _words(self, n: int) -> list[str]:
-        rng = self.rng
+        random, choice = self.rng.random, self.rng.choice
+        mood_p, heated_share = self.mood_p, self.heated_share
+        vocab, cum, total = self.vocab, self.vocab_cum, self.vocab_total
+        hi = len(vocab) - 1
         out = []
+        append = out.append
         for _ in range(n):
-            if rng.random() < self.mood_p:
-                pool = (HEATED_WORDS if rng.random() < self.heated_share
-                        else CALM_WORDS)
-                out.append(rng.choice(pool))
+            if random() < mood_p:
+                append(choice(HEATED_WORDS if random() < heated_share
+                              else CALM_WORDS))
             else:
-                out.append(rng.choices(self.vocab,
-                                       cum_weights=self.vocab_cum, k=1)[0])
+                append(vocab[bisect_right(cum, random() * total, 0, hi)])
         return out
 
     def _body(self) -> str:
@@ -277,7 +299,9 @@ class _UserBuilder:
             k += 1
         tags: list[str] = []
         while len(tags) < k:
-            tag = rng.choices(TAG_POOL, cum_weights=self.tag_cum, k=1)[0]
+            tag = TAG_POOL[bisect_right(self.tag_cum,
+                                        rng.random() * self.tag_total, 0,
+                                        len(TAG_POOL) - 1)]
             if tag not in tags:
                 tags.append(tag)
         return tags
@@ -297,8 +321,7 @@ class _UserBuilder:
                                           spec.bio_len_std)))
             parts: list[str] = []
             while sum(len(p) + 1 for p in parts) < target:
-                parts.append(rng.choices(self.vocab,
-                                         cum_weights=self.vocab_cum, k=1)[0])
+                parts.append(self._vocab_word())
             n_urls = min(3, int(rng.expovariate(1.0) * spec.bio_urls_mean
                                 + rng.random() * spec.bio_urls_mean))
             for k in range(n_urls):
@@ -442,6 +465,6 @@ def generate_corpus(engaged: ProfileSpec, control: ProfileSpec,
     paths = CorpusPaths.in_dir(out_dir)
     save_corpus(corpus, paths)
     with open(out_dir / "ground_truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, sort_keys=True)
+        fh.write(json.dumps(truth, sort_keys=True))
         fh.write("\n")
     return paths

@@ -516,6 +516,24 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("row,error", [
+    # a short row used to fail in numpy with "inhomogeneous shape"
+    ("1.0,u2,0", r"line 3: expected 4 cells, got 3"),
+    # used to fail with no file or line
+    ("x,2.0,u2,0", r"line 3: column a: non-numeric value 'x'"),
+    # "inf" and a label of 2 used to load
+    ("1.0,inf,u2,0", r"line 3: column b: non-finite value 'inf'"),
+    ("1.0,2.0,u2,2", r"line 3: label must be 0 or 1, got '2'"),
+    # a repeated user_id used to load as a second row
+    ("1.0,2.0,u1,0", r"line 3: repeated user_id u1"),
+], ids=["short-row", "non-numeric", "inf", "label-2", "repeated-user"])
+def test_from_csv_bad_row_rejected_with_file_and_line(tmp_path, row, error):
+    path = tmp_path / "features.csv"
+    path.write_text(f"a,b,user_id,label\n,0.5,u1,1\n{row}\n")
+    with pytest.raises(FeatureError, match=r"^features\.csv: " + error + "$"):
+        FeatureMatrix.from_csv(path)
+
+
 def test_append_columns_rejects_duplicates():
     corpus = oracle_corpus()
     fm = feature_matrix(corpus, {"alice"}, {"bob"}, AS_OF)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -363,6 +364,19 @@ def test_round_trip(tmp_path):
     save_ensemble(back, tmp_path / "model2.json")
     assert (tmp_path / "model.json").read_bytes() == \
         (tmp_path / "model2.json").read_bytes()
+
+
+def test_save_writes_the_pure_python_encoders_bytes(tmp_path):
+    # save_ensemble encodes with json.dumps (the C encoder); json.dump to a
+    # file, which it used to call, runs the pure-Python one
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(80, 4))
+    y = (x[:, 0] + 0.3 * rng.normal(size=80) > 0).astype(np.int64)
+    path = tmp_path / "model.json"
+    save_ensemble(train_gbdt(x, y, ["a", "b", "c", "d"], cfg()), path)
+    buf = io.StringIO()
+    json.dump(json.loads(path.read_text()), buf, sort_keys=True)
+    assert path.read_text() == buf.getvalue() + "\n"
 
 
 def test_unsupported_version_rejected(tmp_path):
