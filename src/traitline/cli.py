@@ -173,6 +173,8 @@ class RunConfig:
         given = [n for n in ("l_min", "s_min") if getattr(self, n) is not None]
         if self.target_size is None and len(given) < 2:
             errors.append("config needs l_min and s_min, or target_size")
+        if self.target_size is not None and self.target_size < 1:
+            errors.append("target_size must be >= 1")
         if self.target_size is not None and given:
             errors.append(f"target_size conflicts with {' and '.join(given)}: "
                           f"set target_size or both thresholds to null")
@@ -191,16 +193,18 @@ class RunConfig:
         except gbdt.ModelError as exc:
             errors.append(str(exc))
         try:
-            cohort.threshold_grid(cohort.LikeMatrix(seeds=[], rows={}),
-                                  self.grid_l_axis, self.grid_s_axis)
+            cohort.threshold_grid({}, self.grid_l_axis, self.grid_s_axis)
         except cohort.CohortError as exc:
             errors.append(str(exc))
         if not 0.0 < self.test_fraction < 1.0:
             errors.append("test_fraction must be in (0, 1)")
         if self.k_folds < 2:
             errors.append("k_folds must be >= 2")
-        if any(k < 1 for k in self.curve_ks or ()):
+        ks = self.curve_ks or []
+        if any(k < 1 for k in ks):
             errors.append("curve_ks entries must be >= 1")
+        if ks != sorted(set(ks)):
+            errors.append("curve_ks must be strictly ascending")
         for p in self.lexicons:
             if not Path(p).exists():
                 errors.append(f"lexicon file not found: {p}")
@@ -354,8 +358,7 @@ class Runner:
         matrix = cohort.filter_cov(matrix, cfg.max_cov)
         grid = cohort.threshold_grid(matrix, cfg.grid_l_axis, cfg.grid_s_axis)
         write_csv(self.output("grid.csv"), ["l_min", "s_min", "count"],
-                  ([l, s, grid.entries[(l, s)]]
-                   for l in grid.l_axis for s in grid.s_axis))
+                  ([l, s, count] for (l, s), count in grid.items()))
         if cfg.target_size is None:
             l_min, s_min = cfg.l_min, cfg.s_min
         else:
@@ -473,12 +476,12 @@ class Runner:
         draws = [model.baseline_random(test, stage_seed(cfg.seed, f"baseline{i}"))
                  for i in range(25)]
         payload = {
-            "model": model.evaluate_model(ensemble, test).as_dict(),
-            "baseline_majority": model.baseline_majority(train, test).as_dict(),
+            "model": model.evaluate_model(ensemble, test),
+            "baseline_majority": model.baseline_majority(train, test),
             "baseline_random": {
-                "precision": sum(d.precision for d in draws) / len(draws),
-                "recall": sum(d.recall for d in draws) / len(draws),
-                "f1": sum(d.f1 for d in draws) / len(draws),
+                "precision": sum(d["precision"] for d in draws) / len(draws),
+                "recall": sum(d["recall"] for d in draws) / len(draws),
+                "f1": sum(d["f1"] for d in draws) / len(draws),
                 "n_draws": len(draws),
             },
             "n_train": train.n_rows,
@@ -490,8 +493,8 @@ class Runner:
                                          cfg.k_folds, self.model_seed,
                                          cfg.workers)
             payload["cv"] = {
-                "folds": [m.as_dict() for m in folds],
-                "mean_f1": sum(m.f1 for m in folds) / len(folds),
+                "folds": folds,
+                "mean_f1": sum(m["f1"] for m in folds) / len(folds),
             }
         write_json(self.output("metrics.json"), payload)
         return payload
@@ -519,7 +522,7 @@ class Runner:
         f1_at = dict(model.f1_growth_curve(
             train, test, ranking, cfg.train_config(),
             ks=[k for k in ks if k < answered], workers=cfg.workers))
-        model_f1 = model.evaluate_model(ensemble, test).f1
+        model_f1 = model.evaluate_model(ensemble, test)["f1"]
         curve = [(k, f1_at.get(k, model_f1)) for k in ks]
         write_csv(self.output("curve.csv"), ["k", "f1"],
                   ([k, repr(f1)] for k, f1 in curve))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .corpus import Corpus
@@ -26,68 +25,32 @@ THRESHOLD_PREFERENCES = ("nearest", "balanced")
 BELOW_SLACK = 0.3
 # creation periods a control is matched within, as periods per year
 CREATION_BUCKETS = {"quarter": 4, "month": 12, "year": 1}
+# the like matrix, {user_id: {seed_id: likes}}
+LikeRows = dict[str, dict[str, int]]
+# {(min total likes, min distinct seeds): users clearing both}
+Grid = dict[tuple[int, int], int]
 
 
 class CohortError(ValueError):
     pass
 
 
-@dataclass
-class LikeMatrix:
-    """Sparse users x seeds like-count matrix.
-
-    rows[user_id][seed_id] = number of likes by user on that seed's posts.
-    Users with no likes on any seed have no row. Seed order follows the
-    seed list of the corpus.
-    """
-
-    seeds: list[str]
-    rows: dict[str, dict[str, int]]
-
-    def row_total(self, user_id: str) -> int:
-        return sum(self.rows[user_id].values())
-
-    def distinct_seeds(self, user_id: str) -> int:
-        return len(self.rows[user_id])
-
-    def restrict(self, user_ids) -> "LikeMatrix":
-        keep = set(user_ids)
-        return LikeMatrix(seeds=list(self.seeds),
-                          rows={u: dict(cells) for u, cells in self.rows.items()
-                                if u in keep})
-
-
-@dataclass
-class GridTable:
-    """Cumulative user counts over (min total likes, min distinct seeds)."""
-
-    l_axis: tuple[int, ...]
-    s_axis: tuple[int, ...]
-    entries: dict[tuple[int, int], int]
-
-    def check_monotone(self) -> None:
-        for si, s in enumerate(self.s_axis):
-            for li, l in enumerate(self.l_axis):
-                if li > 0 and self.entries[(l, s)] > self.entries[(self.l_axis[li - 1], s)]:
-                    raise CohortError("grid not monotone along likes axis")
-                if si > 0 and self.entries[(l, s)] > self.entries[(l, self.s_axis[si - 1])]:
-                    raise CohortError("grid not monotone along seeds axis")
-
-
-def build_like_matrix(corpus: Corpus) -> LikeMatrix:
-    """Count likes per (user, seed). Likes on non-seed accounts are left
-    out, and so are likes by users without a profile record, since control
-    matching needs the profile of every cohort user."""
+def build_like_matrix(corpus: Corpus) -> LikeRows:
+    """The sparse users x seeds like matrix: ``matrix[user_id][seed_id]``
+    counts the user's likes on that seed's posts. Likes on non-seed
+    accounts are left out, and so are likes by users without a profile
+    record, since control matching needs the profile of every cohort user.
+    Users with no counted like have no row."""
     if not corpus.seeds:
         raise CohortError("corpus has an empty seed list")
     seed_set, users = set(corpus.seeds), corpus.users
-    rows: dict[str, dict[str, int]] = {}
+    rows: LikeRows = {}
     for user_id, seed_id, _liked_tweet in corpus.likes:
         if seed_id not in seed_set or user_id not in users:
             continue
         cells = rows.setdefault(user_id, {})
         cells[seed_id] = cells.get(seed_id, 0) + 1
-    return LikeMatrix(seeds=list(corpus.seeds), rows=rows)
+    return rows
 
 
 def seed_followers(corpus: Corpus) -> set[str]:
@@ -97,63 +60,52 @@ def seed_followers(corpus: Corpus) -> set[str]:
             if followee in seed_set}
 
 
-def filter_follows_seed(matrix: LikeMatrix, corpus: Corpus) -> LikeMatrix:
+def filter_follows_seed(matrix: LikeRows, corpus: Corpus) -> LikeRows:
     """Keep only users following at least one seed account."""
     followers = seed_followers(corpus)
-    return matrix.restrict(u for u in matrix.rows if u in followers)
+    return {u: cells for u, cells in matrix.items() if u in followers}
 
 
-def filter_cov(matrix: LikeMatrix, max_cov: float = 1.0) -> LikeMatrix:
+def filter_cov(matrix: LikeRows, max_cov: float = 1.0) -> LikeRows:
     """Keep users whose like counts over their liked seeds have Cov <= max_cov.
 
     The Cov is taken over nonzero cells only: it measures how evenly a
     user spreads interest across the seeds they actually engage with. A
     single liked seed passes trivially (Cov = 0).
     """
-    keep = []
-    for user_id, cells in matrix.rows.items():
-        counts = list(cells.values())
-        if len(counts) <= 1:
-            keep.append(user_id)
-        elif coefficient_of_variation(counts) <= max_cov:
-            keep.append(user_id)
-    return matrix.restrict(keep)
+    return {u: cells for u, cells in matrix.items()
+            if len(cells) <= 1
+            or coefficient_of_variation(list(cells.values())) <= max_cov}
 
 
-def threshold_grid(matrix: LikeMatrix,
+def threshold_grid(matrix: LikeRows,
                    l_axis=DEFAULT_L_AXIS,
-                   s_axis=DEFAULT_S_AXIS) -> GridTable:
-    """Count users clearing every (total likes >= l, distinct seeds >= s) pair."""
-    l_axis = tuple(l_axis)
-    s_axis = tuple(s_axis)
+                   s_axis=DEFAULT_S_AXIS) -> Grid:
+    """Count users clearing every (total likes >= l, distinct seeds >= s)
+    pair, as ``{(l, s): count}`` keyed in l-major order."""
+    l_axis = list(l_axis)
+    s_axis = list(s_axis)
     if not l_axis or not s_axis:
         raise CohortError("grid axes must be nonempty")
-    if list(l_axis) != sorted(l_axis) or list(s_axis) != sorted(s_axis):
+    if l_axis != sorted(set(l_axis)) or s_axis != sorted(set(s_axis)):
         raise CohortError("grid axes must be ascending")
     if min(l_axis) < 1 or min(s_axis) < 1:
         raise CohortError("grid axis values must be >= 1")
-    totals = [(matrix.row_total(u), matrix.distinct_seeds(u))
-              for u in matrix.rows]
-    entries = {}
-    for l in l_axis:
-        for s in s_axis:
-            entries[(l, s)] = sum(1 for total, distinct in totals
-                                  if total >= l and distinct >= s)
-    grid = GridTable(l_axis=l_axis, s_axis=s_axis, entries=entries)
-    grid.check_monotone()
-    return grid
+    totals = [(sum(cells.values()), len(cells)) for cells in matrix.values()]
+    return {(l, s): sum(1 for total, distinct in totals
+                        if total >= l and distinct >= s)
+            for l in l_axis for s in s_axis}
 
 
-def select_cohort(matrix: LikeMatrix, l_min: int, s_min: int) -> set[str]:
+def select_cohort(matrix: LikeRows, l_min: int, s_min: int) -> set[str]:
     """Users with row total >= l_min over at least s_min distinct seeds."""
     if l_min < 1 or s_min < 1:
         raise CohortError("thresholds must be >= 1")
-    return {u for u in matrix.rows
-            if matrix.row_total(u) >= l_min
-            and matrix.distinct_seeds(u) >= s_min}
+    return {u for u, cells in matrix.items()
+            if sum(cells.values()) >= l_min and len(cells) >= s_min}
 
 
-def auto_thresholds(grid: GridTable, target: int,
+def auto_thresholds(grid: Grid, target: int,
                     prefer: str = "nearest") -> tuple[int, int]:
     """Pick (l_min, s_min) from a grid so the cohort size lands near target.
 
@@ -163,12 +115,11 @@ def auto_thresholds(grid: GridTable, target: int,
     cell maximizing l_min * s_min, trading intensity against diversity;
     it falls back to "nearest" when no cell qualifies.
     """
-    if not grid.entries:
+    if not grid:
         raise CohortError("empty grid")
     if prefer not in THRESHOLD_PREFERENCES:
         raise CohortError(f"unknown threshold preference {prefer!r}")
-    cells = [(l, s, grid.entries[(l, s)])
-             for l in grid.l_axis for s in grid.s_axis]
+    cells = [(l, s, count) for (l, s), count in grid.items()]
     if prefer == "balanced":
         floor = target * (1.0 - BELOW_SLACK)
         window = [(l, s, c) for l, s, c in cells if floor <= c <= target]

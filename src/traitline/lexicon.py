@@ -80,6 +80,8 @@ def _load_tsv(path: Path, name: str) -> Lexicon:
                 raise LexiconError(
                     f"{path.name}: line {lineno}: expected word<TAB>category<TAB>flag")
             word, category, flag = (p.strip().lower() for p in parts)
+            if not category:
+                raise LexiconError(f"{path.name}: line {lineno}: empty category")
             if "*" in word:
                 raise LexiconError(
                     f"{path.name}: line {lineno}: {word!r}: TSV words match "

@@ -7,7 +7,6 @@ only and then applied unchanged to held-out rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -15,22 +14,6 @@ import numpy as np
 from .features import FeatureMatrix, parallel_map
 from .gbdt import (ModelError, TrainConfig, TreeEnsemble, predict_labels,
                    train_gbdt)
-
-
-@dataclass(frozen=True)
-class Metrics:
-    precision: float
-    recall: float
-    f1: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def as_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall,
-                "f1": self.f1, "confusion": {"tp": self.tp, "fp": self.fp,
-                                             "tn": self.tn, "fn": self.fn}}
 
 
 def impute(train: FeatureMatrix,
@@ -123,8 +106,9 @@ def stratified_kfold(matrix: FeatureMatrix, k: int,
     return out
 
 
-def evaluate(predicted: np.ndarray, truth: np.ndarray) -> Metrics:
-    """Precision/recall/F1 for the positive (engaged=1) class."""
+def evaluate(predicted: np.ndarray, truth: np.ndarray) -> dict:
+    """Precision/recall/F1 for the positive (engaged=1) class, as
+    ``{precision, recall, f1, confusion: {tp, fp, tn, fn}}``."""
     predicted = np.asarray(predicted, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if predicted.size == 0:
@@ -139,11 +123,11 @@ def evaluate(predicted: np.ndarray, truth: np.ndarray) -> Metrics:
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall else 0.0)
-    return Metrics(precision=precision, recall=recall, f1=f1,
-                   tp=tp, fp=fp, tn=tn, fn=fn)
+    return {"precision": precision, "recall": recall, "f1": f1,
+            "confusion": {"tp": tp, "fp": fp, "tn": tn, "fn": fn}}
 
 
-def baseline_majority(train: FeatureMatrix, test: FeatureMatrix) -> Metrics:
+def baseline_majority(train: FeatureMatrix, test: FeatureMatrix) -> dict:
     """Constant predictor of the most frequent training label (tie -> 1)."""
     n_pos = int(np.sum(train.labels == 1))
     n_neg = int(np.sum(train.labels == 0))
@@ -151,7 +135,7 @@ def baseline_majority(train: FeatureMatrix, test: FeatureMatrix) -> Metrics:
     return evaluate(np.full(test.n_rows, label, dtype=np.int64), test.labels)
 
 
-def baseline_random(test: FeatureMatrix, rng_seed: int) -> Metrics:
+def baseline_random(test: FeatureMatrix, rng_seed: int) -> dict:
     rng = np.random.default_rng(rng_seed)
     return evaluate(rng.integers(0, 2, size=test.n_rows), test.labels)
 
@@ -161,18 +145,18 @@ def train_on_matrix(train: FeatureMatrix, cfg: TrainConfig) -> TreeEnsemble:
                       train.columns, cfg)
 
 
-def evaluate_model(ensemble: TreeEnsemble, test: FeatureMatrix) -> Metrics:
+def evaluate_model(ensemble: TreeEnsemble, test: FeatureMatrix) -> dict:
     return evaluate(predict_labels(ensemble, test.values), test.labels)
 
 
 def _fold_metrics(matrix: FeatureMatrix, cfg: TrainConfig,
-                  fold: tuple[np.ndarray, np.ndarray]) -> Metrics:
+                  fold: tuple[np.ndarray, np.ndarray]) -> dict:
     train, test = impute(*(matrix.select_rows(idx) for idx in fold))
     return evaluate_model(train_on_matrix(train, cfg), test)
 
 
 def cross_validate(matrix: FeatureMatrix, cfg: TrainConfig, k: int,
-                   rng_seed: int, workers: int = 1) -> list[Metrics]:
+                   rng_seed: int, workers: int = 1) -> list[dict]:
     """Stratified k-fold metrics; imputation refit inside every fold. The
     folds run in a process pool when ``workers > 1``, with the same results."""
     return parallel_map(partial(_fold_metrics, matrix, cfg),
@@ -227,7 +211,7 @@ def _curve_point(train: FeatureMatrix, test: FeatureMatrix,
     # column position)
     columns = [c for c in train.columns if c in top]
     model = train_on_matrix(train.select_columns(columns), cfg)
-    return evaluate_model(model, test.select_columns(columns)).f1
+    return evaluate_model(model, test.select_columns(columns))["f1"]
 
 
 def f1_growth_curve(train: FeatureMatrix, test: FeatureMatrix,

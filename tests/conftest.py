@@ -31,3 +31,15 @@ def make_corpus(users=(), timelines=None, likes=(), follows=(), seeds=()):
         users={u.user_id: u for u in users},
         timelines=dict(timelines or {}),
         likes=list(likes), follows=list(follows), seeds=list(seeds))
+
+
+def assert_monotone(grid):
+    """A threshold grid's counts never rise along either axis."""
+    l_axis = sorted({l for l, _ in grid})
+    s_axis = sorted({s for _, s in grid})
+    for l, s in grid:
+        li, si = l_axis.index(l), s_axis.index(s)
+        if li:
+            assert grid[(l, s)] <= grid[(l_axis[li - 1], s)], (l, s)
+        if si:
+            assert grid[(l, s)] <= grid[(l, s_axis[si - 1])], (l, s)

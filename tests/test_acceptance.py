@@ -12,14 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_corpus, make_tweet, make_user
+from conftest import assert_monotone, make_corpus, make_tweet, make_user
 from test_features import (AS_OF, alice_expected, bob_expected, check_user,
                            oracle_corpus)
 from test_statkit import ref_cov, ref_dist_params
 from traitline import cli
-from traitline.cohort import (LikeMatrix, filter_cov,
-                              filter_follows_seed, select_cohort,
-                              threshold_grid)
+from traitline.cohort import (filter_cov, filter_follows_seed,
+                              select_cohort, threshold_grid)
 from traitline.features import TRAIT_GROUPS, user_features
 from traitline.statkit import coefficient_of_variation, dist_params
 from traitline.topics import cooccurrence_graph, top_k_subgraph
@@ -90,34 +89,33 @@ def test_acceptance_2_cohort_oracle_equivalence():
                          if rng.random() < density}
                 if cells:
                     rows[f"u{i:03d}"] = cells
-            matrix = LikeMatrix(seeds=seeds, rows=rows)
             followers = {u for u in rows if rng.random() < 0.7}
             corpus = make_corpus(
                 users=[make_user(u) for u in rows],
                 follows=[(u, rng.choice(seeds)) for u in followers],
                 seeds=seeds)
 
-            got_follow = set(filter_follows_seed(matrix, corpus).rows)
+            got_follow = set(filter_follows_seed(rows, corpus))
             assert got_follow == followers & set(rows)
 
-            got_cov = set(filter_cov(matrix, 1.0).rows)
+            got_cov = set(filter_cov(rows, 1.0))
             want_cov = {u for u, cells in rows.items()
                         if len(cells) == 1
                         or brute_cov(list(cells.values())) <= 1.0}
             assert got_cov == want_cov
 
-            grid = threshold_grid(matrix, l_axis, s_axis)
-            grid.check_monotone()
+            grid = threshold_grid(rows, l_axis, s_axis)
+            assert_monotone(grid)
             for l in l_axis:
                 for s in s_axis:
                     brute = {u for u, cells in rows.items()
                              if sum(cells.values()) >= l
                              and len(cells) >= s}
-                    assert grid.entries[(l, s)] == len(brute)
+                    assert grid[(l, s)] == len(brute)
             for l, s in ((1, 1), (25, 4), (10, 3), (35, 6)):
                 brute = {u for u, cells in rows.items()
                          if sum(cells.values()) >= l and len(cells) >= s}
-                assert select_cohort(matrix, l, s) == brute
+                assert select_cohort(rows, l, s) == brute
         elapsed = time.monotonic() - started
         assert elapsed < 30.0, f"cohort oracle check took {elapsed:.2f}s"
     except Exception:
@@ -265,7 +263,7 @@ def test_acceptance_7_replication_harness():
         def holdout_f1(m):
             train, test = stratified_split(m, 0.20, 42)
             train, test = impute(train, test)
-            return evaluate_model(train_on_matrix(train, cfg), test).f1
+            return evaluate_model(train_on_matrix(train, cfg), test)["f1"]
 
         f1 = {trait: holdout_f1(matrix.select_columns(cols))
               for trait, cols in TRAIT_GROUPS.items()}

@@ -65,9 +65,12 @@ def test_stagewise_run_matches_module_outputs(tmp_path, corpus_dir):
     with open(out / "grid.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(DEFAULT_L_AXIS) * len(DEFAULT_S_AXIS)
+    # the grid dict's key order fixes the row order: l-major
+    assert [(int(row["l_min"]), int(row["s_min"])) for row in rows] == [
+        (l, s) for l in DEFAULT_L_AXIS for s in DEFAULT_S_AXIS]
     for row in rows:
         key = (int(row["l_min"]), int(row["s_min"]))
-        assert grid.entries[key] == int(row["count"])
+        assert grid[key] == int(row["count"])
 
     assert run("cohort", "control", "--config", config) == 0
     control_doc = json.loads((out / "control.json").read_text())
@@ -339,6 +342,16 @@ def test_config_errors_reported_all_at_once(tmp_path):
           "test_fraction must be in (0, 1)", "k_folds must be >= 2",
           "grid axes must be ascending"]),
         ({"grid_s_axis": []}, ["grid axes must be nonempty"]),
+        # a repeated axis value would repeat its grid.csv row
+        ({"grid_l_axis": [1, 1, 5]}, ["grid axes must be ascending"]),
+        # target_size 0 or below would pick the emptiest grid cell
+        ({"l_min": None, "s_min": None, "target_size": 0},
+         ["target_size must be >= 1"]),
+        ({"l_min": None, "s_min": None, "target_size": -3},
+         ["target_size must be >= 1"]),
+        # a repeated or out-of-order k would repeat its curve.csv row
+        ({"curve_ks": [5, 5]}, ["curve_ks must be strictly ascending"]),
+        ({"curve_ks": [92, 3]}, ["curve_ks must be strictly ascending"]),
         # an axis value of 0 could become a threshold select_cohort rejects
         ({"grid_l_axis": [0], "l_min": None, "s_min": None,
           "target_size": 5}, ["grid axis values must be >= 1"]),

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus, make_tweet, make_user
-from traitline.cohort import (CREATION_BUCKETS, CohortError, GridTable,
-                              LikeMatrix, auto_thresholds, build_control,
+from conftest import assert_monotone, make_corpus, make_tweet, make_user
+from traitline.cohort import (CREATION_BUCKETS, CohortError,
+                              auto_thresholds, build_control,
                               build_like_matrix, creation_bucket,
                               eligible_controls, filter_cov,
                               filter_follows_seed, select_cohort,
@@ -29,12 +29,9 @@ PUBLISHED_GRID_ROWS = {
 }
 
 
-def published_grid() -> GridTable:
-    l_axis = tuple(sorted(PUBLISHED_GRID_ROWS))
-    s_axis = tuple(range(1, 8))
-    entries = {(l, s): PUBLISHED_GRID_ROWS[l][s - 1]
-               for l in l_axis for s in s_axis}
-    return GridTable(l_axis=l_axis, s_axis=s_axis, entries=entries)
+def published_grid() -> dict[tuple[int, int], int]:
+    return {(l, s): PUBLISHED_GRID_ROWS[l][s - 1]
+            for l in sorted(PUBLISHED_GRID_ROWS) for s in range(1, 8)}
 
 
 def likes_corpus(rows, seeds, follows=()):
@@ -49,6 +46,7 @@ def likes_corpus(rows, seeds, follows=()):
 
 
 def random_matrix(rng, n_users=200, n_seeds=6, density=0.5):
+    """A random like matrix and the seed list it is over."""
     seeds = [f"s{i}" for i in range(n_seeds)]
     rows = {}
     for i in range(n_users):
@@ -56,7 +54,7 @@ def random_matrix(rng, n_users=200, n_seeds=6, density=0.5):
                  if rng.random() < density}
         if cells:
             rows[f"u{i:04d}"] = cells
-    return LikeMatrix(seeds=seeds, rows=rows)
+    return rows, seeds
 
 
 # ---- like matrix -----------------------------------------------------------
@@ -64,14 +62,14 @@ def random_matrix(rng, n_users=200, n_seeds=6, density=0.5):
 def test_like_matrix_counts_repeat_likes():
     corpus = likes_corpus({"u1": {"sA": 2}}, seeds=["sA", "sB"])
     matrix = build_like_matrix(corpus)
-    assert matrix.rows == {"u1": {"sA": 2}}
+    assert matrix == {"u1": {"sA": 2}}
 
 
 def test_like_on_non_seed_ignored():
     corpus = likes_corpus({"u1": {"sA": 1}}, seeds=["sA"])
     corpus.likes.append(("u1", "not_a_seed", "p"))
     matrix = build_like_matrix(corpus)
-    assert matrix.rows == {"u1": {"sA": 1}}
+    assert matrix == {"u1": {"sA": 1}}
 
 
 def test_empty_seed_list_rejected():
@@ -86,7 +84,7 @@ def test_row_sums_match_like_totals():
     matrix = build_like_matrix(corpus)
     totals = Counter(u for u, s, _ in corpus.likes)
     for user in rows:
-        assert matrix.row_total(user) == totals[user]
+        assert sum(matrix[user].values()) == totals[user]
 
 
 # ---- filters ---------------------------------------------------------------
@@ -96,48 +94,61 @@ def test_follow_filter_drops_non_followers():
                           seeds=["sA"],
                           follows=[("follower", "sA")])
     matrix = filter_follows_seed(build_like_matrix(corpus), corpus)
-    assert set(matrix.rows) == {"follower"}
+    assert set(matrix) == {"follower"}
 
 
 def test_follow_of_non_seed_does_not_count():
     corpus = likes_corpus({"u1": {"sA": 3}}, seeds=["sA"],
                           follows=[("u1", "somebody_else")])
     matrix = filter_follows_seed(build_like_matrix(corpus), corpus)
-    assert matrix.rows == {}
+    assert matrix == {}
 
 
 def test_cov_filter_examples():
-    matrix = LikeMatrix(seeds=["a", "b", "c", "d"], rows={
+    matrix = {
         "even": {"a": 5, "b": 5, "c": 5},
         "spiky": {"a": 1, "b": 1, "c": 10},
         "single": {"d": 40},
-    })
+    }
     kept = filter_cov(matrix, max_cov=1.0)
-    assert set(kept.rows) == {"even", "single"}
+    assert set(kept) == {"even", "single"}
+
+
+def test_filters_return_new_matrix_sharing_rows():
+    matrix = {"even": {"a": 5, "b": 5}, "spiky": {"a": 1, "b": 10},
+              "lurker": {"a": 2}}
+    before = {u: dict(cells) for u, cells in matrix.items()}
+    corpus = make_corpus(follows=[("even", "a"), ("spiky", "b")],
+                         seeds=["a", "b"])
+    for kept in (filter_follows_seed(matrix, corpus),
+                 filter_cov(matrix, max_cov=0.5)):
+        assert kept is not matrix
+        assert all(kept[u] is matrix[u] for u in kept)
+    assert matrix == before
 
 
 def test_filters_match_brute_force_and_commute():
     rng = random.Random(13)
     for _ in range(25):
-        matrix = random_matrix(rng, n_users=60, n_seeds=5)
-        followers = {u for u in matrix.rows if rng.random() < 0.6}
+        matrix, seeds = random_matrix(rng, n_users=60, n_seeds=5)
+        followers = {u for u in matrix if rng.random() < 0.6}
         corpus = make_corpus(
-            users=[make_user(u) for u in matrix.rows],
-            follows=[(u, rng.choice(matrix.seeds)) for u in followers],
-            seeds=matrix.seeds)
+            users=[make_user(u) for u in matrix],
+            follows=[(u, rng.choice(seeds)) for u in followers],
+            seeds=seeds)
 
         got = filter_follows_seed(matrix, corpus)
-        assert set(got.rows) == {u for u in matrix.rows if u in followers}
+        assert set(got) == {u for u in matrix if u in followers}
 
         got_cov = filter_cov(matrix, 1.0)
-        want_cov = {u for u, cells in matrix.rows.items()
+        want_cov = {u for u, cells in matrix.items()
                     if len(cells) == 1
                     or coefficient_of_variation(list(cells.values())) <= 1.0}
-        assert set(got_cov.rows) == want_cov
+        assert set(got_cov) == want_cov
 
         a = filter_cov(filter_follows_seed(matrix, corpus), 1.0)
         b = filter_follows_seed(filter_cov(matrix, 1.0), corpus)
-        assert a.rows == b.rows
+        assert a == b
 
 
 @st.composite
@@ -153,8 +164,7 @@ def filter_inputs(draw):
     follows = draw(st.lists(st.tuples(st.sampled_from(accounts),
                                       st.sampled_from(accounts)),
                             max_size=20))
-    return (LikeMatrix(seeds=seeds, rows=rows),
-            make_corpus(follows=follows, seeds=seeds),
+    return (rows, make_corpus(follows=follows, seeds=seeds),
             draw(st.floats(0.0, 3.0)))
 
 
@@ -169,36 +179,35 @@ def test_follow_and_cov_filters_commute(data):
 # ---- threshold grid and selection -------------------------------------------
 
 def test_grid_single_user_row():
-    matrix = LikeMatrix(seeds=["a", "b", "c", "d"],
-                        rows={"u": {"a": 25, "b": 5, "c": 3, "d": 2}})
+    matrix = {"u": {"a": 25, "b": 5, "c": 3, "d": 2}}
     grid = threshold_grid(matrix, l_axis=(1, 5, 10, 15, 20, 25, 30, 35),
                           s_axis=(1, 2, 3, 4, 5, 6, 7))
     # total 35 likes over 4 distinct seeds
-    for l in grid.l_axis:
-        for s in grid.s_axis:
-            assert grid.entries[(l, s)] == (1 if l <= 35 and s <= 4 else 0)
+    assert len(grid) == 8 * 7
+    for (l, s), count in grid.items():
+        assert count == (1 if l <= 35 and s <= 4 else 0)
 
 
 def test_grid_empty_matrix_all_zero():
-    grid = threshold_grid(LikeMatrix(seeds=["a"], rows={}))
-    assert all(v == 0 for v in grid.entries.values())
+    grid = threshold_grid({})
+    assert all(v == 0 for v in grid.values())
 
 
 def test_grid_requires_ascending_axes():
-    matrix = LikeMatrix(seeds=["a"], rows={})
-    with pytest.raises(CohortError):
-        threshold_grid(matrix, l_axis=(5, 1), s_axis=(1,))
-    with pytest.raises(CohortError):
-        threshold_grid(matrix, l_axis=(), s_axis=(1,))
+    for l_axis, s_axis in (((5, 1), (1,)), ((1, 1, 5), (1,)),
+                           ((1,), (2, 2))):
+        with pytest.raises(CohortError, match="grid axes must be ascending"):
+            threshold_grid({}, l_axis=l_axis, s_axis=s_axis)
+    with pytest.raises(CohortError, match="grid axes must be nonempty"):
+        threshold_grid({}, l_axis=(), s_axis=(1,))
 
 
 def test_grid_rejects_axis_values_below_one():
     # a 0 on an axis could be picked by auto_thresholds, which select_cohort
     # then rejects after the corpus load
-    matrix = LikeMatrix(seeds=["a"], rows={})
     for l_axis, s_axis in (((0, 5), (1,)), ((1,), (-1, 2))):
         with pytest.raises(CohortError, match="grid axis values must be >= 1"):
-            threshold_grid(matrix, l_axis=l_axis, s_axis=s_axis)
+            threshold_grid({}, l_axis=l_axis, s_axis=s_axis)
 
 
 def test_grid_and_select_match_brute_force():
@@ -206,28 +215,29 @@ def test_grid_and_select_match_brute_force():
     l_axis = (1, 5, 10, 15)
     s_axis = (1, 2, 3, 4, 5)
     for _ in range(25):
-        matrix = random_matrix(rng, n_users=50, n_seeds=6)
+        matrix, _ = random_matrix(rng, n_users=50, n_seeds=6)
         grid = threshold_grid(matrix, l_axis, s_axis)
-        grid.check_monotone()
+        assert_monotone(grid)
+        assert list(grid) == [(l, s) for l in l_axis for s in s_axis]
         for l in l_axis:
             for s in s_axis:
-                brute = {u for u, cells in matrix.rows.items()
+                brute = {u for u, cells in matrix.items()
                          if sum(cells.values()) >= l and len(cells) >= s}
-                assert grid.entries[(l, s)] == len(brute)
+                assert grid[(l, s)] == len(brute)
                 assert select_cohort(matrix, l, s) == brute
 
 
 def test_select_cohort_trivial_thresholds():
     rng = random.Random(19)
-    matrix = random_matrix(rng)
-    assert select_cohort(matrix, 1, 1) == set(matrix.rows)
+    matrix, _ = random_matrix(rng)
+    assert select_cohort(matrix, 1, 1) == set(matrix)
     with pytest.raises(CohortError):
         select_cohort(matrix, 0, 1)
 
 
 def test_select_cohort_nesting():
     rng = random.Random(23)
-    matrix = random_matrix(rng)
+    matrix, _ = random_matrix(rng)
     assert select_cohort(matrix, 10, 3) <= select_cohort(matrix, 5, 2)
     assert select_cohort(matrix, 8, 4) <= select_cohort(matrix, 8, 1)
 
@@ -235,30 +245,26 @@ def test_select_cohort_nesting():
 # ---- auto thresholds --------------------------------------------------------
 
 def test_auto_thresholds_exact_cell():
-    grid = GridTable(l_axis=(1, 5), s_axis=(1, 2),
-                     entries={(1, 1): 100, (1, 2): 40, (5, 1): 60,
-                              (5, 2): 20})
+    grid = {(1, 1): 100, (1, 2): 40, (5, 1): 60, (5, 2): 20}
     assert auto_thresholds(grid, 60) == (5, 1)
 
 
 def test_auto_thresholds_tie_prefers_diversity():
     # cells at distance 10 from target 50: (1,1)=60 and (5,2)=40
-    grid = GridTable(l_axis=(1, 5), s_axis=(1, 2),
-                     entries={(1, 1): 60, (1, 2): 40, (5, 1): 60,
-                              (5, 2): 40})
+    grid = {(1, 1): 60, (1, 2): 40, (5, 1): 60, (5, 2): 40}
     assert auto_thresholds(grid, 50) == (5, 2)
 
 
 def test_auto_thresholds_published_grid():
     grid = published_grid()
-    grid.check_monotone()
+    assert_monotone(grid)
     # plain nearest-count rule
     assert auto_thresholds(grid, 10_000) == (20, 4)
     # closest-below-with-diversity preference reproduces the documented
     # (25, 4) choice with 7394 users
     l, s = auto_thresholds(grid, 10_000, prefer="balanced")
     assert (l, s) == (25, 4)
-    assert grid.entries[(l, s)] == 7394
+    assert grid[(l, s)] == 7394
 
 
 def test_auto_thresholds_unknown_preference():

@@ -47,6 +47,16 @@ def test_tsv_bad_flag_rejected(tmp_path):
         load_lexicon(path)
 
 
+def test_tsv_empty_category_rejected_with_file_and_line(tmp_path):
+    # an empty category used to load and give a column named after the
+    # lexicon alone, e.g. emo_
+    path = tmp_path / "emo.tsv"
+    path.write_text("calm\tjoy\t1\njoy\t\t1\n")
+    with pytest.raises(LexiconError,
+                       match=r"^emo\.tsv: line 2: empty category$"):
+        load_lexicon(path)
+
+
 @pytest.mark.parametrize("word", ["da*mn", "damn*"])
 def test_tsv_wildcard_rejected_with_file_and_line(tmp_path, word):
     # TSV lexicons match exactly: an inner * never matches, and a trailing

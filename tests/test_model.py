@@ -171,21 +171,21 @@ def test_stratified_kfold_rejects_single_fold():
 def test_evaluate_all_positive_on_balanced():
     truth = np.array([1] * 10 + [0] * 10)
     m = evaluate(np.ones(20, dtype=int), truth)
-    assert m.precision == 0.5
-    assert m.recall == 1.0
-    assert m.f1 == pytest.approx(2 / 3, abs=1e-12)
-    assert (m.tp, m.fp, m.tn, m.fn) == (10, 10, 0, 0)
+    assert m["precision"] == 0.5
+    assert m["recall"] == 1.0
+    assert m["f1"] == pytest.approx(2 / 3, abs=1e-12)
+    assert m["confusion"] == {"tp": 10, "fp": 10, "tn": 0, "fn": 0}
 
 
 def test_evaluate_perfect():
     truth = np.array([1, 0, 1, 0])
     m = evaluate(truth.copy(), truth)
-    assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
+    assert (m["precision"], m["recall"], m["f1"]) == (1.0, 1.0, 1.0)
 
 
 def test_evaluate_no_positive_predictions():
     m = evaluate(np.zeros(4, dtype=int), np.array([1, 1, 0, 0]))
-    assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
+    assert (m["precision"], m["recall"], m["f1"]) == (0.0, 0.0, 0.0)
 
 
 def test_evaluate_empty_rejected():
@@ -197,22 +197,22 @@ def test_majority_baseline_balanced_train_predicts_positive():
     train = labeled_noise_matrix(n_per_class=10)
     test = labeled_noise_matrix(n_per_class=5, seed=1)
     m = baseline_majority(train, test)
-    assert m.precision == 0.5
-    assert m.recall == 1.0
-    assert m.f1 == pytest.approx(2 / 3, abs=1e-12)
+    assert m["precision"] == 0.5
+    assert m["recall"] == 1.0
+    assert m["f1"] == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_majority_baseline_follows_train_majority():
     train = matrix_of(np.zeros((10, 1)), [0] * 7 + [1] * 3)
     test = matrix_of(np.zeros((4, 1)), [1, 1, 0, 0])
     m = baseline_majority(train, test)
-    assert (m.tp, m.fp) == (0, 0)
-    assert m.f1 == 0.0
+    assert (m["confusion"]["tp"], m["confusion"]["fp"]) == (0, 0)
+    assert m["f1"] == 0.0
 
 
 def test_random_baseline_near_half():
     test = labeled_noise_matrix(n_per_class=500, seed=3)
-    f1s = [baseline_random(test, seed).f1 for seed in range(10)]
+    f1s = [baseline_random(test, seed)["f1"] for seed in range(10)]
     assert abs(sum(f1s) / len(f1s) - 0.5) < 0.05
 
 
@@ -226,7 +226,7 @@ def test_separating_feature_dominates_importance():
     assert report[0][0] == "f1"
     assert report[0][1] > 0.5
     assert sum(share for _, share in report) == pytest.approx(1.0, abs=1e-9)
-    assert evaluate_model(ensemble, impute(train, test)[1]).f1 == 1.0
+    assert evaluate_model(ensemble, impute(train, test)[1])["f1"] == 1.0
 
 
 def test_feature_report_requires_splits():
@@ -242,7 +242,7 @@ def test_growth_curve_final_point_equals_full_model():
     train, test = stratified_split(m, TEST_FRACTION, SPLIT_SEED)
     train, test = impute(train, test)
     ensemble = train_on_matrix(train, cfg)
-    full_f1 = evaluate_model(ensemble, test).f1
+    full_f1 = evaluate_model(ensemble, test)["f1"]
     ranking = importance_ranking(ensemble)
     curve = f1_growth_curve(train, test, ranking, cfg, ks=[1, 2, 4])
     assert curve[-1] == (4, full_f1)
@@ -267,7 +267,7 @@ def resplit_curve_point(matrix, ranking, cfg, k):
     top = set(ranking[:k])
     sub = matrix.select_columns([c for c in matrix.columns if c in top])
     train, test = impute(*stratified_split(sub, TEST_FRACTION, SPLIT_SEED))
-    return evaluate_model(train_on_matrix(train, cfg), test).f1
+    return evaluate_model(train_on_matrix(train, cfg), test)["f1"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -376,11 +376,11 @@ def test_cross_validate_returns_fold_metrics():
     m = labeled_noise_matrix(n_per_class=20, separate_col=0)
     results = cross_validate(m, small_cfg(), 4, SPLIT_SEED)
     assert len(results) == 4
-    assert all(r.f1 == 1.0 for r in results)
+    assert all(r["f1"] == 1.0 for r in results)
 
 
 def test_cross_validate_pool_matches_serial():
     m = labeled_noise_matrix(n_per_class=20, n_features=4, seed=3)
     serial = cross_validate(m, small_cfg(), 4, SPLIT_SEED, workers=1)
-    assert len({r.f1 for r in serial}) > 1
+    assert len({r["f1"] for r in serial}) > 1
     assert cross_validate(m, small_cfg(), 4, SPLIT_SEED, workers=2) == serial

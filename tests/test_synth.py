@@ -253,7 +253,7 @@ def test_downstream_separability_monotone_in_separation():
         fm = feature_matrix(corpus, planted, rest, default_snapshot(corpus))
         train, test = stratified_split(fm, 0.25, 3)
         train, test = impute(train, test)
-        f1s.append(evaluate_model(train_on_matrix(train, cfg), test).f1)
+        f1s.append(evaluate_model(train_on_matrix(train, cfg), test)["f1"])
     assert f1s[0] <= f1s[1] + 0.05
     assert f1s[1] <= f1s[2] + 0.05
     assert f1s[2] - f1s[0] >= 0.1
