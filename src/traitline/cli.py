@@ -510,9 +510,11 @@ class Runner:
         ensemble = self.ensemble()
         ranking = model.importance_ranking(ensemble)
         n = len(ranking)
-        ks = [k for k in (cfg.curve_ks or []) if k <= n]
-        if not ks:
-            ks = list(range(1, n + 1))
+        ks = list(cfg.curve_ks or range(1, n + 1))  # null or []: every k
+        unusable = [k for k in ks if k > n]
+        if unusable:
+            raise StageError("curve", f"curve_ks entries {unusable} exceed "
+                             f"the {n} feature columns")
         if ks[-1] != n:
             ks.append(n)
         train, test = self.partition()

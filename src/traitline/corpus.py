@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import NamedTuple
 
@@ -414,46 +415,72 @@ def validate_corpus(corpus: Corpus) -> dict[str, list]:
     return report
 
 
-# a record's own fields, with the timestamps in ISO-8601 (JSON writes the
-# tuples as lists)
 def _user_to_json(u: UserRecord) -> dict:
+    """A user's own fields, with the timestamps in ISO-8601."""
     return u._asdict() | {"created_at": format_timestamp(u.created_at),
                           "snapshot_at": format_timestamp(u.snapshot_at)}
-
-
-def _tweet_to_json(t: TweetRecord) -> dict:
-    obj = t._asdict()
-    obj["created_at"] = format_timestamp(t.created_at)
-    if t.lang is None:
-        del obj["lang"]
-    return obj
 
 
 # ``json.dumps(obj, sort_keys=True)``, without building an encoder per call
 _encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
+def _quote_list(values: tuple[str, ...]) -> str:
+    return "[" + ", ".join(map(_quote, values)) + "]" if values else "[]"
+
+
+def _tweet_lines(timelines: dict[str, list[TweetRecord]]):
+    """The lines of ``tweets.jsonl``, keys in sorted order; ``created_at``
+    is written as ``format_timestamp`` writes it, from a table of day
+    prefixes and the time of day."""
+    days: dict[int, str] = {}  # epoch day -> "YYYY-MM-DDT"
+    for uid in sorted(timelines):
+        for t in timelines[uid]:
+            day, second = divmod(t.created_at, 86400)
+            date = days.get(day)
+            if date is None:
+                date = days[day] = format_timestamp(day * 86400)[:11]
+            hour, second = divmod(second, 3600)
+            minute, second = divmod(second, 60)
+            lang = "" if t.lang is None else f'"lang": {_quote(t.lang)}, '
+            retweeted = ("null" if t.retweeted_author is None
+                         else _quote(t.retweeted_author))
+            yield (f'{{"author_id": {_quote(t.author_id)}, "created_at": '
+                   f'"{date}{hour:02d}:{minute:02d}:{second:02d}Z", '
+                   f'"hashtags": {_quote_list(t.hashtags)}, '
+                   f'"kind": {_quote(t.kind)}, {lang}'
+                   f'"mentions": {_quote_list(t.mentions)}, '
+                   f'"retweeted_author": {retweeted}, '
+                   f'"text": {_quote(t.text)}, '
+                   f'"tweet_id": {_quote(t.tweet_id)}, '
+                   f'"urls": {_quote_list(t.urls)}}}\n')
+
+
 def save_corpus(corpus: Corpus, paths: CorpusPaths) -> None:
-    """Write a corpus back to disk in the load schema (round-trip safe)."""
+    """Write a corpus back to disk in the load schema (round-trip safe).
+
+    Each line is ``json.dumps(obj, sort_keys=True)`` of a record's fields,
+    timestamps in ISO-8601 and a tweet's ``lang`` only when set; for speed
+    the tweet, like and follow lines are built from the fields directly.
+    """
     for p in (paths.users, paths.tweets, paths.likes, paths.follows,
               paths.seeds):
         Path(p).parent.mkdir(parents=True, exist_ok=True)
     with open(paths.users, "w", encoding="utf-8") as fh:
-        for uid in sorted(corpus.users):
-            fh.write(_encode_sorted(_user_to_json(corpus.users[uid])) + "\n")
+        fh.writelines(_encode_sorted(_user_to_json(corpus.users[uid])) + "\n"
+                      for uid in sorted(corpus.users))
     with open(paths.tweets, "w", encoding="utf-8") as fh:
-        for uid in sorted(corpus.timelines):
-            for tweet in corpus.timelines[uid]:
-                fh.write(_encode_sorted(_tweet_to_json(tweet)) + "\n")
+        fh.writelines(_tweet_lines(corpus.timelines))
     with open(paths.likes, "w", encoding="utf-8") as fh:
-        for user_id, seed_id, liked_tweet_id in corpus.likes:
-            fh.write(_encode_sorted({"user_id": user_id, "seed_id": seed_id,
-                                     "liked_tweet_id": liked_tweet_id})
-                     + "\n")
+        fh.writelines(
+            f'{{"liked_tweet_id": {_quote(liked)}, "seed_id": '
+            f'{_quote(seed_id)}, "user_id": {_quote(user_id)}}}\n'
+            for user_id, seed_id, liked in corpus.likes)
     with open(paths.follows, "w", encoding="utf-8") as fh:
-        for follower, followee in corpus.follows:
-            fh.write(_encode_sorted({"follower_id": follower,
-                                     "followee_id": followee}) + "\n")
+        fh.writelines(
+            f'{{"followee_id": {_quote(followee)}, "follower_id": '
+            f'{_quote(follower)}}}\n'
+            for follower, followee in corpus.follows)
     with open(paths.seeds, "w", encoding="utf-8") as fh:
         json.dump(corpus.seeds, fh)
         fh.write("\n")

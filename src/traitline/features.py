@@ -30,7 +30,9 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .corpus import Corpus, TweetRecord
-from .statkit import PARAM_NAMES, dist_params, entropy_from_counts
+from .statkit import PARAM_NAMES, dist_params
+# unused here, but perfbench/tracing.py wraps it by this name
+from .statkit import entropy_from_counts  # noqa: F401
 
 TOKENIZER_VERSION = "1"
 
@@ -217,23 +219,14 @@ def _dist_values(base: str, sample: list[float]) -> dict[str, float]:
     return dict(zip(_dist_cols(base), dist_params(sample)))
 
 
-def pair_token_entropy(a: TokenizedTweet, b: TokenizedTweet) -> float | None:
-    """Entropy (bits) of the token-frequency distribution of two posts
-    taken together; None when the pair carries no tokens."""
-    counts = Counter(a.tokens)
-    counts.update(b.tokens)
-    if not counts:
-        return None
-    return entropy_from_counts(counts.values())
-
-
 def pair_entropies(timeline: list[TokenizedTweet]) -> list[float]:
-    """``pair_token_entropy`` of each adjacent pair that carries tokens, in
-    timeline order, from one numpy pass over all the pairs' counts.
+    """For each adjacent pair of posts that carries tokens, in timeline
+    order, the entropy (bits) of the token-frequency distribution of the two
+    posts taken together, from one numpy pass over all the pairs' counts.
 
     Each term p * log2(p) is computed elementwise and each pair's terms are
     summed over their own slice, in ``Counter`` order, so every entropy has
-    the bits the one-pair function gives.
+    the bits ``entropy_from_counts`` gives on the pair's ``Counter``.
     """
     counts: list[int] = []
     totals: list[int] = []
@@ -453,15 +446,23 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
-        """Read a ``to_csv`` file; a malformed row raises FeatureError naming
-        the file and line."""
+        """Read a ``to_csv`` file; a malformed header or row raises
+        FeatureError naming the file and line."""
         name = Path(path).name
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
+            header = next(reader, None)
+            if header is None:
+                raise FeatureError(f"{name}: line 1: empty file, expected a "
+                                   f"header ending with user_id,label")
             if header[-2:] != ["user_id", "label"]:
-                raise FeatureError("feature CSV must end with user_id,label")
+                raise FeatureError(f"{name}: line 1: header must end with "
+                                   f"user_id,label")
             columns = header[:-2]
+            try:
+                check_unique_columns(columns)
+            except FeatureError as exc:
+                raise FeatureError(f"{name}: line 1: {exc}") from None
             numeric = range(len(columns))
             user_ids, labels, rows = [], [], []
             seen: set[str] = set()

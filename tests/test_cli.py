@@ -180,6 +180,25 @@ def test_curve_reuses_trained_model_for_all_columns(tmp_path, corpus_dir,
     assert float(points[1]["f1"]) == metrics["model"]["f1"]
 
 
+def test_curve_rejects_ks_above_the_column_count(tmp_path, corpus_dir,
+                                                 capsys):
+    out = tmp_path / "big_k"
+    config = config_file(tmp_path, corpus_dir, out, n_trees=5,
+                         curve_ks=[3, 200, 300])
+    assert run("pipeline", "run", "--config", config) == 1
+    assert ("stage curve: curve_ks entries [200, 300] exceed the 92 "
+            "feature columns") in capsys.readouterr().err
+    assert not (out / "curve.csv").exists()
+    # only null or [] asks for every k
+    for every_k in (None, []):
+        config = config_file(tmp_path, corpus_dir, out, n_trees=5,
+                             curve_ks=every_k)
+        assert run("curve", "--config", config) == 0
+        with open(out / "curve.csv") as fh:
+            ks = [int(row["k"]) for row in csv.DictReader(fh)]
+        assert ks == list(range(1, 93))
+
+
 def test_pipeline_drops_corpus_after_its_last_reader(tmp_path, corpus_dir,
                                                      monkeypatch):
     loaded, seen = [], {}

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from conftest import make_corpus, make_tweet, make_user
 from traitline import corpus as loader
 from traitline.corpus import (MAX_EPOCH, MIN_EPOCH, TWEET_KINDS, CorpusError,
-                              CorpusPaths, format_timestamp, load_corpus,
-                              parse_timestamp, record_counts, save_corpus,
-                              validate_corpus)
+                              CorpusPaths, TweetRecord, format_timestamp,
+                              load_corpus, parse_timestamp, record_counts,
+                              save_corpus, validate_corpus)
 from traitline.features import tokenize_tweet
 
 
@@ -470,6 +470,57 @@ def test_save_load_round_trips_unicode(tmp_path_factory, text, bio, language,
     paths = CorpusPaths.in_dir(tmp_path_factory.mktemp("corpus"))
     save_corpus(corpus, paths)
     assert load_corpus(paths) == corpus
+
+
+# The writer's old path, verbatim: a dict of the tweet's fields encoded by
+# json.dumps with sorted keys. save_corpus builds the same bytes directly.
+def _tweet_to_json(t: TweetRecord) -> dict:
+    obj = t._asdict()
+    obj["created_at"] = format_timestamp(t.created_at)
+    if t.lang is None:
+        del obj["lang"]
+    return obj
+
+
+def oracle_lines(corpus):
+    tweets = [json.dumps(_tweet_to_json(tweet), sort_keys=True) + "\n"
+              for uid in sorted(corpus.timelines)
+              for tweet in corpus.timelines[uid]]
+    likes = [json.dumps({"user_id": user_id, "seed_id": seed_id,
+                         "liked_tweet_id": liked_tweet_id},
+                        sort_keys=True) + "\n"
+             for user_id, seed_id, liked_tweet_id in corpus.likes]
+    follows = [json.dumps({"follower_id": follower, "followee_id": followee},
+                          sort_keys=True) + "\n"
+               for follower, followee in corpus.follows]
+    return {"tweets.jsonl": tweets, "likes.jsonl": likes,
+            "follows.jsonl": follows}
+
+
+STRINGS = st.lists(st.text(), max_size=3).map(tuple)
+TWEETS = st.builds(
+    TweetRecord, tweet_id=st.text(), author_id=st.text(),
+    # years 1 to 9999, so zero-padded years before 1000 are drawn too
+    created_at=st.integers(MIN_EPOCH, MAX_EPOCH), kind=st.text(),
+    text=st.text(), hashtags=STRINGS, urls=STRINGS, mentions=STRINGS,
+    retweeted_author=OPTIONAL_TEXT, lang=OPTIONAL_TEXT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tweets=st.lists(TWEETS, max_size=6),
+       likes=st.lists(st.tuples(st.text(), st.text(), st.text()), max_size=3),
+       follows=st.lists(st.tuples(st.text(), st.text()), max_size=3))
+def test_written_lines_match_json_dumps(tmp_path_factory, tweets, likes,
+                                        follows):
+    timelines = {}
+    for tweet in tweets:
+        timelines.setdefault(tweet.author_id, []).append(tweet)
+    corpus = make_corpus(timelines=timelines, likes=likes, follows=follows)
+    out = tmp_path_factory.mktemp("lines")
+    save_corpus(corpus, CorpusPaths.in_dir(out))
+    for name, want in oracle_lines(corpus).items():
+        got = (out / name).read_bytes().decode("ascii")
+        assert got.splitlines(keepends=True) == want, name
 
 
 # ---- validation ------------------------------------------------------------

@@ -21,9 +21,9 @@ from traitline.features import (FEATURE_COLUMNS, FeatureError, FeatureMatrix,
                                 default_snapshot, feature_matrix,
                                 initiative_features, language_novelty_series,
                                 TokenizedTweet, pair_entropies,
-                                pair_token_entropy, parallel_map,
-                                registered_domain,
+                                parallel_map, registered_domain,
                                 tokenize, tokenize_timeline, user_features)
+from traitline.statkit import entropy_from_counts
 
 LOG2 = math.log2
 
@@ -366,6 +366,17 @@ def test_retweeted_accounts_counts_per_author():
     assert feats["retweeted_accounts_mean"] == 1.5
 
 
+def pair_token_entropy(a, b):
+    """Entropy (bits) of the token-frequency distribution of two posts
+    taken together; None when the pair carries no tokens. The one-pair
+    definition that ``pair_entropies`` batches."""
+    counts = Counter(a.tokens)
+    counts.update(b.tokens)
+    if not counts:
+        return None
+    return entropy_from_counts(counts.values())
+
+
 def test_pair_entropy_uniform_pair():
     a, b = tokenize_timeline([make_tweet("x1", "u", 1, text="one two"),
                               make_tweet("x2", "u", 2, text="three four")])
@@ -547,9 +558,21 @@ def test_duplicate_column_names_rejected(tmp_path):
     with pytest.raises(FeatureError, match="duplicate column name: a"):
         FeatureMatrix(columns=["a", "b", "a"], user_ids=["u"],
                       labels=np.array([1]), values=np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("text,error", [
+    ("", "empty file, expected a header ending with user_id,label"),
+    ("a,b,label,user_id\n1.0,2.0,1,u\n",
+     "header must end with user_id,label"),
+    ("a,b,a,user_id,label\n1.0,2.0,3.0,u,1\n", "duplicate column name: a"),
+], ids=["empty", "no-key-tail", "repeated-column"])
+def test_from_csv_bad_header_rejected_with_file_and_line(tmp_path, text,
+                                                         error):
+    # none of these named the file before
     path = tmp_path / "features.csv"
-    path.write_text("a,b,a,user_id,label\n1.0,2.0,3.0,u,1\n")
-    with pytest.raises(FeatureError, match="duplicate column name: a"):
+    path.write_text(text)
+    with pytest.raises(FeatureError,
+                       match=r"^features\.csv: line 1: " + error + "$"):
         FeatureMatrix.from_csv(path)
 
 
