@@ -309,7 +309,8 @@ class Runner:
     def corpus(self) -> Corpus:
         """The corpus, loaded on first use and held until ``drop_corpus``."""
         if self._corpus is None:
-            self._corpus = load_corpus(self.corpus_paths)
+            self._corpus = load_corpus(self.corpus_paths,
+                                       workers=self.config.workers)
             self._corpus_digests = {p: file_sha256(p)
                                     for p in self.corpus_files()}
         return self._corpus

@@ -8,32 +8,43 @@ disk and normalized to UTC epoch seconds on load. Timelines are sorted
 ascending by timestamp with tweet_id as the tie-break so downstream
 consecutive-pair features are deterministic.
 
-Records are read-only named tuples, and the loader holds each repeated
-string (ids, kinds, languages, hashtags, urls and mentions) once, through
-``sys.intern``; tweet ids, texts and bios are not shared.
+Users, likes and follows are held as read-only named tuples, and every
+repeated string (ids, kinds, languages, hashtags, urls and mentions) once,
+through ``sys.intern``. Tweets are held as one columnar ``TweetTable``;
+``Corpus.timeline`` builds a user's ``TweetRecord``s from it on demand.
 
-Each line is decoded by the C scanner behind ``json.loads``, which must
+A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in text mode. Each
+line is decoded by the C scanner behind ``json.loads``, which must
 consume the whole line; a line it rejects goes to ``json.loads`` for the
 error message. Each parser then checks its record in one pass: every
 field's type where it is read, in a fixed order, and then the record's
 invariants (a known tweet kind; user counts ``>= 0`` and ``created_at``
 no later than ``snapshot_at``), so the first bad field names the error.
+``tweets.jsonl`` is parsed in byte ranges of whole lines, one per worker,
+and the ranges are merged into the table; every error reads as the
+one-range load reports it.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
+import tempfile
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
+from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import eq, lt, ne
 from pathlib import Path
 from typing import NamedTuple
 
 TWEET_KINDS = ("original", "retweet", "reply", "quote")
 _ID = (str, int)  # JSON types of an id, matched exactly: a bool is no int
+_STR = {str}
 
 
 class CorpusError(ValueError):
@@ -47,8 +58,10 @@ MIN_EPOCH, MAX_EPOCH = -62135596800, 253402300799
 def parse_timestamp(value) -> int:
     """ISO-8601 string (or integral epoch number) -> UTC epoch seconds.
 
-    Booleans, fractional and non-finite numbers are rejected rather than
-    truncated, and so is any instant outside years 1 to 9999 UTC.
+    Booleans, fractional seconds (as a number or in the string; an
+    all-zero fraction such as ``.000`` is whole) and non-finite numbers are
+    rejected rather than truncated, and so is any instant outside years 1
+    to 9999 UTC.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if isinstance(value, float) and not value.is_integer():  # nan, inf
@@ -65,9 +78,12 @@ def parse_timestamp(value) -> int:
         dt = datetime.fromisoformat(text)
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
-        return int(dt.astimezone(timezone.utc).timestamp())
+        epoch = dt.astimezone(timezone.utc).timestamp()
     except (ValueError, OverflowError) as exc:  # an offset past year 1 or 9999
         raise CorpusError(f"bad timestamp {value!r}: {exc}") from None
+    if dt.microsecond:
+        raise CorpusError(f"bad timestamp {value!r}: not a whole second")
+    return int(epoch)
 
 
 def format_timestamp(epoch: int) -> str:
@@ -103,23 +119,379 @@ class TweetRecord(NamedTuple):
     lang: str | None = None
 
 
+def _utf8(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")  # JSON allows lone surrogates
+
+
+class TweetTable:
+    """Every tweet of a corpus as columns, one row per tweet.
+
+    Rows are grouped by author, each author's rows in timeline order
+    (``created_at``, then ``tweet_id``), and the authors are in order of
+    first appearance. The author column is held by run: ``authors[i]``
+    wrote rows ``bounds[i]`` to ``bounds[i + 1]``. ``created_at`` is an
+    int64 column. ``kind``, ``lang`` and ``retweeted`` are codes into
+    ``strings``, the table's pool of interned strings, with -1 for None.
+    The ragged columns are pairs ``(values, offsets)``, row r being
+    ``values[offsets[r]:offsets[r + 1]]``: ``tweet_id`` and ``text`` hold
+    UTF-8 bytes, ``hashtags``, ``urls`` and ``mentions`` pool codes.
+
+    ``from_records`` is the one constructor; the loader builds the same
+    table from its byte ranges.
+    """
+
+    def __init__(self, authors, bounds, strings, created_at, kind, lang,
+                 retweeted, tweet_id, text, hashtags, urls, mentions):
+        self.authors: list[str] = authors
+        self.bounds: array = bounds
+        self.strings: list[str] = strings
+        self.created_at: array = created_at
+        self.kind: array = kind
+        self.lang: array = lang
+        self.retweeted: array = retweeted
+        self.tweet_id: tuple[bytearray, array] = tweet_id
+        self.text: tuple[bytearray, array] = text
+        self.hashtags: tuple[array, array] = hashtags
+        self.urls: tuple[array, array] = urls
+        self.mentions: tuple[array, array] = mentions
+        self.position = {author: i for i, author in enumerate(authors)}
+        self._lookup = strings + [None]  # code -> string, and -1 -> None
+
+    @classmethod
+    def from_records(cls, records) -> "TweetTable":
+        """The table of ``records``, grouped and ordered as above."""
+        rows = _Rows()
+        rows.extend(records)
+        return _table([rows])
+
+    def __len__(self) -> int:
+        return self.bounds[-1]
+
+    def __repr__(self) -> str:
+        return (f"<TweetTable: {len(self)} tweets by {len(self.authors)} "
+                f"authors>")
+
+    def __eq__(self, other) -> bool:
+        """Equal timelines, whatever the order of authors and pools."""
+        if not isinstance(other, TweetTable):
+            return NotImplemented
+        return (len(self) == len(other)
+                and self.position.keys() == other.position.keys()
+                and all(self.timeline(a) == other.timeline(a)
+                        for a in self.authors))
+
+    def rows(self, author: str) -> range:
+        """The rows of the author's timeline; empty for an unknown author."""
+        i = self.position.get(author)
+        return range(0) if i is None else range(self.bounds[i],
+                                                self.bounds[i + 1])
+
+    def tweet_ids(self, rows) -> list[str]:
+        blob, at = self.tweet_id
+        return [_unicode(blob[at[r]:at[r + 1]]) for r in rows]
+
+    def _strings(self, column, lo: int, hi: int) -> list[str]:
+        """Rows ``lo:hi`` of a UTF-8 column, decoded at once."""
+        blob, at = column
+        base = at[lo]
+        segment = blob[base:at[hi]]
+        text = _unicode(segment)
+        cut = at[lo:hi + 1]
+        pairs = zip(cut, islice(cut, 1, None))
+        if len(text) == len(segment):  # ASCII: a byte is a character
+            return [text[a - base:b - base] for a, b in pairs]
+        return [_unicode(segment[a - base:b - base]) for a, b in pairs]
+
+    def _lists(self, column, lo: int, hi: int) -> list[tuple[str, ...]]:
+        """Rows ``lo:hi`` of a column of string lists."""
+        codes, at = column
+        base = at[lo]
+        names = list(map(self._lookup.__getitem__, codes[base:at[hi]]))
+        cut = at[lo:hi + 1]
+        return [tuple(names[a - base:b - base]) if a != b else ()
+                for a, b in zip(cut, islice(cut, 1, None))]
+
+    def hashtag_lists(self, author: str) -> list[tuple[str, ...]]:
+        """Each of the author's tweets' hashtags, in timeline order."""
+        rows = self.rows(author)
+        return self._lists(self.hashtags, rows.start, rows.stop)
+
+    def timeline(self, author: str) -> list[TweetRecord]:
+        """The author's tweets as fresh records, in timeline order."""
+        rows = self.rows(author)
+        if not rows:
+            return []
+        lo, hi = rows.start, rows.stop
+        lookup = self._lookup.__getitem__
+        new = tuple.__new__
+        return [new(TweetRecord, fields) for fields in zip(
+            self._strings(self.tweet_id, lo, hi),
+            repeat(self.authors[self.position[author]]),
+            self.created_at[lo:hi], map(lookup, self.kind[lo:hi]),
+            self._strings(self.text, lo, hi),
+            self._lists(self.hashtags, lo, hi), self._lists(self.urls, lo, hi),
+            self._lists(self.mentions, lo, hi),
+            map(lookup, self.retweeted[lo:hi]), map(lookup, self.lang[lo:hi]))]
+
+
+class _Pool(dict):
+    """String -> code, each new string taking the next code; None is -1."""
+
+    def __init__(self):
+        super().__init__({None: -1})
+
+    def __missing__(self, key: str) -> int:
+        code = self[key] = len(self) - 1
+        return code
+
+
+_BATCH = 1024  # records packed into columns at a time
+
+# The column pieces of a part of a table, with their array typecodes ("B":
+# a bytearray of UTF-8). A ragged column's "_len" piece holds each row's
+# count of bytes or codes.
+_PIECES = {"author": "i", "created_at": "q", "kind": "i", "lang": "i",
+           "retweeted": "i", "tweet_id": "B", "tweet_id_len": "i",
+           "text": "B", "text_len": "i", "hashtags": "i", "hashtags_len": "i",
+           "urls": "i", "urls_len": "i", "mentions": "i", "mentions_len": "i"}
+_RAGGED = ("tweet_id", "text", "hashtags", "urls", "mentions")
+_CODED = ("kind", "lang", "retweeted", "hashtags", "urls", "mentions")
+
+
+def _allocate(typecode: str, n: int):
+    """A zeroed column of ``n`` items, allocated at its final size."""
+    return bytearray(n) if typecode == "B" else array(typecode, [0]) * n
+
+
+class _Rows:
+    """Tweets in file order as the column pieces of a table (``_PIECES``):
+    what one byte range of ``tweets.jsonl`` parses to. ``author`` holds a
+    code per row, and ``pool`` codes the strings in order of first use.
+
+    ``_table`` reads a part's ``pool``, its length, and each piece through
+    ``load(key)`` and ``drop(key)``; a ``_Spill`` also has ``count(key)``
+    and ``read_into(key, view)``.
+    """
+
+    def __init__(self):
+        self.pool = _Pool()
+        for key, typecode in _PIECES.items():
+            setattr(self, key, _allocate(typecode, 0))
+
+    def __len__(self) -> int:
+        return len(self.created_at)
+
+    def extend(self, records) -> None:
+        """Append the records, a batch at a time, column by column."""
+        code = self.pool.__getitem__
+        records = iter(records)
+        while batch := list(islice(records, _BATCH)):
+            (tweet_ids, authors, stamps, kinds, texts, hashtags, urls,
+             mentions, retweeted, langs) = zip(*batch)
+            del batch
+            self.author.extend(map(code, authors))
+            self.created_at.extend(stamps)
+            self.kind.extend(map(code, kinds))
+            self.lang.extend(map(code, langs))
+            self.retweeted.extend(map(code, retweeted))
+            for name, strings in (("tweet_id", tweet_ids), ("text", texts)):
+                joined = "".join(strings)
+                data = _utf8(joined)
+                blob = getattr(self, name)
+                blob += data
+                lengths = getattr(self, name + "_len")
+                if len(data) == len(joined):  # ASCII: one byte a character
+                    lengths.extend(map(len, strings))
+                else:
+                    lengths.extend(len(_utf8(s)) for s in strings)
+            for name, lists in (("hashtags", hashtags), ("urls", urls),
+                                ("mentions", mentions)):
+                getattr(self, name).extend(map(code,
+                                               chain.from_iterable(lists)))
+                getattr(self, name + "_len").extend(map(len, lists))
+
+    def load(self, key: str):
+        return getattr(self, key)
+
+    def drop(self, key: str) -> None:
+        setattr(self, key, None)
+
+
+class _Spill:
+    """A parsed range, written to a file by the worker that parsed it.
+
+    Only the pool, the row count and the layout of the file cross between
+    processes. The parent reads each piece back straight into the table's
+    column, so it holds no second copy of the rows.
+    """
+
+    def __init__(self, rows: _Rows, directory: str):
+        self.pool, self.size, self.layout = rows.pool, len(rows), {}
+        with tempfile.NamedTemporaryFile(dir=directory, delete=False) as fh:
+            self.path = fh.name
+            for key in _PIECES:
+                piece = rows.load(key)
+                self.layout[key] = (fh.tell(), len(piece))
+                fh.write(piece)
+                rows.drop(key)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def count(self, key: str) -> int:
+        return self.layout[key][1]
+
+    def load(self, key: str):
+        out = _allocate(_PIECES[key], self.count(key))
+        self.read_into(key, memoryview(out))
+        return out
+
+    def read_into(self, key: str, view: memoryview) -> None:
+        view = view.cast("B")
+        with open(self.path, "rb", buffering=0) as fh:
+            fh.seek(self.layout[key][0])
+            while view:
+                got = fh.readinto(view)
+                if not got:
+                    raise CorpusError(f"{self.path}: cut short")
+                view = view[got:]
+
+    def drop(self, key: str) -> None:
+        pass
+
+
+def _part_ids(part) -> list[bytes]:
+    """A part's tweet ids, as UTF-8, in file order."""
+    blob = bytes(part.load("tweet_id"))
+    at = list(accumulate(part.load("tweet_id_len"), initial=0))
+    return [blob[a:b] for a, b in zip(at, at[1:])]
+
+
+def _table(parts) -> TweetTable:
+    """One table of the parts' rows, taken in the parts' order: one
+    ``_Rows``, or the ``_Spill``s of several ranges.
+
+    Each column is built from the parts, which then drop it, so that two
+    copies of the table never coexist. Rows already in table order are
+    laid end to end; others are gathered by their order.
+    """
+    # one pool: the parts' strings in order, each new one appended; a
+    # part's codes are remapped unless its strings lead the pool in order
+    pool: dict[str, int] = {}
+    remaps = []
+    for part in parts:
+        remap = [pool.setdefault(sys.intern(s), len(pool))
+                 for s in part.pool if s is not None]
+        identity = remap == list(range(len(remap)))
+        remaps.append(None if identity else remap + [-1])  # -1 stays -1
+        part.pool = None
+    # each author's runs of rows, as rows of the parts laid end to end;
+    # authors in order of first appearance
+    firsts = list(accumulate((len(part) for part in parts), initial=0))
+    runs: dict[int, list[tuple[int, int, int]]] = {}
+    for p, part in enumerate(parts):
+        remap, author = remaps[p], part.load("author")
+        changes = compress(count(1), map(ne, author, islice(author, 1, None)))
+        cuts = [0, *changes, len(author)] if author else []
+        for start, stop in zip(cuts, islice(cuts, 1, None)):
+            code = author[start]
+            runs.setdefault(code if remap is None else remap[code],
+                            []).append((p, start, stop))
+        part.drop("author")
+    # the rows in table order: an author's runs as they stand when their
+    # stamps strictly increase, else sorted by (created_at, tweet_id)
+    stamps_of = [part.load("created_at") for part in parts]
+    ids: dict[int, list[bytes]] = {}  # a part's tweet ids, once needed
+    order = array("q")
+    bounds = array("q", [0])
+    for author_runs in runs.values():
+        stamps = array("q")
+        for p, lo, hi in author_runs:
+            stamps.extend(stamps_of[p][lo:hi])
+        if all(map(lt, stamps, islice(stamps, 1, None))):
+            for p, lo, hi in author_runs:
+                order.extend(range(firsts[p] + lo, firsts[p] + hi))
+        else:
+            for p, _, _ in author_runs:
+                if p not in ids:
+                    ids[p] = _part_ids(parts[p])
+            rows = sorted(((p, r) for p, lo, hi in author_runs
+                           for r in range(lo, hi)),
+                          key=lambda pr: (stamps_of[pr[0]][pr[1]],
+                                          _unicode(ids[pr[0]][pr[1]])))
+            order.extend(firsts[p] + r for p, r in rows)
+        bounds.append(len(order))
+    del stamps_of, ids
+    in_order = all(map(eq, order, count()))
+
+    def joined(key: str):
+        """The parts' pieces end to end, codes remapped."""
+        if len(parts) == 1:
+            return parts[0].load(key)
+        out = _allocate(_PIECES[key], sum(part.count(key) for part in parts))
+        view, at = memoryview(out), 0
+        for p, part in enumerate(parts):
+            n = part.count(key)
+            part.read_into(key, view[at:at + n])
+            if key in _CODED and remaps[p] is not None:
+                view[at:at + n] = array("i", map(remaps[p].__getitem__,
+                                                 view[at:at + n]))
+            at += n
+        view.release()
+        return out
+
+    columns = {}
+    for key in ("created_at", "kind", "lang", "retweeted"):
+        column = joined(key)
+        if not in_order:
+            column = array(column.typecode, map(column.__getitem__, order))
+        columns[key] = column
+        for part in parts:
+            part.drop(key)
+    for key in _RAGGED:
+        values, lengths = joined(key), joined(key + "_len")
+        if not in_order:
+            at = array("q", accumulate(lengths, initial=0))
+            pieces = map(values.__getitem__, map(
+                slice, map(at.__getitem__, order),
+                map(at.__getitem__, map((1).__add__, order))))
+            values = (bytearray().join(pieces) if key in ("tweet_id", "text")
+                      else array("i", chain.from_iterable(pieces)))
+            lengths = map(lengths.__getitem__, order)
+        columns[key] = (values, array("q", accumulate(lengths, initial=0)))
+        for part in parts:
+            part.drop(key)
+            part.drop(key + "_len")
+    strings = list(pool)
+    return TweetTable([strings[code] for code in runs], bounds, strings,
+                      **columns)
+
+
+def _unicode(data: bytes) -> str:
+    return str(data, "utf-8", "surrogatepass")
+
+
 @dataclass
 class Corpus:
     users: dict[str, UserRecord]
-    timelines: dict[str, list[TweetRecord]]
+    tweets: TweetTable
     likes: list[tuple[str, str, str]]  # (user_id, seed_id, liked_tweet_id)
     follows: list[tuple[str, str]]  # (follower_id, followee_id)
     seeds: list[str]
 
     def timeline(self, user_id: str) -> list[TweetRecord]:
-        return self.timelines.get(user_id, [])
+        return self.tweets.timeline(user_id)
 
     def predominant_language(self, user_id: str) -> str | None:
         """Per-user language field, falling back to the modal tweet language."""
         user = self.users.get(user_id)
         if user is not None and user.predominant_language:
             return user.predominant_language
-        langs = Counter(t.lang for t in self.timeline(user_id) if t.lang)
+        rows = self.tweets.rows(user_id)
+        strings = self.tweets.strings
+        langs = {strings[code]: n for code, n in
+                 Counter(self.tweets.lang[rows.start:rows.stop]).items()
+                 if code >= 0 and strings[code]}
         if not langs:
             return None
         # ties broken by tag so the fallback is deterministic
@@ -165,32 +537,114 @@ def _decode(line: str):
         raise CorpusError(f"malformed JSON: {exc.msg}") from None
 
 
-def _iter_jsonl(path: Path, parse, unique: str | None = None):
-    """``parse(obj)`` for each object line of ``path``; with ``unique``, that
-    attribute of the records may not repeat.
+_BLOCK = 1 << 20  # bytes read at a time
+
+
+def _lines(path: Path, start: int = 0, end: int | None = None):
+    """The lines of bytes ``start`` to ``end`` of ``path``, each with its
+    line break: a line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in
+    text mode, and at nothing else (``bytes.splitlines`` breaks there
+    alone, unlike ``str.splitlines``)."""
+    pending: list[bytes] = []  # the pieces of a line not known to be whole
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        pos = start
+        while chunk := fh.read(_BLOCK if end is None
+                               else min(_BLOCK, end - pos)):
+            pos += len(chunk)
+            last = pending[-1] if pending else b""
+            if last.endswith(b"\n") or (last.endswith(b"\r")
+                                        and not chunk.startswith(b"\n")):
+                yield b"".join(pending)
+                pending = []
+            lines = chunk.splitlines(keepends=True)
+            if pending and len(lines) > 1:
+                lines[0] = b"".join(pending) + lines[0]
+                pending = []
+            pending.append(lines.pop())
+            yield from lines
+    if pending:
+        yield b"".join(pending)
+
+
+_LINE_END = re.compile(rb"\n|\r(?!\n)")
+
+
+def _line_start(fh, pos: int) -> int:
+    """The first position at or after ``pos`` where a line starts (or the
+    end of the file)."""
+    if pos <= 0:
+        return 0
+    fh.seek(pos - 1)
+    data = b""
+    while True:
+        more = fh.read(1 << 16)
+        data += more
+        found = _LINE_END.search(data)
+        # a "\r" at the end of what was read may be the start of "\r\n"
+        if found and (found.end() < len(data) or found.group() == b"\n"
+                      or not more):
+            return pos - 1 + found.end()
+        if not more:
+            return pos - 1 + len(data)
+
+
+def _spans(path: Path, cuts) -> list[tuple[int, int]]:
+    """Byte ranges of whole lines covering ``path``: the file cut at each of
+    ``cuts``, moved forward to the next line start; no range is empty."""
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        starts = sorted({0, size, *(_line_start(fh, cut) for cut in cuts)})
+    return list(zip(starts, starts[1:])) or [(0, 0)]
+
+
+def _scan(path: Path, span: tuple[int, int | None], parse, unique,
+          status: list):
+    """``parse(obj)`` for each object line of the span of ``path``; with
+    ``unique``, that attribute of the records may not repeat.
+
+    At the end ``status`` holds the span's line count and its first error
+    as ``(line, message)``, or None; lines are numbered from the span's
+    start, and parsing stops at the error.
+    """
+    seen: set[str] = set()
+    lineno, error = 0, None
+    for lineno, raw in enumerate(_lines(path, *span), start=1):
+        try:
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"not UTF-8: {exc.reason}") from None
+            if not line:
+                continue
+            obj = _decode(line)
+            if type(obj) is not dict:
+                raise CorpusError("non-object")
+            record = parse(obj)
+            if unique is not None:
+                key = getattr(record, unique)
+                if key in seen:
+                    raise CorpusError(f"duplicate {unique} {key}")
+                seen.add(key)
+        except CorpusError as exc:
+            error = (lineno, str(exc))
+            break
+        yield record
+    status[:] = [lineno, error]
+
+
+def _iter_jsonl(path: Path, parse, unique: str | None = None) -> list:
+    """``parse(obj)`` for each object line of ``path``; with ``unique``,
+    that attribute of the records may not repeat.
 
     Every error is reported as ``file: line N: ...``.
     """
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = _decode(line)
-                if type(obj) is not dict:
-                    raise CorpusError("non-object")
-                record = parse(obj)
-                if unique is not None:
-                    key = getattr(record, unique)
-                    if key in seen:
-                        raise CorpusError(f"duplicate {unique} {key}")
-                    seen.add(key)
-            except CorpusError as exc:
-                raise CorpusError(
-                    f"{path.name}: line {lineno}: {exc}") from None
-            yield record
+    status: list = []
+    records = list(_scan(path, (0, None), parse, unique, status))
+    _, error = status
+    if error is not None:
+        raise CorpusError(f"{path.name}: line {error[0]}: {error[1]}")
+    return records
 
 
 # The parsers check each field where they read it, in a fixed order, so the
@@ -220,7 +674,7 @@ def _norm_hashtags(raw: list[str]) -> tuple[str, ...]:
     for tag in raw:
         tag = tag.lower().lstrip("#")
         if tag and tag not in seen:
-            seen.append(sys.intern(tag))
+            seen.append(tag)
     return tuple(seen)
 
 
@@ -297,24 +751,23 @@ def _parse_tweet(obj: dict) -> TweetRecord:
         values = get(name)
         if values is None:
             values = ()
-        elif type(values) is not list or not all(type(v) is str
-                                                 for v in values):
+        elif type(values) is not list or (values and {*map(type, values)}
+                                          != _STR):
             raise _list_error(name, values)
         lists.append(values)
     hashtags, urls, mentions = lists
     lang = get("lang")
-    if lang is not None:
-        if type(lang) is not str:
-            raise _field_error("lang", lang, "str")
-        lang = sys.intern(lang)
+    if lang is not None and type(lang) is not str:
+        raise _field_error("lang", lang, "str")
     if kind not in TWEET_KINDS:
         raise CorpusError(f"tweet {tweet_id}: unknown kind {kind!r}")
-    return TweetRecord(
-        tweet_id, sys.intern(str(author_id)), created_at, sys.intern(kind),
-        text, _norm_hashtags(hashtags), tuple(map(sys.intern, urls)),
-        tuple(map(sys.intern, mentions)),
-        None if retweeted in (None, "") else sys.intern(str(retweeted)),
-        lang)
+    # no string is interned here: a tweet's fields go into the table, whose
+    # pool holds each repeated string once
+    return tuple.__new__(TweetRecord, (
+        tweet_id, str(author_id), created_at, kind, text,
+        _norm_hashtags(hashtags) if hashtags else (), tuple(urls),
+        tuple(mentions),
+        None if retweeted in (None, "") else str(retweeted), lang))
 
 
 def _parse_ids(names: tuple[str, ...], obj: dict) -> tuple:
@@ -332,28 +785,86 @@ def load_users(path: Path) -> dict[str, UserRecord]:
             for user in _iter_jsonl(path, _parse_user, unique="user_id")}
 
 
-def load_tweets(path: Path) -> dict[str, list[TweetRecord]]:
-    timelines: dict[str, list[TweetRecord]] = {}
-    for rec in _iter_jsonl(path, _parse_tweet, unique="tweet_id"):
-        timelines.setdefault(rec.author_id, []).append(rec)
-    for tl in timelines.values():
-        tl.sort(key=lambda t: (t.created_at, t.tweet_id))
-    return timelines
+# a range below this size costs more to hand to a worker than to parse
+_MIN_SPAN_BYTES = 1 << 20
 
 
-def load_corpus(paths: CorpusPaths) -> Corpus:
-    """Load and assemble a corpus; the result is immutable by convention."""
+def _parse_span(path: Path, span: tuple[int, int], spill: str | None = None):
+    """One byte range of ``tweets.jsonl``: its rows, line count and first
+    error, as ``_scan`` reports them. With ``spill``, a directory, the rows
+    are written to a file there and come back as a ``_Spill``."""
+    rows, status = _Rows(), []
+    rows.extend(_scan(path, span, _parse_tweet, "tweet_id", status))
+    n_lines, error = status
+    return (rows if spill is None else _Spill(rows, spill)), n_lines, error
+
+
+def _merge_spans(path: Path, spans, parsed) -> TweetTable:
+    """The table of the parsed ranges, or the first error of the file as
+    a one-range load reports it: the ranges in file order, each one's own
+    error and its tweet ids repeated from an earlier range."""
+    seen: set[bytes] = set()
+    first_line = 1
+    for k, (span, (rows, n_lines, error)) in enumerate(zip(spans, parsed)):
+        if len(spans) > 1:
+            ids = _part_ids(rows)
+            if not seen.isdisjoint(ids):
+                row = next(r for r, i in enumerate(ids) if i in seen)
+                error = (_row_line(path, span, row),
+                         f"duplicate tweet_id {_unicode(ids[row])}")
+            elif k < len(spans) - 1:
+                seen.update(ids)
+            del ids
+        if error is not None:
+            raise CorpusError(f"{path.name}: line {first_line + error[0] - 1}"
+                              f": {error[1]}")
+        first_line += n_lines
+    seen.clear()  # before the table is built
+    return _table([rows for rows, _, _ in parsed])
+
+
+def _row_line(path: Path, span, row: int) -> int:
+    """The line, counted from the span's start, that holds its ``row``-th
+    record (from 0); every line before it parsed."""
+    for lineno, raw in enumerate(_lines(path, *span), start=1):
+        if raw.decode("utf-8").strip():
+            if not row:
+                return lineno
+            row -= 1
+    raise AssertionError("row past the end of its span")
+
+
+def load_tweets(path: Path, workers: int = 1) -> TweetTable:
+    """``tweets.jsonl`` as a table, parsed in one byte range per worker;
+    one range is parsed in process, and several hand their rows back
+    through files in a temporary directory."""
+    from .features import parallel_map  # features imports this module
+
+    size = path.stat().st_size
+    n = max(1, min(workers, size // _MIN_SPAN_BYTES))
+    spans = _spans(path, [size * k // n for k in range(1, n)])
+    if len(spans) == 1:
+        return _merge_spans(path, spans, [_parse_span(path, spans[0])])
+    with tempfile.TemporaryDirectory(prefix="traitline-") as spill:
+        parsed = parallel_map(partial(_parse_span, path, spill=spill), spans,
+                              workers)
+        return _merge_spans(path, spans, parsed)
+
+
+def load_corpus(paths: CorpusPaths, workers: int = 1) -> Corpus:
+    """Load and assemble a corpus; the result is immutable by convention.
+    The result is the same for every ``workers``."""
     for attr in ("users", "tweets", "likes", "follows", "seeds"):
         p = getattr(paths, attr)
         if not Path(p).exists():
             raise CorpusError(f"missing corpus file: {p}")
     users = load_users(paths.users)
-    timelines = load_tweets(paths.tweets)
+    tweets = load_tweets(Path(paths.tweets), workers)
 
-    likes = list(_iter_jsonl(paths.likes, partial(
-        _parse_ids, ("user_id", "seed_id", "liked_tweet_id"))))
-    follows = list(_iter_jsonl(paths.follows, partial(
-        _parse_ids, ("follower_id", "followee_id"))))
+    likes = _iter_jsonl(paths.likes, partial(
+        _parse_ids, ("user_id", "seed_id", "liked_tweet_id")))
+    follows = _iter_jsonl(paths.follows, partial(
+        _parse_ids, ("follower_id", "followee_id")))
 
     with open(paths.seeds, "r", encoding="utf-8") as fh:
         try:
@@ -371,14 +882,14 @@ def load_corpus(paths: CorpusPaths) -> Corpus:
     if len(set(seeds)) != len(seeds):
         raise CorpusError(f"{paths.seeds.name}: duplicate seed ids")
 
-    return Corpus(users=users, timelines=timelines, likes=likes,
+    return Corpus(users=users, tweets=tweets, likes=likes,
                   follows=follows, seeds=seeds)
 
 
 def record_counts(corpus: Corpus) -> dict[str, int]:
     return {
         "users": len(corpus.users),
-        "tweets": sum(len(t) for t in corpus.timelines.values()),
+        "tweets": len(corpus.tweets),
         "likes": len(corpus.likes),
         "follows": len(corpus.follows),
         "seeds": len(corpus.seeds),
@@ -403,12 +914,15 @@ def validate_corpus(corpus: Corpus) -> dict[str, list]:
         if follower not in users or (followee not in users
                                      and followee not in seeds):
             report["dangling_follows"].append((follower, followee))
-    for timeline in corpus.timelines.values():
-        for tweet in timeline:
-            if tweet.kind == "retweet" and tweet.retweeted_author is None:
-                report["retweets_missing_author"].append(tweet.tweet_id)
+    tweets = corpus.tweets
+    if "retweet" in tweets.strings:
+        retweet = tweets.strings.index("retweet")
+        report["retweets_missing_author"] = tweets.tweet_ids(
+            row for row, (kind, author) in enumerate(zip(tweets.kind,
+                                                         tweets.retweeted))
+            if kind == retweet and author < 0)
     for user_id in users:
-        if not corpus.timelines.get(user_id):
+        if user_id not in tweets.position:
             report["empty_timelines"].append(user_id)
     report["retweets_missing_author"].sort()
     report["empty_timelines"].sort()
@@ -429,58 +943,68 @@ def _quote_list(values: tuple[str, ...]) -> str:
     return "[" + ", ".join(map(_quote, values)) + "]" if values else "[]"
 
 
-def _tweet_lines(timelines: dict[str, list[TweetRecord]]):
-    """The lines of ``tweets.jsonl``, keys in sorted order; ``created_at``
-    is written as ``format_timestamp`` writes it, from a table of day
-    prefixes and the time of day."""
+def _tweet_lines(tweets):
+    """The lines of ``tweets.jsonl`` for ``tweets``, keys in sorted order;
+    ``created_at`` is written as ``format_timestamp`` writes it, from a
+    table of day prefixes and the time of day."""
     days: dict[int, str] = {}  # epoch day -> "YYYY-MM-DDT"
-    for uid in sorted(timelines):
-        for t in timelines[uid]:
-            day, second = divmod(t.created_at, 86400)
-            date = days.get(day)
-            if date is None:
-                date = days[day] = format_timestamp(day * 86400)[:11]
-            hour, second = divmod(second, 3600)
-            minute, second = divmod(second, 60)
-            lang = "" if t.lang is None else f'"lang": {_quote(t.lang)}, '
-            retweeted = ("null" if t.retweeted_author is None
-                         else _quote(t.retweeted_author))
-            yield (f'{{"author_id": {_quote(t.author_id)}, "created_at": '
-                   f'"{date}{hour:02d}:{minute:02d}:{second:02d}Z", '
-                   f'"hashtags": {_quote_list(t.hashtags)}, '
-                   f'"kind": {_quote(t.kind)}, {lang}'
-                   f'"mentions": {_quote_list(t.mentions)}, '
-                   f'"retweeted_author": {retweeted}, '
-                   f'"text": {_quote(t.text)}, '
-                   f'"tweet_id": {_quote(t.tweet_id)}, '
-                   f'"urls": {_quote_list(t.urls)}}}\n')
+    for t in tweets:
+        day, second = divmod(t.created_at, 86400)
+        date = days.get(day)
+        if date is None:
+            date = days[day] = format_timestamp(day * 86400)[:11]
+        hour, second = divmod(second, 3600)
+        minute, second = divmod(second, 60)
+        lang = "" if t.lang is None else f'"lang": {_quote(t.lang)}, '
+        retweeted = ("null" if t.retweeted_author is None
+                     else _quote(t.retweeted_author))
+        yield (f'{{"author_id": {_quote(t.author_id)}, "created_at": '
+               f'"{date}{hour:02d}:{minute:02d}:{second:02d}Z", '
+               f'"hashtags": {_quote_list(t.hashtags)}, '
+               f'"kind": {_quote(t.kind)}, {lang}'
+               f'"mentions": {_quote_list(t.mentions)}, '
+               f'"retweeted_author": {retweeted}, '
+               f'"text": {_quote(t.text)}, '
+               f'"tweet_id": {_quote(t.tweet_id)}, '
+               f'"urls": {_quote_list(t.urls)}}}\n')
 
 
-def save_corpus(corpus: Corpus, paths: CorpusPaths) -> None:
-    """Write a corpus back to disk in the load schema (round-trip safe).
+def write_corpus(paths: CorpusPaths, users: dict[str, UserRecord], tweets,
+                 likes, follows, seeds) -> None:
+    """Write records to disk in the load schema (round-trip safe).
 
-    Each line is ``json.dumps(obj, sort_keys=True)`` of a record's fields,
-    timestamps in ISO-8601 and a tweet's ``lang`` only when set; for speed
-    the tweet, like and follow lines are built from the fields directly.
+    ``tweets`` are written in the order given; ``save_corpus`` gives them
+    by author id, each timeline in order. Each line is
+    ``json.dumps(obj, sort_keys=True)`` of a record's fields, timestamps
+    in ISO-8601 and a tweet's ``lang`` only when set; for speed the tweet,
+    like and follow lines are built from the fields directly.
     """
     for p in (paths.users, paths.tweets, paths.likes, paths.follows,
               paths.seeds):
         Path(p).parent.mkdir(parents=True, exist_ok=True)
     with open(paths.users, "w", encoding="utf-8") as fh:
-        fh.writelines(_encode_sorted(_user_to_json(corpus.users[uid])) + "\n"
-                      for uid in sorted(corpus.users))
+        fh.writelines(_encode_sorted(_user_to_json(users[uid])) + "\n"
+                      for uid in sorted(users))
     with open(paths.tweets, "w", encoding="utf-8") as fh:
-        fh.writelines(_tweet_lines(corpus.timelines))
+        fh.writelines(_tweet_lines(tweets))
     with open(paths.likes, "w", encoding="utf-8") as fh:
         fh.writelines(
             f'{{"liked_tweet_id": {_quote(liked)}, "seed_id": '
             f'{_quote(seed_id)}, "user_id": {_quote(user_id)}}}\n'
-            for user_id, seed_id, liked in corpus.likes)
+            for user_id, seed_id, liked in likes)
     with open(paths.follows, "w", encoding="utf-8") as fh:
         fh.writelines(
             f'{{"followee_id": {_quote(followee)}, "follower_id": '
             f'{_quote(follower)}}}\n'
-            for follower, followee in corpus.follows)
+            for follower, followee in follows)
     with open(paths.seeds, "w", encoding="utf-8") as fh:
-        json.dump(corpus.seeds, fh)
+        json.dump(seeds, fh)
         fh.write("\n")
+
+
+def save_corpus(corpus: Corpus, paths: CorpusPaths) -> None:
+    """Write a corpus back to disk in the load schema (round-trip safe)."""
+    tweets = chain.from_iterable(map(corpus.timeline,
+                                     sorted(corpus.tweets.authors)))
+    write_corpus(paths, corpus.users, tweets, corpus.likes, corpus.follows,
+                 corpus.seeds)

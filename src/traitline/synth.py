@@ -19,10 +19,11 @@ import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
-from .corpus import (Corpus, CorpusPaths, TweetRecord, UserRecord,
-                     parse_timestamp, save_corpus)
+from .corpus import (Corpus, CorpusPaths, TweetRecord, TweetTable,
+                     UserRecord, parse_timestamp, write_corpus)
 
 
 class SynthError(ValueError):
@@ -422,10 +423,10 @@ class _UserBuilder:
         return likes, follows
 
 
-def build_corpus(engaged: ProfileSpec, control: ProfileSpec,
-                 n_per_group: int, n_seeds: int,
-                 rng_seed: int) -> tuple[Corpus, dict[str, int]]:
-    """Assemble a synthetic corpus in memory with ground-truth labels."""
+def _records(engaged: ProfileSpec, control: ProfileSpec, n_per_group: int,
+             n_seeds: int, rng_seed: int):
+    """A synthetic corpus as records: users, timelines, likes, follows and
+    seeds, with the ground-truth labels."""
     if n_per_group < 2:
         raise SynthError("n_per_group must be >= 2")
     if n_seeds < 1:
@@ -449,21 +450,32 @@ def build_corpus(engaged: ProfileSpec, control: ProfileSpec,
             likes.extend(user_likes)
             follows.extend(user_follows)
             truth[user_id] = label
-    corpus = Corpus(users=users, timelines=timelines, likes=likes,
-                    follows=follows, seeds=seeds)
-    return corpus, truth
+    return users, timelines, likes, follows, seeds, truth
+
+
+def build_corpus(engaged: ProfileSpec, control: ProfileSpec,
+                 n_per_group: int, n_seeds: int,
+                 rng_seed: int) -> tuple[Corpus, dict[str, int]]:
+    """Assemble a synthetic corpus in memory with ground-truth labels."""
+    users, timelines, likes, follows, seeds, truth = _records(
+        engaged, control, n_per_group, n_seeds, rng_seed)
+    tweets = TweetTable.from_records(chain.from_iterable(timelines.values()))
+    return Corpus(users=users, tweets=tweets, likes=likes, follows=follows,
+                  seeds=seeds), truth
 
 
 def generate_corpus(engaged: ProfileSpec, control: ProfileSpec,
                     n_per_group: int, n_seeds: int, rng_seed: int,
                     out_dir) -> CorpusPaths:
-    """Write a synthetic corpus plus ground_truth.json to a directory."""
-    corpus, truth = build_corpus(engaged, control, n_per_group, n_seeds,
-                                 rng_seed)
+    """Write a synthetic corpus plus ground_truth.json to a directory,
+    straight from the generator's records."""
+    users, timelines, likes, follows, seeds, truth = _records(
+        engaged, control, n_per_group, n_seeds, rng_seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = CorpusPaths.in_dir(out_dir)
-    save_corpus(corpus, paths)
+    write_corpus(paths, users, chain.from_iterable(
+        timelines[uid] for uid in sorted(timelines)), likes, follows, seeds)
     with open(out_dir / "ground_truth.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(truth, sort_keys=True))
         fh.write("\n")

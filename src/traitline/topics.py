@@ -42,10 +42,10 @@ def cooccurrence_graph(corpus: Corpus, cohort: set[str]) -> CoocGraph:
     """Pairwise hashtag counts over all tweets of the cohort."""
     weights: Counter[tuple[str, str]] = Counter()
     for user_id in cohort:
-        for tweet in corpus.timeline(user_id):
-            if len(tweet.hashtags) < 2:
+        for tags in corpus.tweets.hashtag_lists(user_id):
+            if len(tags) < 2:
                 continue
-            for a, b in combinations(sorted(tweet.hashtags), 2):
+            for a, b in combinations(sorted(tags), 2):
                 weights[(a, b)] += 1
     return CoocGraph(edges=dict(weights))
 

@@ -1,6 +1,9 @@
 """Shared builders for in-memory corpora used across the test suite."""
 
-from traitline.corpus import Corpus, TweetRecord, UserRecord, parse_timestamp
+from itertools import chain
+
+from traitline.corpus import (Corpus, TweetRecord, TweetTable, UserRecord,
+                              parse_timestamp)
 
 SNAP = parse_timestamp("2022-01-01T00:00:00Z")
 
@@ -29,7 +32,8 @@ def make_corpus(users=(), timelines=None, likes=(), follows=(), seeds=()):
     users = list(users)
     return Corpus(
         users={u.user_id: u for u in users},
-        timelines=dict(timelines or {}),
+        tweets=TweetTable.from_records(
+            chain.from_iterable((timelines or {}).values())),
         likes=list(likes), follows=list(follows), seeds=list(seeds))
 
 

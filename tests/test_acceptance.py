@@ -221,11 +221,19 @@ def test_acceptance_5_indistinguishability_control(tmp_path_factory):
     report(5, True, desc)
 
 
+# every artifact a run writes but manifest.json, which embeds the paths
+DETERMINISTIC_ARTIFACTS = (
+    "validation_report.json", "grid.csv", "cohort.json", "control.json",
+    "hashtags.csv", "features.csv", "features.meta.json", "model.json",
+    "metrics.json", "importance.csv", "curve.csv", "edges.csv", "nodes.csv",
+    "control_edges.csv", "control_nodes.csv")
+
+
 def test_acceptance_6_determinism_across_runs_and_workers(desk_runs):
-    desc = "byte-identical metrics.json, importance.csv, curve.csv for " \
-           "repeat runs at worker counts 1 and 8"
+    desc = "byte-identical artifacts, all 15 of them, for repeat runs at " \
+           "worker counts 1 and 8"
     try:
-        for name in ("metrics.json", "importance.csv", "curve.csv"):
+        for name in DETERMINISTIC_ARTIFACTS:
             a = (desk_runs["a"] / name).read_bytes()
             assert a == (desk_runs["b"] / name).read_bytes(), name
             assert a == (desk_runs["c"] / name).read_bytes(), name

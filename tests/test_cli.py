@@ -204,8 +204,8 @@ def test_pipeline_drops_corpus_after_its_last_reader(tmp_path, corpus_dir,
     loaded, seen = [], {}
     original_load = cli.load_corpus
 
-    def loading(paths):
-        corpus = original_load(paths)
+    def loading(paths, **kwargs):
+        corpus = original_load(paths, **kwargs)
         loaded.append(weakref.ref(corpus))
         return corpus
 

@@ -1,9 +1,12 @@
+import concurrent.futures
 import dataclasses
+import gc
 import itertools
 import json
 import pickle
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -19,6 +22,7 @@ from traitline.corpus import (MAX_EPOCH, MIN_EPOCH, TWEET_KINDS, CorpusError,
                               load_corpus, parse_timestamp, record_counts,
                               save_corpus, validate_corpus)
 from traitline.features import tokenize_tweet
+from traitline.synth import default_specs, generate_corpus
 
 
 def write_jsonl(path, rows):
@@ -233,6 +237,25 @@ def test_parse_timestamp_accepts_integral_numbers():
     assert parse_timestamp(0) == 0
 
 
+@pytest.mark.parametrize("value", ["1969-12-31T23:59:59.5Z",
+                                   "2021-05-01T12:34:44.900Z",
+                                   "2021-05-01T12:34:44.000001+00:00"])
+def test_parse_timestamp_rejects_fractional_seconds(value):
+    # a fraction used to be truncated toward zero, so that the first of
+    # these loaded as 1970-01-01T00:00:00Z and the second as ...:44Z
+    with pytest.raises(CorpusError,
+                       match=r"^bad timestamp .*: not a whole second$"):
+        parse_timestamp(value)
+
+
+def test_parse_timestamp_accepts_an_all_zero_fraction():
+    assert parse_timestamp("2021-05-01T12:34:44.000Z") == \
+        parse_timestamp("2021-05-01T12:34:44Z")
+    # before 1970 too, where truncation and flooring part ways
+    assert parse_timestamp("1969-12-31T23:59:59.000Z") == -1
+    assert parse_timestamp("1969-12-31T23:59:59Z") == -1
+
+
 def test_boolean_timestamp_rejected_with_file_and_line(tmp_path):
     paths = write_fixture(tmp_path, users=[user_row("u1"),
                                            user_row("u2", created_at=True)],
@@ -418,7 +441,7 @@ def two_author_fixture(tmp_path):
 def test_loaded_records_are_slotted(tmp_path):
     corpus = load_corpus(two_author_fixture(tmp_path))
     records = [*corpus.users.values(),
-               *(t for tl in corpus.timelines.values() for t in tl)]
+               *(t for a in corpus.tweets.authors for t in corpus.timeline(a))]
     assert len(records) == 5
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
@@ -484,8 +507,8 @@ def _tweet_to_json(t: TweetRecord) -> dict:
 
 def oracle_lines(corpus):
     tweets = [json.dumps(_tweet_to_json(tweet), sort_keys=True) + "\n"
-              for uid in sorted(corpus.timelines)
-              for tweet in corpus.timelines[uid]]
+              for uid in sorted(corpus.tweets.authors)
+              for tweet in corpus.timeline(uid)]
     likes = [json.dumps({"user_id": user_id, "seed_id": seed_id,
                          "liked_tweet_id": liked_tweet_id},
                         sort_keys=True) + "\n"
@@ -574,13 +597,14 @@ def test_validate_flags_retweet_missing_author():
 
 def test_validate_does_not_mutate():
     corpus = consistent_corpus()
-    before = (dict(corpus.users), {k: list(v) for k, v in
-                                   corpus.timelines.items()},
+    before = (dict(corpus.users), {a: corpus.timeline(a) for a in
+                                   corpus.tweets.authors},
               list(corpus.likes), list(corpus.follows), list(corpus.seeds))
     validate_corpus(corpus)
-    assert (corpus.users, corpus.timelines, corpus.likes, corpus.follows,
-            corpus.seeds) == (before[0], before[1], before[2], before[3],
-                              before[4])
+    assert (corpus.users, {a: corpus.timeline(a) for a in
+                           corpus.tweets.authors}, corpus.likes,
+            corpus.follows, corpus.seeds) == (before[0], before[1], before[2],
+                                              before[3], before[4])
 
 
 def test_predominant_language_fallback():
@@ -933,3 +957,140 @@ def test_records_are_read_only(tmp_path):
             setattr(record, name, getattr(record, name))
         with pytest.raises(AttributeError):
             record.extra = 1
+
+
+# ---- the load in byte ranges ---------------------------------------------------
+
+def load_in_ranges(path, cuts):
+    """``tweets.jsonl`` loaded as ``load_tweets`` loads it, but cut at
+    ``cuts``: the table's author order and timelines, or the error."""
+    spans = loader._spans(path, cuts)
+    with tempfile.TemporaryDirectory() as spill:
+        parsed = [loader._parse_span(path, span,
+                                     spill if len(spans) > 1 else None)
+                  for span in spans]
+        try:
+            table = loader._merge_spans(path, spans, parsed)
+        except CorpusError as exc:
+            return str(exc)
+    return table.authors, {a: table.timeline(a) for a in table.authors}
+
+
+def oracle_outcome(path):
+    """The serial text-mode oracle's load, grouped as a table groups it."""
+    try:
+        records = [TweetRecord(*dataclasses.astuple(record)) for record in
+                   oracle_iter_jsonl(path, oracle_parse_tweet, "tweet_id")]
+    except CorpusError as exc:
+        return str(exc)
+    timelines = {}
+    for record in records:
+        timelines.setdefault(record.author_id, []).append(record)
+    for timeline in timelines.values():
+        timeline.sort(key=lambda t: (t.created_at, t.tweet_id))
+    return list(timelines), timelines
+
+
+def test_ranges_split_lines_as_text_mode_does(tmp_path, monkeypatch):
+    # raw U+2028 and U+0085 are no line breaks inside a JSON string, though
+    # str.splitlines breaks at both
+    rows = [json.dumps(tweet_row(f"t{i}", f"u{i % 2}",
+                                 f"2021-05-0{i + 1}T00:00:00Z", text=text),
+                       ensure_ascii=False)
+            for i, text in enumerate(["a b", "c\x85d", "plain é"])]
+    lines = [line for row in rows for line in (row, "", " \t")]
+    ends = ["\n", "\r\n", "\r"]
+    body = "".join(line + ends[i % 3] for i, line in enumerate(lines))
+    good = tmp_path / "good" / "tweets.jsonl"
+    bad = tmp_path / "bad" / "tweets.jsonl"
+    for path, text in ((good, body), (bad, body + '{"tweet_id": "t9"}\r\n')):
+        path.parent.mkdir()
+        path.write_bytes(text.encode("utf-8"))
+    assert body.count("\x85") == body.count(" ") == 1
+    monkeypatch.setattr(loader, "_BLOCK", 3)  # line breaks across reads
+    want = oracle_outcome(good)
+    assert [t.text for t in want[1]["u0"]] == ["a b", "plain é"]
+    message = f"tweets.jsonl: line {len(lines) + 1}: missing field author_id"
+    assert oracle_outcome(bad) == message
+    for path, expected in ((good, want), (bad, message)):
+        size = path.stat().st_size
+        for cut in range(size + 1):  # one cut at every byte, \r\n split too
+            assert load_in_ranges(path, [cut]) == expected, cut
+        for cuts in itertools.combinations(range(0, size + 1, 13), 2):
+            assert load_in_ranges(path, cuts) == expected, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_split_loads_as_one_range(tmp_path_factory, data):
+    # few distinct ids, so that ids repeat within and across ranges
+    lines = data.draw(st.lists(jsonl_lines(TWEET_FIELDS), max_size=6))
+    ends = [data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    body = "".join(line + end for line, end in zip(lines, ends))
+    if lines and data.draw(st.booleans()):  # no break after the last line
+        body = body[:-len(ends[-1])]
+    raw = body.encode("utf-8")
+    path = tmp_path_factory.mktemp("ranges") / "tweets.jsonl"
+    path.write_bytes(raw)
+    cuts = data.draw(st.lists(st.integers(0, len(raw)), max_size=5))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loader, "_BLOCK", data.draw(st.sampled_from([1, 4,
+                                                                   1 << 20])))
+        whole = load_in_ranges(path, [])
+        assert whole == oracle_outcome(path)
+        assert load_in_ranges(path, cuts) == whole
+
+
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    path.write_bytes(json.dumps(tweet_row("t1", "u1", 1)).encode() + b"\n"
+                     + b'{"tweet_id": "\xff"}\n')
+    with pytest.raises(CorpusError,
+                       match=r"^tweets\.jsonl: line 2: not UTF-8: "):
+        loader.load_tweets(path)
+
+
+@pytest.fixture(scope="module")
+def synth_50(tmp_path_factory):
+    """A synthetic corpus at 50 users per group, large enough to be split
+    into three ranges."""
+    paths = generate_corpus(*default_specs(), 50, 26, 42,
+                            tmp_path_factory.mktemp("synth50"))
+    assert paths.tweets.stat().st_size >= 3 * loader._MIN_SPAN_BYTES
+    return paths
+
+
+def test_load_is_the_same_for_any_worker_count(synth_50):
+    one = load_corpus(synth_50, workers=1)
+    for workers in (2, 3):
+        loaded = load_corpus(synth_50, workers=workers)
+        assert (loaded.users, loaded.likes, loaded.follows, loaded.seeds) == \
+            (one.users, one.likes, one.follows, one.seeds)
+        assert loaded.tweets.authors == one.tweets.authors
+        for author in one.tweets.authors:
+            assert loaded.timeline(author) == one.timeline(author)
+        assert record_counts(loaded) == record_counts(one)
+        assert validate_corpus(loaded) == validate_corpus(one)
+
+
+def test_one_worker_starts_no_pool(synth_50, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    assert record_counts(load_corpus(synth_50, workers=1))["tweets"] > 0
+    with pytest.raises(AssertionError, match="pool was started"):
+        load_corpus(synth_50, workers=2)
+
+
+def test_loaded_tweets_take_at_most_250_bytes_each(synth_50):
+    # the table's bound; a TweetRecord per tweet took about 450 bytes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(synth_50)
+        gc.collect()
+        used, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert used / record_counts(corpus)["tweets"] <= 250

@@ -159,7 +159,7 @@ def test_written_out_tag_draws_match_choices(seed, decay, draws):
 def test_generated_corpus_is_consistent_and_sorted(tmp_path):
     corpus, truth = small_corpus()
     assert not any(validate_corpus(corpus).values())
-    for timeline in corpus.timelines.values():
+    for timeline in map(corpus.timeline, corpus.tweets.authors):
         stamps = [t.created_at for t in timeline]
         assert stamps == sorted(stamps)
     assert set(truth) == set(corpus.users)
@@ -220,7 +220,7 @@ def test_controls_never_touch_seeds():
 
 def test_retweets_carry_author():
     corpus, _ = small_corpus(n=10, seed=2)
-    for timeline in corpus.timelines.values():
+    for timeline in map(corpus.timeline, corpus.tweets.authors):
         for tweet in timeline:
             if tweet.kind == "retweet":
                 assert tweet.retweeted_author
