@@ -139,7 +139,7 @@ def top_hashtags(corpus: Corpus, cohort: set[str],
         raise CohortError("k must be >= 1")
     counts: Counter[str] = Counter()
     for user_id in cohort:
-        for tags in corpus.tweets.hashtag_lists(user_id):
+        for tags in corpus.tweets.column(user_id, "hashtags"):
             counts.update(tags)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:k]

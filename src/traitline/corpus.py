@@ -11,6 +11,7 @@ consecutive-pair features are deterministic.
 Users, likes and follows are held as read-only named tuples, and every
 repeated string (ids, kinds, languages, hashtags, urls and mentions) once,
 through ``sys.intern``. Tweets are held as one columnar ``TweetTable``;
+``TweetTable.column`` decodes one field of a user's tweets, and
 ``Corpus.timeline`` builds a user's ``TweetRecord``s from it on demand.
 
 A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in text mode. Each
@@ -34,11 +35,10 @@ import tempfile
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from functools import partial
-from itertools import accumulate, chain, compress, count, islice, repeat
+from datetime import date, datetime, time, timezone
+from functools import lru_cache, partial
+from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii as _quote
-from operator import eq, lt, ne
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,6 +55,21 @@ class CorpusError(ValueError):
 MIN_EPOCH, MAX_EPOCH = -62135596800, 253402300799
 
 
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+@lru_cache(maxsize=1 << 12)
+def _epoch_day(text: str) -> int | None:
+    """Days from 1970-01-01 to ``text``, an ASCII ``YYYY-MM-DD``; None if
+    it is no such date."""
+    if text[4] != "-" or text[7] != "-":  # not a week date such as 2020-W01-1
+        return None
+    try:
+        return date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
+    except ValueError:
+        return None
+
+
 def parse_timestamp(value) -> int:
     """ISO-8601 string (or integral epoch number) -> UTC epoch seconds.
 
@@ -62,7 +77,22 @@ def parse_timestamp(value) -> int:
     all-zero fraction such as ``.000`` is whole) and non-finite numbers are
     rejected rather than truncated, and so is any instant outside years 1
     to 9999 UTC.
+
+    ``YYYY-MM-DDTHH:MM:SSZ`` in ASCII, the form ``save_corpus`` writes, is
+    read from a table of dates and the time of day; any other input, valid
+    or not, takes the general path.
     """
+    if (type(value) is str and len(value) == 20 and value[19] == "Z"
+            and value[10] == "T" and value[13] == value[16] == ":"
+            and value.isascii()):
+        day = _epoch_day(value[:10])
+        if day is not None:
+            try:
+                t = time.fromisoformat(value[11:19])
+            except ValueError:
+                pass
+            else:
+                return day * 86400 + t.hour * 3600 + t.minute * 60 + t.second
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if isinstance(value, float) and not value.is_integer():  # nan, inf
             raise CorpusError(f"bad timestamp {value!r}: not a whole second")
@@ -211,27 +241,30 @@ class TweetTable:
         return [tuple(names[a - base:b - base]) if a != b else ()
                 for a, b in zip(cut, islice(cut, 1, None))]
 
-    def hashtag_lists(self, author: str) -> list[tuple[str, ...]]:
-        """Each of the author's tweets' hashtags, in timeline order."""
-        rows = self.rows(author)
-        return self._lists(self.hashtags, rows.start, rows.stop)
-
-    def timeline(self, author: str) -> list[TweetRecord]:
-        """The author's tweets as fresh records, in timeline order."""
+    def column(self, author: str, field: str) -> list:
+        """One ``TweetRecord`` field of the author's tweets, in timeline
+        order; only that column is decoded."""
         rows = self.rows(author)
         if not rows:
             return []
         lo, hi = rows.start, rows.stop
-        lookup = self._lookup.__getitem__
+        if field in ("tweet_id", "text"):
+            return self._strings(getattr(self, field), lo, hi)
+        if field in ("hashtags", "urls", "mentions"):
+            return self._lists(getattr(self, field), lo, hi)
+        if field == "created_at":
+            return self.created_at[lo:hi].tolist()
+        if field == "author_id":
+            return [self.authors[self.position[author]]] * len(rows)
+        codes = self.retweeted if field == "retweeted_author" else getattr(
+            self, field)
+        return list(map(self._lookup.__getitem__, codes[lo:hi]))
+
+    def timeline(self, author: str) -> list[TweetRecord]:
+        """The author's tweets as fresh records, in timeline order."""
         new = tuple.__new__
         return [new(TweetRecord, fields) for fields in zip(
-            self._strings(self.tweet_id, lo, hi),
-            repeat(self.authors[self.position[author]]),
-            self.created_at[lo:hi], map(lookup, self.kind[lo:hi]),
-            self._strings(self.text, lo, hi),
-            self._lists(self.hashtags, lo, hi), self._lists(self.urls, lo, hi),
-            self._lists(self.mentions, lo, hi),
-            map(lookup, self.retweeted[lo:hi]), map(lookup, self.lang[lo:hi]))]
+            *(self.column(author, field) for field in TweetRecord._fields))]
 
 
 class _Pool(dict):
@@ -255,7 +288,8 @@ _PIECES = {"author": "i", "created_at": "q", "kind": "i", "lang": "i",
            "text": "B", "text_len": "i", "hashtags": "i", "hashtags_len": "i",
            "urls": "i", "urls_len": "i", "mentions": "i", "mentions_len": "i"}
 _RAGGED = ("tweet_id", "text", "hashtags", "urls", "mentions")
-_CODED = ("kind", "lang", "retweeted", "hashtags", "urls", "mentions")
+_CODED = ("author", "kind", "lang", "retweeted", "hashtags", "urls",
+          "mentions")
 
 
 def _allocate(typecode: str, n: int):
@@ -373,8 +407,11 @@ def _table(parts) -> TweetTable:
 
     Each column is built from the parts, which then drop it, so that two
     copies of the table never coexist. Rows already in table order are
-    laid end to end; others are gathered by their order.
+    laid end to end; others are gathered by their order, with numpy index
+    arithmetic.
     """
+    import numpy as np  # here, so that writing a corpus needs no numpy
+
     # one pool: the parts' strings in order, each new one appended; a
     # part's codes are remapped unless its strings lead the pool in order
     pool: dict[str, int] = {}
@@ -383,46 +420,9 @@ def _table(parts) -> TweetTable:
         remap = [pool.setdefault(sys.intern(s), len(pool))
                  for s in part.pool if s is not None]
         identity = remap == list(range(len(remap)))
-        remaps.append(None if identity else remap + [-1])  # -1 stays -1
+        # code -1 (None) indexes the last entry, so it stays -1
+        remaps.append(None if identity else np.array(remap + [-1], np.int32))
         part.pool = None
-    # each author's runs of rows, as rows of the parts laid end to end;
-    # authors in order of first appearance
-    firsts = list(accumulate((len(part) for part in parts), initial=0))
-    runs: dict[int, list[tuple[int, int, int]]] = {}
-    for p, part in enumerate(parts):
-        remap, author = remaps[p], part.load("author")
-        changes = compress(count(1), map(ne, author, islice(author, 1, None)))
-        cuts = [0, *changes, len(author)] if author else []
-        for start, stop in zip(cuts, islice(cuts, 1, None)):
-            code = author[start]
-            runs.setdefault(code if remap is None else remap[code],
-                            []).append((p, start, stop))
-        part.drop("author")
-    # the rows in table order: an author's runs as they stand when their
-    # stamps strictly increase, else sorted by (created_at, tweet_id)
-    stamps_of = [part.load("created_at") for part in parts]
-    ids: dict[int, list[bytes]] = {}  # a part's tweet ids, once needed
-    order = array("q")
-    bounds = array("q", [0])
-    for author_runs in runs.values():
-        stamps = array("q")
-        for p, lo, hi in author_runs:
-            stamps.extend(stamps_of[p][lo:hi])
-        if all(map(lt, stamps, islice(stamps, 1, None))):
-            for p, lo, hi in author_runs:
-                order.extend(range(firsts[p] + lo, firsts[p] + hi))
-        else:
-            for p, _, _ in author_runs:
-                if p not in ids:
-                    ids[p] = _part_ids(parts[p])
-            rows = sorted(((p, r) for p, lo, hi in author_runs
-                           for r in range(lo, hi)),
-                          key=lambda pr: (stamps_of[pr[0]][pr[1]],
-                                          _unicode(ids[pr[0]][pr[1]])))
-            order.extend(firsts[p] + r for p, r in rows)
-        bounds.append(len(order))
-    del stamps_of, ids
-    in_order = all(map(eq, order, count()))
 
     def joined(key: str):
         """The parts' pieces end to end, codes remapped."""
@@ -434,37 +434,76 @@ def _table(parts) -> TweetTable:
             n = part.count(key)
             part.read_into(key, view[at:at + n])
             if key in _CODED and remaps[p] is not None:
-                view[at:at + n] = array("i", map(remaps[p].__getitem__,
-                                                 view[at:at + n]))
+                codes = np.asarray(view[at:at + n])
+                codes[:] = remaps[p][codes]
             at += n
         view.release()
         return out
+
+    # the rows in table order: grouped by author, authors in order of
+    # first appearance, each timeline by (created_at, tweet_id)
+    author = np.frombuffer(joined("author"), np.int32)
+    for part in parts:
+        part.drop("author")
+    codes, first = np.unique(author, return_index=True)
+    by_first = codes[np.argsort(first)]
+    rank = np.empty(len(pool), np.int64)
+    rank[by_first] = np.arange(len(by_first))
+    row_rank = rank[author]
+    del author
+    stamps = np.frombuffer(joined("created_at"), np.int64)
+    order = np.lexsort((stamps, row_rank))  # stable: ties keep file order
+    ranks, times = row_rank[order], stamps[order]
+    ties = np.flatnonzero((ranks[1:] == ranks[:-1]) & (times[1:] == times[:-1]))
+    if ties.size:  # an author's tweets of one second, by tweet_id
+        ids = [i for part in parts for i in _part_ids(part)]
+        cuts = np.flatnonzero(np.diff(ties) != 1) + 1
+        for run in np.split(ties, cuts):
+            lo, hi = int(run[0]), int(run[-1]) + 2
+            order[lo:hi] = sorted(order[lo:hi].tolist(),
+                                  key=lambda r: _unicode(ids[r]))
+        del ids
+    bounds = array("q", [0])
+    bounds.extend(np.cumsum(np.bincount(row_rank, minlength=len(by_first)))
+                  .tolist())
+    del row_rank, stamps, ranks, times
+    in_order = bool((order == np.arange(len(order))).all())
 
     columns = {}
     for key in ("created_at", "kind", "lang", "retweeted"):
         column = joined(key)
         if not in_order:
-            column = array(column.typecode, map(column.__getitem__, order))
+            column = array(column.typecode,
+                           np.frombuffer(column, column.typecode)[order]
+                           .tobytes())
         columns[key] = column
         for part in parts:
             part.drop(key)
     for key in _RAGGED:
         values, lengths = joined(key), joined(key + "_len")
         if not in_order:
-            at = array("q", accumulate(lengths, initial=0))
-            pieces = map(values.__getitem__, map(
-                slice, map(at.__getitem__, order),
-                map(at.__getitem__, map((1).__add__, order))))
-            values = (bytearray().join(pieces) if key in ("tweet_id", "text")
-                      else array("i", chain.from_iterable(pieces)))
-            lengths = map(lengths.__getitem__, order)
+            size = np.frombuffer(lengths, np.int32)
+            at = np.concatenate(([0], np.cumsum(size)))
+            starts, size = at[:-1][order], size[order]
+            if key in ("tweet_id", "text"):
+                values = bytearray().join(map(values.__getitem__, map(
+                    slice, starts.tolist(), (starts + size).tolist())))
+            else:
+                # each code's source: its row's start, plus its place in
+                # the row (its place in the output, less the row's)
+                place = np.concatenate(([0], np.cumsum(size)))
+                source = (np.repeat(starts - place[:-1], size)
+                          + np.arange(place[-1]))
+                values = array("i", np.frombuffer(values, np.int32)[source]
+                               .tobytes())
+            lengths = size.tolist()
         columns[key] = (values, array("q", accumulate(lengths, initial=0)))
         for part in parts:
             part.drop(key)
             part.drop(key + "_len")
     strings = list(pool)
-    return TweetTable([strings[code] for code in runs], bounds, strings,
-                      **columns)
+    return TweetTable([strings[code] for code in by_first.tolist()], bounds,
+                      strings, **columns)
 
 
 def _unicode(data: bytes) -> str:

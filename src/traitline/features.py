@@ -22,7 +22,8 @@ import unicodedata
 from collections import Counter
 from concurrent import futures
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlsplit
@@ -52,6 +53,8 @@ _URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 
 SECONDS_PER_DAY = 86400.0
+
+_sum = np.add.reduce  # ``ndarray.sum()`` without its Python frame
 
 
 class FeatureError(ValueError):
@@ -91,8 +94,13 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+@lru_cache(maxsize=1 << 12)
 def registered_domain(url: str) -> str | None:
-    """Hostname with a leading "www." stripped; None when unparseable."""
+    """Hostname with a leading "www." stripped; None when unparseable.
+
+    Pure, so cached: each process (each pool worker, too) parses a
+    distinct URL once while it is among the last 4,096 it resolved.
+    """
     try:
         host = urlsplit(url).hostname
     except ValueError:
@@ -104,8 +112,19 @@ def registered_domain(url: str) -> str | None:
     return host or None
 
 
+def tally(tokens) -> dict[str, int]:
+    """Each token's count, in order of first occurrence: the items of
+    ``Counter(tokens)``, in a plain dict."""
+    counts: dict[str, int] = {}
+    get = counts.get
+    for token in tokens:
+        counts[token] = get(token, 0) + 1
+    return counts
+
+
 class TokenizedTweet(NamedTuple):
     tokens: tuple[str, ...]
+    counts: dict[str, int]  # tally(tokens): the readers of token types use it
     is_reply: bool
     is_retweet: bool
     has_url: bool
@@ -116,23 +135,50 @@ class TokenizedTweet(NamedTuple):
     retweeted_author: str | None
 
 
+class TimelineColumns(NamedTuple):
+    """The fields of a user's tweets that tokenization reads, one list per
+    field in timeline order: ``TweetTable.column`` of each."""
+
+    text: list[str]
+    kind: list[str]
+    created_at: list[int]
+    urls: list[tuple[str, ...]]
+    mentions: list[tuple[str, ...]]
+    retweeted_author: list[str | None]
+
+    @classmethod
+    def read(cls, corpus: Corpus, user_id: str) -> "TimelineColumns":
+        """The user's columns straight from the corpus's tweet table."""
+        return cls._make(corpus.tweets.column(user_id, field)
+                         for field in cls._fields)
+
+
+def _tokenized(text: str, kind: str, created_at: int, urls: tuple[str, ...],
+               mentions: tuple[str, ...],
+               retweeted_author: str | None) -> TokenizedTweet:
+    tokens = tuple(tokenize(text))
+    counts = tally(tokens)
+    return tuple.__new__(TokenizedTweet, (
+        tokens, counts, kind == "reply", kind == "retweet",
+        bool(urls) or URL_TOKEN in counts,
+        bool(mentions) or MENTION_TOKEN in counts, created_at, urls,
+        len(text), retweeted_author))
+
+
 def tokenize_tweet(tweet: TweetRecord) -> TokenizedTweet:
-    tokens = tuple(tokenize(tweet.text))
-    return TokenizedTweet(
-        tokens=tokens,
-        is_reply=tweet.kind == "reply",
-        is_retweet=tweet.kind == "retweet",
-        has_url=bool(tweet.urls) or URL_TOKEN in tokens,
-        has_mention=bool(tweet.mentions) or MENTION_TOKEN in tokens,
-        timestamp=tweet.created_at,
-        urls=tuple(tweet.urls),
-        n_chars=len(tweet.text),
-        retweeted_author=tweet.retweeted_author,
-    )
+    """A tweet tokenized and tallied once, for every feature that reads it."""
+    return _tokenized(tweet.text, tweet.kind, tweet.created_at, tweet.urls,
+                      tweet.mentions, tweet.retweeted_author)
 
 
-def tokenize_timeline(timeline: list[TweetRecord]) -> list[TokenizedTweet]:
-    return [tokenize_tweet(t) for t in timeline]
+def tokenize_timeline(timeline: list[TweetRecord] | TimelineColumns
+                      ) -> list[TokenizedTweet]:
+    """Each of a user's tweets tokenized and tallied once, in timeline
+    order: from its records, or from its columns as ``user_features``
+    reads them, with no record built."""
+    if isinstance(timeline, TimelineColumns):
+        return list(map(_tokenized, *timeline))
+    return list(map(tokenize_tweet, timeline))
 
 
 def _dist_cols(base: str) -> list[str]:
@@ -224,25 +270,33 @@ def pair_entropies(timeline: list[TokenizedTweet]) -> list[float]:
     order, the entropy (bits) of the token-frequency distribution of the two
     posts taken together, from one numpy pass over all the pairs' counts.
 
-    Each term p * log2(p) is computed elementwise and each pair's terms are
-    summed over their own slice, in ``Counter`` order, so every entropy has
-    the bits ``entropy_from_counts`` gives on the pair's ``Counter``.
+    A pair's counts are its first post's tally with the second's merged
+    in: the counts of ``Counter(a.tokens + b.tokens)``, in its order. Each
+    term p * log2(p) is computed elementwise and each pair's terms are
+    summed over their own slice, in that order, so every entropy has the
+    bits ``entropy_from_counts`` gives on the pair's ``Counter``.
     """
     counts: list[int] = []
+    sizes: list[int] = []
     totals: list[int] = []
-    bounds = [0]
-    for a, b in zip(timeline, timeline[1:]):
-        pair = Counter(a.tokens + b.tokens)
+    for a, b in zip(timeline, islice(timeline, 1, None)):
+        first, second = a.counts, b.counts
+        # a copy of the first tally with the second's new tokens appended
+        # in order; only the tokens both posts carry need their counts summed
+        pair = first | second
+        for token in first.keys() & second.keys():
+            pair[token] = first[token] + second[token]
         if pair:
-            counts.extend(pair.values())
-            totals.extend([len(a.tokens) + len(b.tokens)] * len(pair))
-            bounds.append(len(counts))
-    if not totals:
+            counts += pair.values()
+            sizes.append(len(pair))
+            totals.append(len(a.tokens) + len(b.tokens))
+    if not sizes:
         return []
-    p = np.array(counts, dtype=np.float64) / np.array(totals,
-                                                      dtype=np.float64)
+    p = (np.array(counts, dtype=np.float64)
+         / np.repeat(np.array(totals, dtype=np.float64), sizes))
     terms = p * np.log2(p)
-    return [float(-terms[i:j].sum()) for i, j in zip(bounds, bounds[1:])]
+    ends = list(accumulate(sizes))
+    return [-float(_sum(terms[i:j])) for i, j in zip([0, *ends], ends)]
 
 
 def initiative_features(timeline: list[TokenizedTweet]) -> dict[str, float]:
@@ -261,7 +315,7 @@ def initiative_features(timeline: list[TokenizedTweet]) -> dict[str, float]:
         "retweet_url_ratio": sum(t.is_retweet and t.has_url for t in timeline) / n,
         "reply_url_ratio": sum(t.is_reply and t.has_url for t in timeline) / n,
     }
-    unique_words = [float(len(set(t.tokens))) for t in timeline]
+    unique_words = [float(len(t.counts)) for t in timeline]
     out.update(_dist_values("unique_words", unique_words))
     out.update(_dist_values("pair_entropy", pair_entropies(timeline)))
     return out
@@ -276,11 +330,12 @@ def language_novelty_series(timeline: list[TokenizedTweet]) -> list[float]:
     seen: set[str] = set()
     series = []
     for tweet in timeline:
-        types = set(tweet.tokens)
+        types = tweet.counts
         if not types:
             continue
-        series.append(100.0 * len(types - seen) / len(types))
-        seen |= types
+        known = len(seen)
+        seen.update(types)
+        series.append(100.0 * (len(seen) - known) / len(types))
     return series
 
 
@@ -309,12 +364,9 @@ def adaptability_features(timeline: list[TokenizedTweet]) -> dict[str, float]:
                         if t.is_retweet and t.retweeted_author)
     out.update(_dist_values("retweeted_accounts",
                             [float(c) for _, c in sorted(rt_counts.items())]))
-    domain_counts: Counter[str] = Counter()
-    for tweet in timeline:
-        for url in tweet.urls:
-            domain = registered_domain(url)
-            if domain:
-                domain_counts[domain] += 1
+    domain_counts = Counter(filter(None, map(registered_domain,
+                                             chain.from_iterable(
+                                                 t.urls for t in timeline))))
     out.update(_dist_values("url_domains",
                             [float(c) for _, c in sorted(domain_counts.items())]))
     out.update(_dist_values("tweet_words",
@@ -329,7 +381,7 @@ def user_features(corpus: Corpus, user_id: str, as_of: int,
     """All 92 behavioral columns for one user, then the rate columns of
     each lexicon, all from one tokenization of the timeline."""
     user = corpus.users[user_id]
-    timeline = tokenize_timeline(corpus.timeline(user_id))
+    timeline = tokenize_timeline(TimelineColumns.read(corpus, user_id))
     feats = credibility_features(user, as_of)
     feats.update(initiative_features(timeline))
     feats.update(adaptability_features(timeline))

@@ -177,13 +177,13 @@ def lexicon_features(timeline: list[TokenizedTweet],
 def add_lexicon_features(matrix: FeatureMatrix, corpus,
                          lexicons: list[Lexicon]) -> FeatureMatrix:
     """Append lexicon rate columns for every row of a behavioral matrix."""
-    from .features import tokenize_timeline
+    from .features import TimelineColumns, tokenize_timeline
 
     names = [col for lex in lexicons for col in lex.column_names()]
     block = np.empty((matrix.n_rows, len(names)), dtype=np.float64)
     for i, user_id in enumerate(matrix.user_ids):
-        feats = lexicon_features(tokenize_timeline(corpus.timeline(user_id)),
-                                 lexicons)
+        timeline = tokenize_timeline(TimelineColumns.read(corpus, user_id))
+        feats = lexicon_features(timeline, lexicons)
         block[i] = [feats[c] for c in names]
     return matrix.append_columns(names, block)
 

@@ -42,7 +42,7 @@ def cooccurrence_graph(corpus: Corpus, cohort: set[str]) -> CoocGraph:
     """Pairwise hashtag counts over all tweets of the cohort."""
     weights: Counter[tuple[str, str]] = Counter()
     for user_id in cohort:
-        for tags in corpus.tweets.hashtag_lists(user_id):
+        for tags in corpus.tweets.column(user_id, "hashtags"):
             if len(tags) < 2:
                 continue
             for a, b in combinations(sorted(tags), 2):

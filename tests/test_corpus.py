@@ -8,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
@@ -294,6 +295,95 @@ def test_format_timestamp_pads_the_year():
 @given(st.integers(MIN_EPOCH, MAX_EPOCH))
 def test_timestamp_round_trips(epoch):
     assert parse_timestamp(format_timestamp(epoch)) == epoch
+
+
+# parse_timestamp as it stood, before the fast path for the canonical form;
+# kept verbatim as the oracle
+def oracle_parse_timestamp(value) -> int:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, float) and not value.is_integer():  # nan, inf
+            raise CorpusError(f"bad timestamp {value!r}: not a whole second")
+        if not MIN_EPOCH <= value <= MAX_EPOCH:
+            raise CorpusError(f"bad timestamp {value!r}: out of range")
+        return int(value)
+    if not isinstance(value, str):
+        raise CorpusError(f"bad timestamp {value!r}")
+    text = value.strip()
+    if text.endswith("Z"):
+        text = text[:-1] + "+00:00"
+    try:
+        dt = datetime.fromisoformat(text)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        epoch = dt.astimezone(timezone.utc).timestamp()
+    except (ValueError, OverflowError) as exc:  # an offset past year 1 or 9999
+        raise CorpusError(f"bad timestamp {value!r}: {exc}") from None
+    if dt.microsecond:
+        raise CorpusError(f"bad timestamp {value!r}: not a whole second")
+    return int(epoch)
+
+
+def timestamp_outcome(parse, value):
+    try:
+        return parse(value)
+    except CorpusError as exc:
+        return str(exc)
+
+
+def two_digits(low, high):
+    return st.integers(low, high).map("{:02d}".format)
+
+
+# the canonical form's fields, each drawn in and out of range, with ASCII
+# and non-ASCII digits, other separators and suffixes, and whitespace
+CANONICAL_PIECES = st.tuples(
+    st.one_of(st.integers(0, 9999).map("{:04d}".format),
+              st.sampled_from(["0001", "9999", "２０２１", "20٢1", "12345"])),
+    st.sampled_from(["-", "/"]),
+    two_digits(0, 13) | st.sampled_from(["W0", "1", "٠١"]),
+    st.sampled_from(["-", ""]),
+    two_digits(0, 32),
+    st.sampled_from(["T", "T", "T", " ", "t", "_"]),
+    two_digits(0, 25) | st.sampled_from(["٠٥", "1 ", "+1"]),
+    st.sampled_from([":", ":", "."]),
+    two_digits(0, 61),
+    st.sampled_from([":", ":", ""]),
+    two_digits(0, 61) | st.sampled_from(["5", "٥٩"]),
+    st.sampled_from(["Z", "Z", "Z", "z", "+00:00", "+05:30", "-01:00",
+                     ".000Z", ".5Z", ".000001Z", "", "ZZ"]),
+    st.sampled_from(["", "", " ", "\t", "\n", "\u3000"]),
+    st.sampled_from(["", "", " ", "\n"]))
+
+
+@st.composite
+def timestamp_strings(draw):
+    (year, dash1, month, dash2, day, sep, hour, colon1, minute, colon2,
+     second, suffix, before, after) = draw(CANONICAL_PIECES)
+    return (f"{before}{year}{dash1}{month}{dash2}{day}{sep}{hour}{colon1}"
+            f"{minute}{colon2}{second}{suffix}{after}")
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(timestamp_strings(), st.text(max_size=24),
+                 st.integers(MIN_EPOCH, MAX_EPOCH).map(format_timestamp)))
+def test_parse_timestamp_matches_the_oracle(value):
+    assert timestamp_outcome(parse_timestamp, value) == \
+        timestamp_outcome(oracle_parse_timestamp, value)
+
+
+@pytest.mark.parametrize("value", [
+    "2021-02-30T00:00:00Z", "2020-02-29T12:00:00Z", "2021-02-29T12:00:00Z",
+    "2021-01-01T24:00:00Z", "2021-01-01T23:60:00Z", "2021-01-01T23:59:60Z",
+    "２０２１-01-01T00:00:00Z", "2021-01-01T0٥:00:00Z",
+    " 2021-01-01T00:00:00Z", "2021-01-01T00:00:00Z\n",
+    "2021-01-01T00:00:00.000Z", "2021-01-01T00:00:00.5Z",
+    "2021-01-01T00:00:00+01:00", "2021-01-01T00:00:00-00:30",
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "0000-01-01T00:00:00Z",
+    "2020-W01-1T00:00:00Z", "2021-01-01 00:00:00Z", "20210101T000000Z",
+])
+def test_parse_timestamp_edge_cases_match_the_oracle(value):
+    assert timestamp_outcome(parse_timestamp, value) == \
+        timestamp_outcome(oracle_parse_timestamp, value)
 
 
 def test_duplicate_tweet_id_rejected(tmp_path):
@@ -1018,6 +1108,34 @@ def test_ranges_split_lines_as_text_mode_does(tmp_path, monkeypatch):
             assert load_in_ranges(path, [cut]) == expected, cut
         for cuts in itertools.combinations(range(0, size + 1, 13), 2):
             assert load_in_ranges(path, cuts) == expected, cuts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2", "u3"]),
+                          st.integers(0, 4), st.sampled_from(["", "é", "#x"])),
+                max_size=40),
+       st.randoms(use_true_random=False), st.data())
+def test_interleaved_authors_gather_as_the_oracle_groups_them(
+        tmp_path_factory, rows, rng, data):
+    # authors interleaved as in a file sorted by time, many tweets of one
+    # author in one second (ordered by tweet_id, not by file position), and
+    # ragged columns of text and hashtags of mixed lengths
+    ids = [f"t{rng.randrange(10 ** 6)}-{i}" for i in range(len(rows))]
+    lines = [json.dumps(tweet_row(tweet_id, author, 1_600_000_000 + stamp,
+                                  text=text * 3, hashtags=[text] if text else [],
+                                  urls=[f"https://{author}.example"]),
+                        ensure_ascii=False)
+             for tweet_id, (author, stamp, text) in zip(ids, rows)]
+    # one file rewritten per example: a directory per example would add its
+    # name to the interpreter's interned strings, as pathlib interns parts
+    path = tmp_path_factory.getbasetemp() / "interleaved" / "tweets.jsonl"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    size = path.stat().st_size
+    cuts = data.draw(st.lists(st.integers(0, size), max_size=3))
+    want = oracle_outcome(path)
+    assert load_in_ranges(path, []) == want
+    assert load_in_ranges(path, cuts) == want
 
 
 @settings(max_examples=300, deadline=None)

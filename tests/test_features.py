@@ -6,6 +6,9 @@ import re
 import threading
 import unicodedata
 from collections import Counter
+from itertools import chain
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,16 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SNAP, make_corpus, make_tweet, make_user
-from test_statkit import bits, oracle_entropy_from_counts
+from test_statkit import bits, oracle_dist_params, oracle_entropy_from_counts
+from traitline import features
 from traitline.corpus import parse_timestamp
-from traitline.features import (FEATURE_COLUMNS, FeatureError, FeatureMatrix,
-                                MENTION_TOKEN, URL_TOKEN,
+from traitline.features import (FEATURE_COLUMNS, INITIATIVE_COLUMNS,
+                                PARAM_NAMES, FeatureError,
+                                FeatureMatrix, MENTION_TOKEN,
+                                PLACEHOLDER_TOKENS, TimelineColumns, URL_TOKEN,
                                 adaptability_features, credibility_features,
                                 default_snapshot, feature_matrix,
                                 initiative_features, language_novelty_series,
                                 TokenizedTweet, pair_entropies,
-                                parallel_map, registered_domain,
+                                parallel_map, registered_domain, tally,
                                 tokenize, tokenize_timeline, user_features)
+from traitline.lexicon import load_lexicon
 from traitline.statkit import entropy_from_counts
 
 LOG2 = math.log2
@@ -395,9 +402,9 @@ def oracle_pair_entropies(timeline):
 
 
 def tweet_with(tokens):
-    return TokenizedTweet(tokens=tuple(tokens), is_reply=False,
-                          is_retweet=False, has_url=False, has_mention=False,
-                          timestamp=0, urls=(), n_chars=0,
+    return TokenizedTweet(tokens=tuple(tokens), counts=tally(tokens),
+                          is_reply=False, is_retweet=False, has_url=False,
+                          has_mention=False, timestamp=0, urls=(), n_chars=0,
                           retweeted_author=None)
 
 
@@ -406,8 +413,11 @@ def tweet_with(tokens):
                          max_size=30),
                 max_size=40))
 def test_pair_entropies_match_per_pair_oracle(token_lists):
-    # empty token lists make token-free tweets and token-free pairs
+    # empty token lists make token-free tweets and token-free pairs; each
+    # tweet carries its tally, from which pair_entropies merges the pairs
     timeline = [tweet_with(t) for t in token_lists]
+    for tweet in timeline:
+        assert list(tweet.counts.items()) == list(Counter(tweet.tokens).items())
     want = oracle_pair_entropies(timeline)
     assert bits(pair_entropies(timeline)) == bits(want)
     one_pair = [pair_token_entropy(a, b) for a, b in zip(timeline, timeline[1:])]
@@ -579,6 +589,285 @@ def test_from_csv_bad_header_rejected_with_file_and_line(tmp_path, text,
 def test_default_snapshot_is_latest():
     corpus = oracle_corpus()
     assert default_snapshot(corpus) == SNAP
+
+
+# ---- user_features as it stood, kept verbatim as the oracle ---------------------
+# Every tweet tokenized into a record, counted again per pair, per type set
+# and per lexicon, and every URL parsed where it occurs; dist_params is the
+# bitwise statkit oracle of test_statkit.
+
+class OracleTweet(NamedTuple):
+    tokens: tuple[str, ...]
+    is_reply: bool
+    is_retweet: bool
+    has_url: bool
+    has_mention: bool
+    timestamp: int
+    urls: tuple[str, ...]
+    n_chars: int
+    retweeted_author: str | None
+
+
+def oracle_tokenize_tweet(tweet):
+    tokens = tuple(tokenize(tweet.text))
+    return OracleTweet(
+        tokens=tokens,
+        is_reply=tweet.kind == "reply",
+        is_retweet=tweet.kind == "retweet",
+        has_url=bool(tweet.urls) or URL_TOKEN in tokens,
+        has_mention=bool(tweet.mentions) or MENTION_TOKEN in tokens,
+        timestamp=tweet.created_at,
+        urls=tuple(tweet.urls),
+        n_chars=len(tweet.text),
+        retweeted_author=tweet.retweeted_author,
+    )
+
+
+def oracle_tokenize_timeline(timeline):
+    return [oracle_tokenize_tweet(t) for t in timeline]
+
+
+def _oracle_dist_cols(base):
+    return [f"{base}_{p}" for p in PARAM_NAMES]
+
+
+def _oracle_dist_values(base, sample):
+    if not sample:
+        return {c: math.nan for c in _oracle_dist_cols(base)}
+    return dict(zip(_oracle_dist_cols(base), oracle_dist_params(sample)))
+
+
+def oracle_batched_pair_entropies(timeline):
+    counts = []
+    totals = []
+    bounds = [0]
+    for a, b in zip(timeline, timeline[1:]):
+        pair = Counter(a.tokens + b.tokens)
+        if pair:
+            counts.extend(pair.values())
+            totals.extend([len(a.tokens) + len(b.tokens)] * len(pair))
+            bounds.append(len(counts))
+    if not totals:
+        return []
+    p = np.array(counts, dtype=np.float64) / np.array(totals,
+                                                      dtype=np.float64)
+    terms = p * np.log2(p)
+    return [float(-terms[i:j].sum()) for i, j in zip(bounds, bounds[1:])]
+
+
+def oracle_initiative_features(timeline):
+    if not timeline:
+        return {c: math.nan for c in INITIATIVE_COLUMNS}
+    n = len(timeline)
+    out = {
+        "retweet_ratio": sum(t.is_retweet for t in timeline) / n,
+        "reply_ratio": sum(t.is_reply for t in timeline) / n,
+        "tweet_url_ratio": sum(t.has_url for t in timeline) / n,
+        "retweet_url_ratio": sum(t.is_retweet and t.has_url for t in timeline) / n,
+        "reply_url_ratio": sum(t.is_reply and t.has_url for t in timeline) / n,
+    }
+    unique_words = [float(len(set(t.tokens))) for t in timeline]
+    out.update(_oracle_dist_values("unique_words", unique_words))
+    out.update(_oracle_dist_values("pair_entropy",
+                                   oracle_batched_pair_entropies(timeline)))
+    return out
+
+
+def oracle_language_novelty_series(timeline):
+    seen = set()
+    series = []
+    for tweet in timeline:
+        types = set(tweet.tokens)
+        if not types:
+            continue
+        series.append(100.0 * len(types - seen) / len(types))
+        seen |= types
+    return series
+
+
+def _oracle_gaps(timestamps):
+    return [float(b - a) for a, b in zip(timestamps, timestamps[1:])]
+
+
+def oracle_adaptability_features(timeline):
+    out = {}
+    out.update(_oracle_dist_values("language_novelty",
+                                   oracle_language_novelty_series(timeline)))
+    out.update(_oracle_dist_values("time_between_tweets",
+                                   _oracle_gaps([t.timestamp for t in timeline])))
+    out.update(_oracle_dist_values("time_between_retweets",
+                                   _oracle_gaps([t.timestamp for t in timeline
+                                                 if t.is_retweet])))
+    out.update(_oracle_dist_values("time_between_mentions",
+                                   _oracle_gaps([t.timestamp for t in timeline
+                                                 if t.has_mention])))
+    rt_counts = Counter(t.retweeted_author for t in timeline
+                        if t.is_retweet and t.retweeted_author)
+    out.update(_oracle_dist_values(
+        "retweeted_accounts", [float(c) for _, c in sorted(rt_counts.items())]))
+    domain_counts = Counter()
+    for tweet in timeline:
+        for url in tweet.urls:
+            domain = registered_domain.__wrapped__(url)  # a fresh parse
+            if domain:
+                domain_counts[domain] += 1
+    out.update(_oracle_dist_values(
+        "url_domains", [float(c) for _, c in sorted(domain_counts.items())]))
+    out.update(_oracle_dist_values("tweet_words",
+                                   [float(len(t.tokens)) for t in timeline]))
+    out.update(_oracle_dist_values("tweet_chars",
+                                   [float(t.n_chars) for t in timeline]))
+    return out
+
+
+def oracle_lexicon_features(timeline, lexicons):
+    tokens = Counter(chain.from_iterable(tweet.tokens for tweet in timeline))
+    for placeholder in PLACEHOLDER_TOKENS:
+        del tokens[placeholder]
+    out = {}
+    if not tokens:
+        for lex in lexicons:
+            for col in lex.column_names():
+                out[col] = math.nan
+        return out
+    total = sum(tokens.values())
+    for lex in lexicons:
+        counts = dict.fromkeys(lex.categories, 0)
+        for token, n in tokens.items():
+            for category in lex.categories_of(token):
+                counts[category] += n
+        for category in lex.categories:
+            out[f"{lex.name}_{category}"] = counts[category] / total
+    return out
+
+
+def oracle_user_features(corpus, user_id, as_of, lexicons=()):
+    user = corpus.users[user_id]
+    timeline = oracle_tokenize_timeline(corpus.timeline(user_id))
+    feats = credibility_features(user, as_of)
+    feats.update(oracle_initiative_features(timeline))
+    feats.update(oracle_adaptability_features(timeline))
+    if lexicons:
+        feats.update(oracle_lexicon_features(timeline, lexicons))
+    return feats
+
+
+REPO_LEXICONS = Path(__file__).resolve().parent.parent / "lexicons"
+
+# ASCII and non-ASCII words, lexicon words and wildcard matches, URLs that
+# parse, that do not ("http://[::1") and a bare "www.", mentions, and
+# pieces without a token
+WORD_PIECES = ["wake", "UP", "damn", "damned", "i", "we", "furious",
+               "grateful", "café", "İstanbul", "ǅemal", "日本", "x42",
+               "https://www.a.example/p", "HTTP://B.example", "http://[::1",
+               "www.", "www.c.example/q", "@bob", "@_", "...", "#tag", "—",
+               ""]
+# URL field values: repeated across users, unparseable, and a bare "www."
+URL_PIECES = ["https://www.a.example/p", "https://A.example/q",
+              "http://b.example", "http://[::1", "www.", "http://",
+              "https://c.example:80/x"]
+
+
+@st.composite
+def tweets(draw, author, index):
+    kind = draw(st.sampled_from(["original", "retweet", "reply", "quote"]))
+    return make_tweet(
+        f"{author}-{index}", author, draw(st.integers(0, 10_000)), kind=kind,
+        text=" ".join(draw(st.lists(st.sampled_from(WORD_PIECES),
+                                    max_size=8))),
+        urls=draw(st.lists(st.sampled_from(URL_PIECES), max_size=3,
+                           unique=True)),
+        mentions=draw(st.sampled_from([(), ("bob",)])),
+        # a retweet may name no author
+        retweeted_author=draw(st.sampled_from([None, "x", "y"])))
+
+
+@st.composite
+def feature_corpora(draw):
+    n_users = draw(st.integers(1, 4))
+    users, timelines = [], {}
+    for u in range(n_users):
+        user_id = f"u{u}"
+        users.append(make_user(user_id, bio=draw(st.sampled_from(
+            [None, "", "see https://a.example #x. ok!", "İ am here"]))))
+        n = draw(st.integers(0, 10))
+        timelines[user_id] = [draw(tweets(user_id, i)) for i in range(n)]
+    return make_corpus(users=users, timelines=timelines, seeds=["s"])
+
+
+def oracle_rows(corpus, lexicons):
+    return np.array([[feats[c] for c in FEATURE_COLUMNS
+                      + [c for lex in lexicons for c in lex.column_names()]]
+                     for feats in (oracle_user_features(corpus, u, SNAP,
+                                                        lexicons)
+                                   for u in sorted(corpus.users))],
+                    dtype=np.float64)
+
+
+LEXICONS = [load_lexicon(REPO_LEXICONS / "mini_categories.dic"),
+            load_lexicon(REPO_LEXICONS / "mini_emotions.tsv")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(feature_corpora(), st.booleans())
+def test_user_features_match_the_oracle_bit_for_bit(corpus, with_lexicons):
+    lexicons = LEXICONS if with_lexicons else []
+    want = oracle_rows(corpus, lexicons)
+    columns = FEATURE_COLUMNS + [c for lex in lexicons
+                                 for c in lex.column_names()]
+    got = np.array([[feats[c] for c in columns] for feats in (
+        user_features(corpus, u, SNAP, lexicons)
+        for u in sorted(corpus.users))], dtype=np.float64)
+    assert got.tobytes() == want.tobytes()  # NaN cells and -0.0 too
+    for user_id in corpus.users:
+        assert (tokenize_timeline(TimelineColumns.read(corpus, user_id))
+                == tokenize_timeline(corpus.timeline(user_id)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(feature_corpora())
+def test_feature_matrix_matches_the_oracle_for_one_and_two_workers(corpus):
+    want = oracle_rows(corpus, LEXICONS)
+    ids = sorted(corpus.users)
+    for workers in (1, 2):
+        got = feature_matrix(corpus, set(ids), set(), SNAP, workers=workers,
+                             lexicons=LEXICONS)
+        assert got.user_ids == ids
+        assert got.values.tobytes() == want.tobytes()
+
+
+def test_repeated_url_resolves_once_to_a_fresh_parse():
+    urls = ["https://www.a.example/p", "http://[::1", "www.",
+            "https://A.example/q"]
+    fresh = registered_domain.__wrapped__
+    registered_domain.cache_clear()
+    for _ in range(3):  # the same URLs in three users' timelines
+        assert [registered_domain(u) for u in urls] == [fresh(u) for u in urls]
+    info = registered_domain.cache_info()
+    assert (info.misses, info.hits) == (len(urls), 2 * len(urls))
+    assert registered_domain("http://[::1") is None
+    assert registered_domain("www.") is None
+    assert registered_domain("https://A.example/q") == "a.example"
+    for i in range(info.maxsize + 100):  # the cache stays bounded
+        registered_domain(f"https://h{i}.example/")
+    assert registered_domain.cache_info().currsize == info.maxsize == 1 << 12
+
+
+def test_url_shared_across_users_counts_as_a_fresh_parse():
+    shared = ["https://www.a.example/p", "http://[::1", "www."]
+    timelines = {u: [make_tweet(f"{u}{i}", u, i, urls=shared[:i + 1])
+                     for i in range(3)] for u in ("u1", "u2")}
+    corpus = make_corpus(users=[make_user(u) for u in timelines],
+                         timelines=timelines, seeds=["s"])
+    registered_domain.cache_clear()
+    for user_id in timelines:  # the second user's URLs are all cached
+        cached = user_features(corpus, user_id, SNAP)
+        fresh = oracle_user_features(corpus, user_id, SNAP)
+        assert np.array([cached[c] for c in FEATURE_COLUMNS]).tobytes() == \
+            np.array([fresh[c] for c in FEATURE_COLUMNS]).tobytes()
+        # a.example three times; the other two URLs give no domain
+        assert cached["url_domains_max"] == 3.0
+    assert registered_domain.cache_info().misses == len(shared)
 
 
 # ---- parallel_map ----------------------------------------------------------------

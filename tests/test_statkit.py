@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -200,6 +201,16 @@ def test_non_finite_rejected():
         dist_params([1.0, math.nan])
     with pytest.raises(ValueError):
         dist_params([1.0, math.inf])
+
+
+def test_opposite_infinities_rejected_without_a_numpy_warning():
+    # checked before the sum, so inf + -inf is never computed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            dist_params([math.inf, -math.inf])
+        with pytest.raises(ValueError, match="non-finite"):
+            coefficient_of_variation([math.inf, -math.inf])
 
 
 # ---- properties ------------------------------------------------------------
