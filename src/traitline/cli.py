@@ -639,13 +639,15 @@ def main(argv=None) -> int:
         runner = Runner(config)
         if args.command == "pipeline":
             last_reader = [s for s in STAGES if s.reads_corpus][-1]
-            results = {}
             for stage in STAGES:
-                results[stage.name] = runner.run(stage)
+                # each result is let go at once; only evaluate's F1 is kept
+                result = runner.run(stage)
+                if stage.name == "evaluate":
+                    f1 = result["model"]["f1"]
+                del result
                 if stage is last_reader:
                     runner.drop_corpus()
-            print(json.dumps({"f1": results["evaluate"]["model"]["f1"],
-                              "out": str(runner.out)}))
+            print(json.dumps({"f1": f1, "out": str(runner.out)}))
         else:
             for line in args.stage.summary(runner.run(args.stage)):
                 print(line)

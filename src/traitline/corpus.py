@@ -22,8 +22,10 @@ field's type where it is read, in a fixed order, and then the record's
 invariants (a known tweet kind; user counts ``>= 0`` and ``created_at``
 no later than ``snapshot_at``), so the first bad field names the error.
 ``tweets.jsonl`` is parsed in byte ranges of whole lines, one per worker,
-and the ranges are merged into the table; every error reads as the
-one-range load reports it.
+each tweet's fields going straight into its range's columns, and the
+ranges are merged into the table. Repeated tweet ids are found by one
+check on the merged id column. Every error reads as the one-range load
+reports it.
 """
 
 from __future__ import annotations
@@ -191,7 +193,9 @@ class TweetTable:
     def from_records(cls, records) -> "TweetTable":
         """The table of ``records``, grouped and ordered as above."""
         rows = _Rows()
-        rows.extend(records)
+        append = rows.appender()
+        for record in records:
+            append(record)
         return _table([rows])
 
     def __len__(self) -> int:
@@ -278,8 +282,6 @@ class _Pool(dict):
         return code
 
 
-_BATCH = 1024  # records packed into columns at a time
-
 # The column pieces of a part of a table, with their array typecodes ("B":
 # a bytearray of UTF-8). A ragged column's "_len" piece holds each row's
 # count of bytes or codes.
@@ -315,34 +317,42 @@ class _Rows:
     def __len__(self) -> int:
         return len(self.created_at)
 
-    def extend(self, records) -> None:
-        """Append the records, a batch at a time, column by column."""
+    def appender(self):
+        """A function that appends one tweet's fields, given in
+        ``TweetRecord`` order, to the pieces."""
         code = self.pool.__getitem__
-        records = iter(records)
-        while batch := list(islice(records, _BATCH)):
-            (tweet_ids, authors, stamps, kinds, texts, hashtags, urls,
-             mentions, retweeted, langs) = zip(*batch)
-            del batch
-            self.author.extend(map(code, authors))
-            self.created_at.extend(stamps)
-            self.kind.extend(map(code, kinds))
-            self.lang.extend(map(code, langs))
-            self.retweeted.extend(map(code, retweeted))
-            for name, strings in (("tweet_id", tweet_ids), ("text", texts)):
-                joined = "".join(strings)
-                data = _utf8(joined)
-                blob = getattr(self, name)
-                blob += data
-                lengths = getattr(self, name + "_len")
-                if len(data) == len(joined):  # ASCII: one byte a character
-                    lengths.extend(map(len, strings))
-                else:
-                    lengths.extend(len(_utf8(s)) for s in strings)
-            for name, lists in (("hashtags", hashtags), ("urls", urls),
-                                ("mentions", mentions)):
-                getattr(self, name).extend(map(code,
-                                               chain.from_iterable(lists)))
-                getattr(self, name + "_len").extend(map(len, lists))
+        author, created_at, kind, lang, retweeted = (
+            getattr(self, key).append
+            for key in ("author", "created_at", "kind", "lang", "retweeted"))
+        ((ids, ids_len), (texts, texts_len), (hashtags, hashtags_len),
+         (urls, urls_len), (mentions, mentions_len)) = (
+            (getattr(self, key).extend, getattr(self, key + "_len").append)
+            for key in _RAGGED)
+
+        def append(tweet) -> None:
+            (tweet_id, author_id, stamp, kind_, text, tags, links, names,
+             retweeted_author, lang_) = tweet
+            author(code(author_id))
+            created_at(stamp)
+            kind(code(kind_))
+            lang(code(lang_))
+            retweeted(code(retweeted_author))
+            data = _utf8(tweet_id)
+            ids(data)
+            ids_len(len(data))
+            data = _utf8(text)
+            texts(data)
+            texts_len(len(data))
+            if tags:
+                hashtags(map(code, tags))
+            hashtags_len(len(tags))
+            if links:
+                urls(map(code, links))
+            urls_len(len(links))
+            if names:
+                mentions(map(code, names))
+            mentions_len(len(names))
+        return append
 
     def load(self, key: str):
         return getattr(self, key)
@@ -394,11 +404,53 @@ class _Spill:
         pass
 
 
-def _part_ids(part) -> list[bytes]:
-    """A part's tweet ids, as UTF-8, in file order."""
+def _part_ids(part):
+    """A part's tweet ids, as UTF-8 ``bytes``, in file order."""
     blob = bytes(part.load("tweet_id"))
-    at = list(accumulate(part.load("tweet_id_len"), initial=0))
-    return [blob[a:b] for a, b in zip(at, at[1:])]
+    lengths = part.load("tweet_id_len")
+    return map(blob.__getitem__, map(slice, accumulate(lengths, initial=0),
+                                     accumulate(lengths)))
+
+
+def _ids_of(parts, rows) -> dict[int, bytes]:
+    """The tweet ids of ``rows``, numbered from 0 across the parts in
+    order; no other row's id is kept."""
+    rows = set(rows)
+    return {row: i for row, i in enumerate(chain.from_iterable(
+        map(_part_ids, parts))) if row in rows}
+
+
+# a tweet id's UTF-8 -> an int64; ``hash`` is salted per process, which the
+# duplicate check does not depend on
+_id_hash = hash
+
+
+def _first_repeat(parts) -> tuple[int, bytes] | None:
+    """The first row of the parts, in file order, whose tweet id an
+    earlier row has, with that id; None if no id repeats.
+
+    Rows are sorted stably by a hash of their id, and only rows whose hash
+    another row has are compared, byte for byte, so the result does not
+    depend on the hash.
+    """
+    import numpy as np
+
+    hashes = np.fromiter(
+        map(_id_hash, chain.from_iterable(map(_part_ids, parts))), np.int64,
+        sum(map(len, parts)))
+    order = np.argsort(hashes, kind="stable")
+    hashes = hashes[order]
+    same = np.flatnonzero(hashes[1:] == hashes[:-1])
+    if not same.size:
+        return None
+    ids = _ids_of(parts, chain(order[same].tolist(),
+                               order[same + 1].tolist()))
+    seen = set()
+    for row in sorted(ids):  # every row whose id repeats is here
+        if ids[row] in seen:
+            return row, ids[row]
+        seen.add(ids[row])
+    return None
 
 
 def _table(parts) -> TweetTable:
@@ -456,12 +508,14 @@ def _table(parts) -> TweetTable:
     ranks, times = row_rank[order], stamps[order]
     ties = np.flatnonzero((ranks[1:] == ranks[:-1]) & (times[1:] == times[:-1]))
     if ties.size:  # an author's tweets of one second, by tweet_id
-        ids = [i for part in parts for i in _part_ids(part)]
         cuts = np.flatnonzero(np.diff(ties) != 1) + 1
-        for run in np.split(ties, cuts):
-            lo, hi = int(run[0]), int(run[-1]) + 2
-            order[lo:hi] = sorted(order[lo:hi].tolist(),
-                                  key=lambda r: _unicode(ids[r]))
+        runs = [slice(int(run[0]), int(run[-1]) + 2)
+                for run in np.split(ties, cuts)]
+        ids = {row: _unicode(i) for row, i in _ids_of(
+            parts, chain.from_iterable(order[run].tolist() for run in runs)
+        ).items()}
+        for run in runs:
+            order[run] = sorted(order[run].tolist(), key=ids.__getitem__)
         del ids
     bounds = array("q", [0])
     bounds.extend(np.cumsum(np.bincount(row_rank, minlength=len(by_first)))
@@ -576,7 +630,7 @@ def _decode(line: str):
         raise CorpusError(f"malformed JSON: {exc.msg}") from None
 
 
-_BLOCK = 1 << 20  # bytes read at a time
+_BLOCK = 1 << 16  # bytes read at a time
 
 
 def _lines(path: Path, start: int = 0, end: int | None = None):
@@ -761,7 +815,8 @@ def _parse_user(obj: dict) -> UserRecord:
                       snapshot_at)
 
 
-def _parse_tweet(obj: dict) -> TweetRecord:
+def _tweet_fields(obj: dict) -> tuple:
+    """A tweet's checked fields, in ``TweetRecord`` order."""
     get = obj.get
     retweeted = get("retweeted_author")
     if retweeted is not None and type(retweeted) not in _ID:
@@ -802,11 +857,14 @@ def _parse_tweet(obj: dict) -> TweetRecord:
         raise CorpusError(f"tweet {tweet_id}: unknown kind {kind!r}")
     # no string is interned here: a tweet's fields go into the table, whose
     # pool holds each repeated string once
-    return tuple.__new__(TweetRecord, (
-        tweet_id, str(author_id), created_at, kind, text,
-        _norm_hashtags(hashtags) if hashtags else (), tuple(urls),
-        tuple(mentions),
-        None if retweeted in (None, "") else str(retweeted), lang))
+    return (tweet_id, str(author_id), created_at, kind, text,
+            _norm_hashtags(hashtags) if hashtags else (), tuple(urls),
+            tuple(mentions),
+            None if retweeted in (None, "") else str(retweeted), lang)
+
+
+def _parse_tweet(obj: dict) -> TweetRecord:
+    return tuple.__new__(TweetRecord, _tweet_fields(obj))
 
 
 def _parse_ids(names: tuple[str, ...], obj: dict) -> tuple:
@@ -830,36 +888,35 @@ _MIN_SPAN_BYTES = 1 << 20
 
 def _parse_span(path: Path, span: tuple[int, int], spill: str | None = None):
     """One byte range of ``tweets.jsonl``: its rows, line count and first
-    error, as ``_scan`` reports them. With ``spill``, a directory, the rows
-    are written to a file there and come back as a ``_Spill``."""
+    error, as ``_scan`` reports them; tweet ids are not checked here. With
+    ``spill``, a directory, the rows are written to a file there and come
+    back as a ``_Spill``."""
     rows, status = _Rows(), []
-    rows.extend(_scan(path, span, _parse_tweet, "tweet_id", status))
+    append = rows.appender()
+    for tweet in _scan(path, span, _tweet_fields, None, status):
+        append(tweet)
     n_lines, error = status
     return (rows if spill is None else _Spill(rows, spill)), n_lines, error
 
 
 def _merge_spans(path: Path, spans, parsed) -> TweetTable:
     """The table of the parsed ranges, or the first error of the file as
-    a one-range load reports it: the ranges in file order, each one's own
-    error and its tweet ids repeated from an earlier range."""
-    seen: set[bytes] = set()
-    first_line = 1
-    for k, (span, (rows, n_lines, error)) in enumerate(zip(spans, parsed)):
-        if len(spans) > 1:
-            ids = _part_ids(rows)
-            if not seen.isdisjoint(ids):
-                row = next(r for r, i in enumerate(ids) if i in seen)
-                error = (_row_line(path, span, row),
-                         f"duplicate tweet_id {_unicode(ids[row])}")
-            elif k < len(spans) - 1:
-                seen.update(ids)
-            del ids
+    a one-range load reports it: the earlier of the first range error and
+    the first repeated tweet id, in file order."""
+    parts = [rows for rows, _, _ in parsed]
+    repeat = _first_repeat(parts)
+    first_line, first_row = 1, 0
+    for span, (rows, n_lines, error) in zip(spans, parsed):
+        # a range's rows all come before its error, where its parse stopped
+        if repeat is not None and repeat[0] < first_row + len(rows):
+            error = (_row_line(path, span, repeat[0] - first_row),
+                     f"duplicate tweet_id {_unicode(repeat[1])}")
         if error is not None:
             raise CorpusError(f"{path.name}: line {first_line + error[0] - 1}"
                               f": {error[1]}")
         first_line += n_lines
-    seen.clear()  # before the table is built
-    return _table([rows for rows, _, _ in parsed])
+        first_row += len(rows)
+    return _table(parts)
 
 
 def _row_line(path: Path, span, row: int) -> int:

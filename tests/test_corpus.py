@@ -1148,7 +1148,9 @@ def test_any_split_loads_as_one_range(tmp_path_factory, data):
     if lines and data.draw(st.booleans()):  # no break after the last line
         body = body[:-len(ends[-1])]
     raw = body.encode("utf-8")
-    path = tmp_path_factory.mktemp("ranges") / "tweets.jsonl"
+    # one file rewritten per example, as in the interleaved property
+    path = tmp_path_factory.getbasetemp() / "ranges" / "tweets.jsonl"
+    path.parent.mkdir(exist_ok=True)
     path.write_bytes(raw)
     cuts = data.draw(st.lists(st.integers(0, len(raw)), max_size=5))
     with pytest.MonkeyPatch.context() as patch:
@@ -1157,6 +1159,29 @@ def test_any_split_loads_as_one_range(tmp_path_factory, data):
         whole = load_in_ranges(path, [])
         assert whole == oracle_outcome(path)
         assert load_in_ranges(path, cuts) == whole
+
+
+def test_duplicate_check_compares_ids_of_equal_hash_byte_for_byte(
+        tmp_path, monkeypatch):
+    # ids of one length collide; the first repeat in file order is "bb",
+    # though the run of one-byte ids sorts first
+    monkeypatch.setattr(loader, "_id_hash", len)
+    ids = ["a", "bb", "c", "cc", "bb", "a", "b"]
+    lines = [json.dumps(tweet_row(i, "u1", 1_600_000_000 + k))
+             for k, i in enumerate(ids)]
+    path = tmp_path / "tweets.jsonl"
+    for body, want in (
+            ("\n".join(lines[:4] + lines[6:]) + "\n", None),
+            ("\n\n".join(lines) + "\n",
+             "tweets.jsonl: line 9: duplicate tweet_id bb")):
+        path.write_text(body, encoding="utf-8")
+        expected = oracle_outcome(path)
+        if want is None:  # distinct ids of equal hash load
+            assert isinstance(expected, tuple)
+        else:
+            assert expected == want
+        for cut in range(len(body) + 1):
+            assert load_in_ranges(path, [cut]) == expected, cut
 
 
 def test_bytes_that_are_not_utf8_name_their_line(tmp_path):
@@ -1199,6 +1224,24 @@ def test_one_worker_starts_no_pool(synth_50, monkeypatch):
     assert record_counts(load_corpus(synth_50, workers=1))["tweets"] > 0
     with pytest.raises(AssertionError, match="pool was started"):
         load_corpus(synth_50, workers=2)
+
+
+@pytest.mark.parametrize("workers, bound", [(1, 1.35), (2, 1.25)])
+def test_load_peak_stays_near_the_table(synth_50, workers, bound):
+    # the parse holds no object per tweet beyond the table's columns: no
+    # set of ids and no records (a set of ids took the one-worker peak to
+    # 2.3 times the table)
+    loader.load_tweets(synth_50.tweets, workers)  # imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = loader.load_tweets(synth_50.tweets, workers)
+        gc.collect()
+        used, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 0
+    assert peak <= bound * used
 
 
 def test_loaded_tweets_take_at_most_250_bytes_each(synth_50):
