@@ -26,7 +26,7 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from . import __version__, cohort, gbdt, model, synth, topics
+from . import __version__, cohort, gbdt, model, topics
 from .corpus import Corpus, CorpusPaths, load_corpus, record_counts, validate_corpus
 from .features import (FeatureMatrix, TOKENIZER_VERSION, default_snapshot,
                        feature_matrix)
@@ -52,10 +52,14 @@ def stage_seed(master: int, stage: str) -> int:
 
 
 def file_sha256(path) -> str:
+    """``"sha256:"`` and the hex digest of the file, read through one
+    64 KiB buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buffer = bytearray(1 << 16)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while got := fh.readinto(buffer):
+            h.update(view[:got])
     return "sha256:" + h.hexdigest()
 
 
@@ -630,6 +634,7 @@ def main(argv=None) -> int:
     config = _resolve_config(args)
     try:
         if args.command == "synth":
+            from . import synth  # only here, so no stage imports it
             out = Path(config.out_dir)
             engaged, control = synth.default_specs(args.separation)
             synth.generate_corpus(engaged, control, args.n, args.n_seeds,

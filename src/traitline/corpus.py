@@ -166,7 +166,8 @@ class TweetTable:
     ``strings``, the table's pool of interned strings, with -1 for None.
     The ragged columns are pairs ``(values, offsets)``, row r being
     ``values[offsets[r]:offsets[r + 1]]``: ``tweet_id`` and ``text`` hold
-    UTF-8 bytes, ``hashtags``, ``urls`` and ``mentions`` pool codes.
+    UTF-8 bytes, ``hashtags``, ``urls`` and ``mentions`` pool codes. The
+    offsets are 32-bit, or 64-bit for a column of 2**32 items or more.
 
     ``from_records`` is the one constructor; the loader builds the same
     table from its byte ranges.
@@ -551,13 +552,20 @@ def _table(parts) -> TweetTable:
                 values = array("i", np.frombuffer(values, np.int32)[source]
                                .tobytes())
             lengths = size.tolist()
-        columns[key] = (values, array("q", accumulate(lengths, initial=0)))
+        columns[key] = (values, _offsets(lengths, len(values)))
         for part in parts:
             part.drop(key)
             part.drop(key + "_len")
     strings = list(pool)
     return TweetTable([strings[code] for code in by_first.tolist()], bounds,
                       strings, **columns)
+
+
+def _offsets(lengths, total: int) -> array:
+    """The offsets of rows of the given lengths, ``total`` in all: 32-bit
+    when ``total`` fits, so that no partial sum overflows, else 64-bit."""
+    return array("I" if total < 1 << 32 else "q",
+                 accumulate(lengths, initial=0))
 
 
 def _unicode(data: bytes) -> str:

@@ -19,6 +19,7 @@ import csv
 import math
 import re
 import unicodedata
+from array import array
 from collections import Counter
 from concurrent import futures
 from dataclasses import dataclass
@@ -562,9 +563,11 @@ def parallel_map(fn, items, workers: int) -> list:
 
 
 def _row(corpus: Corpus, as_of: int, lexicons, columns: list[str],
-         user_id: str) -> list[float]:
+         user_id: str) -> array:
+    """The user's row, packed: it crosses a pool as one buffer, and the
+    parent holds no float objects."""
     feats = user_features(corpus, user_id, as_of, lexicons)
-    return [feats[c] for c in columns]
+    return array("d", [feats[c] for c in columns])
 
 
 def feature_matrix(corpus: Corpus, conspiracy: set[str], control: set[str],

@@ -1,7 +1,12 @@
 import csv
 import gc
+import hashlib
 import json
 import math
+import random
+import subprocess
+import sys
+import tracemalloc
 import weakref
 from dataclasses import astuple
 from pathlib import Path
@@ -153,6 +158,41 @@ def test_pipeline_hashes_each_corpus_file_once(tmp_path, corpus_dir,
         inputs = stages[stage.name]["inputs"]
         for name in corpus_files:
             assert inputs[name] == original(corpus_dir / name), stage.name
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 200_000])
+def test_file_sha256_is_the_digest_of_the_bytes(tmp_path, size):
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "data"
+    path.write_bytes(data)
+    assert cli.file_sha256(path) == \
+        "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def test_file_sha256_reads_through_a_small_buffer(tmp_path):
+    # reading 1 MiB chunks kept two of them alive: a peak of about 2 MiB
+    path = tmp_path / "data"
+    path.write_bytes(random.Random(4).randbytes(4 << 20))
+    cli.file_sha256(path)  # imports and caches
+    tracemalloc.start()
+    try:
+        cli.file_sha256(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10
+
+
+def test_importing_the_cli_leaves_synth_unimported():
+    # only ``synth generate`` needs the generator; a pipeline child should
+    # not pay for importing it
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import traitline.cli, sys; "
+         "print('traitline.synth' in sys.modules)"],
+        cwd=src, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_curve_reuses_trained_model_for_all_columns(tmp_path, corpus_dir,

@@ -1255,3 +1255,22 @@ def test_loaded_tweets_take_at_most_250_bytes_each(synth_50):
     finally:
         tracemalloc.stop()
     assert used / record_counts(corpus)["tweets"] <= 250
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ragged_columns_have_32_bit_offsets(synth_50, workers):
+    table = loader.load_tweets(synth_50.tweets, workers)
+    for key in loader._RAGGED:
+        values, offsets = getattr(table, key)
+        assert offsets.itemsize == 4, key
+        assert offsets[-1] == len(values), key
+
+
+def test_offsets_widen_to_64_bits_only_past_2_to_the_32():
+    wide = loader._offsets([2**31, 2**31], 2**32)
+    assert wide.itemsize == 8
+    assert list(wide) == [0, 2**31, 2**32]
+    for lengths in ([], [3, 0, 5], [2**32 - 1]):
+        narrow = loader._offsets(lengths, sum(lengths))
+        assert narrow.itemsize == 4
+        assert list(narrow) == [0, *itertools.accumulate(lengths)]
