@@ -11,8 +11,7 @@ consecutive-pair features are deterministic.
 Users, likes and follows are held as read-only named tuples, and every
 repeated string (ids, kinds, languages, hashtags, urls and mentions) once,
 through ``sys.intern``. Tweets are held as one columnar ``TweetTable``;
-``TweetTable.column`` decodes one field of a user's tweets, and
-``Corpus.timeline`` builds a user's ``TweetRecord``s from it on demand.
+``TweetTable.column`` decodes one field of a user's tweets on demand.
 
 A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in text mode. Each
 line is decoded by the C scanner behind ``json.loads``, which must
@@ -22,10 +21,10 @@ field's type where it is read, in a fixed order, and then the record's
 invariants (a known tweet kind; user counts ``>= 0`` and ``created_at``
 no later than ``snapshot_at``), so the first bad field names the error.
 ``tweets.jsonl`` is parsed in byte ranges of whole lines, one per worker,
-each tweet's fields going straight into its range's columns, and the
-ranges are merged into the table. Repeated tweet ids are found by one
-check on the merged id column. Every error reads as the one-range load
-reports it.
+each tweet's fields going straight into its range's columns. Each range
+is written to a file in a temporary directory, and the table is merged
+from the files. Repeated tweet ids are found by one check across the
+ranges. Every error reads as the one-range load reports it.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ def parse_timestamp(value) -> int:
     rejected rather than truncated, and so is any instant outside years 1
     to 9999 UTC.
 
-    ``YYYY-MM-DDTHH:MM:SSZ`` in ASCII, the form ``save_corpus`` writes, is
+    ``YYYY-MM-DDTHH:MM:SSZ`` in ASCII, the form ``write_corpus`` writes, is
     read from a table of dates and the time of day; any other input, valid
     or not, takes the general path.
     """
@@ -168,9 +167,7 @@ class TweetTable:
     ``values[offsets[r]:offsets[r + 1]]``: ``tweet_id`` and ``text`` hold
     UTF-8 bytes, ``hashtags``, ``urls`` and ``mentions`` pool codes. The
     offsets are 32-bit, or 64-bit for a column of 2**32 items or more.
-
-    ``from_records`` is the one constructor; the loader builds the same
-    table from its byte ranges.
+    ``_table`` builds it from the parsed byte ranges of ``tweets.jsonl``.
     """
 
     def __init__(self, authors, bounds, strings, created_at, kind, lang,
@@ -190,30 +187,8 @@ class TweetTable:
         self.position = {author: i for i, author in enumerate(authors)}
         self._lookup = strings + [None]  # code -> string, and -1 -> None
 
-    @classmethod
-    def from_records(cls, records) -> "TweetTable":
-        """The table of ``records``, grouped and ordered as above."""
-        rows = _Rows()
-        append = rows.appender()
-        for record in records:
-            append(record)
-        return _table([rows])
-
     def __len__(self) -> int:
         return self.bounds[-1]
-
-    def __repr__(self) -> str:
-        return (f"<TweetTable: {len(self)} tweets by {len(self.authors)} "
-                f"authors>")
-
-    def __eq__(self, other) -> bool:
-        """Equal timelines, whatever the order of authors and pools."""
-        if not isinstance(other, TweetTable):
-            return NotImplemented
-        return (len(self) == len(other)
-                and self.position.keys() == other.position.keys()
-                and all(self.timeline(a) == other.timeline(a)
-                        for a in self.authors))
 
     def rows(self, author: str) -> range:
         """The rows of the author's timeline; empty for an unknown author."""
@@ -265,12 +240,6 @@ class TweetTable:
             self, field)
         return list(map(self._lookup.__getitem__, codes[lo:hi]))
 
-    def timeline(self, author: str) -> list[TweetRecord]:
-        """The author's tweets as fresh records, in timeline order."""
-        new = tuple.__new__
-        return [new(TweetRecord, fields) for fields in zip(
-            *(self.column(author, field) for field in TweetRecord._fields))]
-
 
 class _Pool(dict):
     """String -> code, each new string taking the next code; None is -1."""
@@ -304,19 +273,12 @@ class _Rows:
     """Tweets in file order as the column pieces of a table (``_PIECES``):
     what one byte range of ``tweets.jsonl`` parses to. ``author`` holds a
     code per row, and ``pool`` codes the strings in order of first use.
-
-    ``_table`` reads a part's ``pool``, its length, and each piece through
-    ``load(key)`` and ``drop(key)``; a ``_Spill`` also has ``count(key)``
-    and ``read_into(key, view)``.
     """
 
     def __init__(self):
         self.pool = _Pool()
         for key, typecode in _PIECES.items():
             setattr(self, key, _allocate(typecode, 0))
-
-    def __len__(self) -> int:
-        return len(self.created_at)
 
     def appender(self):
         """A function that appends one tweet's fields, given in
@@ -355,33 +317,26 @@ class _Rows:
             mentions_len(len(names))
         return append
 
-    def load(self, key: str):
-        return getattr(self, key)
-
-    def drop(self, key: str) -> None:
-        setattr(self, key, None)
-
 
 class _Spill:
-    """A parsed range, written to a file by the worker that parsed it.
-
-    Only the pool, the row count and the layout of the file cross between
-    processes. The parent reads each piece back straight into the table's
-    column, so it holds no second copy of the rows.
+    """A parsed range, written to a file by the worker that parsed it, its
+    ``_Rows`` cleared piece by piece. Only the pool and the layout of the
+    file cross between processes. ``_table`` reads each piece back straight
+    into the table's column, so it holds no second copy of the rows.
     """
 
     def __init__(self, rows: _Rows, directory: str):
-        self.pool, self.size, self.layout = rows.pool, len(rows), {}
+        self.pool, self.layout = rows.pool, {}
         with tempfile.NamedTemporaryFile(dir=directory, delete=False) as fh:
             self.path = fh.name
             for key in _PIECES:
-                piece = rows.load(key)
+                piece = getattr(rows, key)
                 self.layout[key] = (fh.tell(), len(piece))
                 fh.write(piece)
-                rows.drop(key)
+                setattr(rows, key, None)
 
     def __len__(self) -> int:
-        return self.size
+        return self.count("created_at")
 
     def count(self, key: str) -> int:
         return self.layout[key][1]
@@ -400,9 +355,6 @@ class _Spill:
                 if not got:
                     raise CorpusError(f"{self.path}: cut short")
                 view = view[got:]
-
-    def drop(self, key: str) -> None:
-        pass
 
 
 def _part_ids(part):
@@ -455,10 +407,9 @@ def _first_repeat(parts) -> tuple[int, bytes] | None:
 
 
 def _table(parts) -> TweetTable:
-    """One table of the parts' rows, taken in the parts' order: one
-    ``_Rows``, or the ``_Spill``s of several ranges.
+    """One table of the rows of the parts, ``_Spill``s taken in order.
 
-    Each column is built from the parts, which then drop it, so that two
+    Each column is read from the parts' files as it is built, so that two
     copies of the table never coexist. Rows already in table order are
     laid end to end; others are gathered by their order, with numpy index
     arithmetic.
@@ -479,8 +430,6 @@ def _table(parts) -> TweetTable:
 
     def joined(key: str):
         """The parts' pieces end to end, codes remapped."""
-        if len(parts) == 1:
-            return parts[0].load(key)
         out = _allocate(_PIECES[key], sum(part.count(key) for part in parts))
         view, at = memoryview(out), 0
         for p, part in enumerate(parts):
@@ -496,8 +445,6 @@ def _table(parts) -> TweetTable:
     # the rows in table order: grouped by author, authors in order of
     # first appearance, each timeline by (created_at, tweet_id)
     author = np.frombuffer(joined("author"), np.int32)
-    for part in parts:
-        part.drop("author")
     codes, first = np.unique(author, return_index=True)
     by_first = codes[np.argsort(first)]
     rank = np.empty(len(pool), np.int64)
@@ -532,8 +479,6 @@ def _table(parts) -> TweetTable:
                            np.frombuffer(column, column.typecode)[order]
                            .tobytes())
         columns[key] = column
-        for part in parts:
-            part.drop(key)
     for key in _RAGGED:
         values, lengths = joined(key), joined(key + "_len")
         if not in_order:
@@ -553,9 +498,6 @@ def _table(parts) -> TweetTable:
                                .tobytes())
             lengths = size.tolist()
         columns[key] = (values, _offsets(lengths, len(values)))
-        for part in parts:
-            part.drop(key)
-            part.drop(key + "_len")
     strings = list(pool)
     return TweetTable([strings[code] for code in by_first.tolist()], bounds,
                       strings, **columns)
@@ -579,9 +521,6 @@ class Corpus:
     likes: list[tuple[str, str, str]]  # (user_id, seed_id, liked_tweet_id)
     follows: list[tuple[str, str]]  # (follower_id, followee_id)
     seeds: list[str]
-
-    def timeline(self, user_id: str) -> list[TweetRecord]:
-        return self.tweets.timeline(user_id)
 
     def predominant_language(self, user_id: str) -> str | None:
         """Per-user language field, falling back to the modal tweet language."""
@@ -871,10 +810,6 @@ def _tweet_fields(obj: dict) -> tuple:
             None if retweeted in (None, "") else str(retweeted), lang)
 
 
-def _parse_tweet(obj: dict) -> TweetRecord:
-    return tuple.__new__(TweetRecord, _tweet_fields(obj))
-
-
 def _parse_ids(names: tuple[str, ...], obj: dict) -> tuple:
     ids = []
     for name in names:
@@ -894,36 +829,35 @@ def load_users(path: Path) -> dict[str, UserRecord]:
 _MIN_SPAN_BYTES = 1 << 20
 
 
-def _parse_span(path: Path, span: tuple[int, int], spill: str | None = None):
-    """One byte range of ``tweets.jsonl``: its rows, line count and first
-    error, as ``_scan`` reports them; tweet ids are not checked here. With
-    ``spill``, a directory, the rows are written to a file there and come
-    back as a ``_Spill``."""
+def _parse_span(path: Path, span: tuple[int, int], spill: str):
+    """One byte range of ``tweets.jsonl``: its rows, written to a file in
+    the directory ``spill``, line count and first error, as ``_scan``
+    reports them; tweet ids are not checked here."""
     rows, status = _Rows(), []
     append = rows.appender()
     for tweet in _scan(path, span, _tweet_fields, None, status):
         append(tweet)
     n_lines, error = status
-    return (rows if spill is None else _Spill(rows, spill)), n_lines, error
+    return _Spill(rows, spill), n_lines, error
 
 
 def _merge_spans(path: Path, spans, parsed) -> TweetTable:
     """The table of the parsed ranges, or the first error of the file as
     a one-range load reports it: the earlier of the first range error and
     the first repeated tweet id, in file order."""
-    parts = [rows for rows, _, _ in parsed]
+    parts = [part for part, _, _ in parsed]
     repeat = _first_repeat(parts)
     first_line, first_row = 1, 0
-    for span, (rows, n_lines, error) in zip(spans, parsed):
+    for span, (part, n_lines, error) in zip(spans, parsed):
         # a range's rows all come before its error, where its parse stopped
-        if repeat is not None and repeat[0] < first_row + len(rows):
+        if repeat is not None and repeat[0] < first_row + len(part):
             error = (_row_line(path, span, repeat[0] - first_row),
                      f"duplicate tweet_id {_unicode(repeat[1])}")
         if error is not None:
             raise CorpusError(f"{path.name}: line {first_line + error[0] - 1}"
                               f": {error[1]}")
         first_line += n_lines
-        first_row += len(rows)
+        first_row += len(part)
     return _table(parts)
 
 
@@ -939,16 +873,14 @@ def _row_line(path: Path, span, row: int) -> int:
 
 
 def load_tweets(path: Path, workers: int = 1) -> TweetTable:
-    """``tweets.jsonl`` as a table, parsed in one byte range per worker;
-    one range is parsed in process, and several hand their rows back
-    through files in a temporary directory."""
+    """``tweets.jsonl`` as a table, parsed in one byte range per worker
+    (one range in process), each range handing its rows back through a
+    file in a temporary directory."""
     from .features import parallel_map  # features imports this module
 
     size = path.stat().st_size
     n = max(1, min(workers, size // _MIN_SPAN_BYTES))
     spans = _spans(path, [size * k // n for k in range(1, n)])
-    if len(spans) == 1:
-        return _merge_spans(path, spans, [_parse_span(path, spans[0])])
     with tempfile.TemporaryDirectory(prefix="traitline-") as spill:
         parsed = parallel_map(partial(_parse_span, path, spill=spill), spans,
                               workers)
@@ -976,6 +908,9 @@ def load_corpus(paths: CorpusPaths, workers: int = 1) -> Corpus:
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{paths.seeds.name}: malformed JSON at line "
                               f"{exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{paths.seeds.name}: not UTF-8: "
+                              f"{exc.reason}") from None
     if not isinstance(seeds_raw, list):
         raise CorpusError(f"{paths.seeds.name}: expected a JSON array")
     for index, seed in enumerate(seeds_raw):
@@ -1077,8 +1012,7 @@ def write_corpus(paths: CorpusPaths, users: dict[str, UserRecord], tweets,
                  likes, follows, seeds) -> None:
     """Write records to disk in the load schema (round-trip safe).
 
-    ``tweets`` are written in the order given; ``save_corpus`` gives them
-    by author id, each timeline in order. Each line is
+    ``tweets`` are written in the order given. Each line is
     ``json.dumps(obj, sort_keys=True)`` of a record's fields, timestamps
     in ISO-8601 and a tweet's ``lang`` only when set; for speed the tweet,
     like and follow lines are built from the fields directly.
@@ -1104,11 +1038,3 @@ def write_corpus(paths: CorpusPaths, users: dict[str, UserRecord], tweets,
     with open(paths.seeds, "w", encoding="utf-8") as fh:
         json.dump(seeds, fh)
         fh.write("\n")
-
-
-def save_corpus(corpus: Corpus, paths: CorpusPaths) -> None:
-    """Write a corpus back to disk in the load schema (round-trip safe)."""
-    tweets = chain.from_iterable(map(corpus.timeline,
-                                     sorted(corpus.tweets.authors)))
-    write_corpus(paths, corpus.users, tweets, corpus.likes, corpus.follows,
-                 corpus.seeds)

@@ -31,7 +31,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .corpus import Corpus, TweetRecord
+from .corpus import Corpus
 from .statkit import PARAM_NAMES, dist_params
 # unused here, but perfbench/tracing.py wraps it by this name
 from .statkit import entropy_from_counts  # noqa: F401
@@ -166,20 +166,10 @@ def _tokenized(text: str, kind: str, created_at: int, urls: tuple[str, ...],
         len(text), retweeted_author))
 
 
-def tokenize_tweet(tweet: TweetRecord) -> TokenizedTweet:
-    """A tweet tokenized and tallied once, for every feature that reads it."""
-    return _tokenized(tweet.text, tweet.kind, tweet.created_at, tweet.urls,
-                      tweet.mentions, tweet.retweeted_author)
-
-
-def tokenize_timeline(timeline: list[TweetRecord] | TimelineColumns
-                      ) -> list[TokenizedTweet]:
+def tokenize_timeline(timeline: TimelineColumns) -> list[TokenizedTweet]:
     """Each of a user's tweets tokenized and tallied once, in timeline
-    order: from its records, or from its columns as ``user_features``
-    reads them, with no record built."""
-    if isinstance(timeline, TimelineColumns):
-        return list(map(_tokenized, *timeline))
-    return list(map(tokenize_tweet, timeline))
+    order, for every feature that reads it."""
+    return list(map(_tokenized, *timeline))
 
 
 def _dist_cols(base: str) -> list[str]:
@@ -461,9 +451,6 @@ class FeatureMatrix:
             return self.columns.index(name)
         except ValueError:
             raise FeatureError(f"unknown column {name!r}") from None
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.column_index(name)]
 
     def select_columns(self, names) -> "FeatureMatrix":
         idx = [self.column_index(n) for n in names]

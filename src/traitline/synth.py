@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
-from .corpus import (Corpus, CorpusPaths, TweetRecord, TweetTable,
-                     UserRecord, parse_timestamp, write_corpus)
+from .corpus import (CorpusPaths, TweetRecord, UserRecord, parse_timestamp,
+                     write_corpus)
 
 
 class SynthError(ValueError):
@@ -451,17 +451,6 @@ def _records(engaged: ProfileSpec, control: ProfileSpec, n_per_group: int,
             follows.extend(user_follows)
             truth[user_id] = label
     return users, timelines, likes, follows, seeds, truth
-
-
-def build_corpus(engaged: ProfileSpec, control: ProfileSpec,
-                 n_per_group: int, n_seeds: int,
-                 rng_seed: int) -> tuple[Corpus, dict[str, int]]:
-    """Assemble a synthetic corpus in memory with ground-truth labels."""
-    users, timelines, likes, follows, seeds, truth = _records(
-        engaged, control, n_per_group, n_seeds, rng_seed)
-    tweets = TweetTable.from_records(chain.from_iterable(timelines.values()))
-    return Corpus(users=users, tweets=tweets, likes=likes, follows=follows,
-                  seeds=seeds), truth
 
 
 def generate_corpus(engaged: ProfileSpec, control: ProfileSpec,

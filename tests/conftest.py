@@ -1,9 +1,11 @@
 """Shared builders for in-memory corpora used across the test suite."""
 
+import tempfile
 from itertools import chain
 
-from traitline.corpus import (Corpus, TweetRecord, TweetTable, UserRecord,
-                              parse_timestamp)
+from traitline.corpus import (Corpus, TweetRecord, UserRecord, _Rows, _Spill,
+                              _table, parse_timestamp, write_corpus)
+from traitline.features import TimelineColumns
 
 SNAP = parse_timestamp("2022-01-01T00:00:00Z")
 
@@ -29,12 +31,38 @@ def make_tweet(tweet_id, author, ts, kind="original", text="", hashtags=(),
 
 
 def make_corpus(users=(), timelines=None, likes=(), follows=(), seeds=()):
-    users = list(users)
-    return Corpus(
-        users={u.user_id: u for u in users},
-        tweets=TweetTable.from_records(
-            chain.from_iterable((timelines or {}).values())),
-        likes=list(likes), follows=list(follows), seeds=list(seeds))
+    """A corpus whose table is packed as the loader packs a parsed range."""
+    rows = _Rows()
+    append = rows.appender()
+    for tweet in chain.from_iterable((timelines or {}).values()):
+        append(tweet)
+    with tempfile.TemporaryDirectory() as spill:
+        tweets = _table([_Spill(rows, spill)])
+    return Corpus(users={u.user_id: u for u in users}, tweets=tweets,
+                  likes=list(likes), follows=list(follows), seeds=list(seeds))
+
+
+def records_of(table, author):
+    return [TweetRecord._make(fields) for fields in zip(
+        *(table.column(author, field) for field in TweetRecord._fields))]
+
+
+def columns_of(records):
+    return TimelineColumns._make([getattr(t, field) for t in records]
+                                 for field in TimelineColumns._fields)
+
+
+def corpus_view(corpus):
+    """Users, each author's timeline (in any author order) and the rest."""
+    table = corpus.tweets
+    return (corpus.users, {a: records_of(table, a) for a in table.authors},
+            corpus.likes, corpus.follows, corpus.seeds)
+
+
+def save_corpus(corpus, paths):
+    users, timelines, *rest = corpus_view(corpus)
+    write_corpus(paths, users, chain.from_iterable(
+        timelines[a] for a in sorted(timelines)), *rest)
 
 
 def assert_monotone(grid):

@@ -19,7 +19,7 @@ from test_statkit import ref_cov, ref_dist_params
 from traitline import cli
 from traitline.cohort import (filter_cov, filter_follows_seed,
                               select_cohort, threshold_grid)
-from traitline.features import TRAIT_GROUPS, user_features
+from traitline.features import TRAIT_GROUPS, TimelineColumns, user_features
 from traitline.statkit import coefficient_of_variation, dist_params
 from traitline.topics import cooccurrence_graph, top_k_subgraph
 
@@ -133,10 +133,10 @@ def test_acceptance_3_feature_oracle():
         check_user("bob", bob_expected())
         corpus = oracle_corpus()
         for user_id in ("alice", "bob"):
-            timeline = corpus.timeline(user_id)
+            timeline = TimelineColumns.read(corpus, user_id)
             feats = user_features(corpus, user_id, AS_OF)
-            quote = sum(t.kind == "quote" for t in timeline) / len(timeline)
-            orig = sum(t.kind == "original" for t in timeline) / len(timeline)
+            quote = timeline.kind.count("quote") / len(timeline.kind)
+            orig = timeline.kind.count("original") / len(timeline.kind)
             assert feats["retweet_ratio"] + feats["reply_ratio"] + quote \
                 + orig == pytest.approx(1.0, abs=1e-12)
             from traitline.features import (language_novelty_series,

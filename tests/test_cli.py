@@ -505,8 +505,8 @@ def test_cross_validation_in_metrics(tmp_path, corpus_dir):
 
 
 def test_control_shortage_trims_cohort(tmp_path):
-    from conftest import make_corpus, make_tweet, make_user
-    from traitline.corpus import CorpusPaths, save_corpus
+    from conftest import make_corpus, make_tweet, make_user, save_corpus
+    from traitline.corpus import CorpusPaths
 
     users, timelines, likes, follows = [], {}, [], []
     for i in range(4):  # four strongly engaged users

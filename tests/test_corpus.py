@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus, make_tweet, make_user
+from conftest import (columns_of, corpus_view, make_corpus, make_tweet,
+                      make_user, records_of, save_corpus)
 from traitline import corpus as loader
 from traitline.corpus import (MAX_EPOCH, MIN_EPOCH, TWEET_KINDS, CorpusError,
                               CorpusPaths, TweetRecord, format_timestamp,
                               load_corpus, parse_timestamp, record_counts,
-                              save_corpus, validate_corpus)
-from traitline.features import tokenize_tweet
+                              validate_corpus, write_corpus)
+from traitline.features import tokenize_timeline
 from traitline.synth import default_specs, generate_corpus
 
 
@@ -71,7 +72,7 @@ def test_two_user_fixture(tmp_path):
         seeds=["s1"])
     corpus = load_corpus(paths)
     assert set(corpus.users) == {"u1", "u2"}
-    assert [t.tweet_id for t in corpus.timeline("u1")] == ["t1", "t2"]
+    assert corpus.tweets.column("u1", "tweet_id") == ["t1", "t2"]
     assert record_counts(corpus) == {"users": 2, "tweets": 3, "likes": 0,
                                      "follows": 0, "seeds": 1}
 
@@ -84,9 +85,9 @@ def test_out_of_order_timestamps_resorted(tmp_path):
                 tweet_row("t1", "u1", "2021-05-01T00:00:00Z")],
         seeds=["s1"])
     corpus = load_corpus(paths)
-    stamps = [t.created_at for t in corpus.timeline("u1")]
+    stamps = corpus.tweets.column("u1", "created_at")
     assert stamps == sorted(stamps)
-    assert [t.tweet_id for t in corpus.timeline("u1")] == ["t1", "t2"]
+    assert corpus.tweets.column("u1", "tweet_id") == ["t1", "t2"]
 
 
 def test_equal_timestamps_tie_break_by_tweet_id(tmp_path):
@@ -97,7 +98,7 @@ def test_equal_timestamps_tie_break_by_tweet_id(tmp_path):
                 tweet_row("ta", "u1", "2021-05-01T00:00:00Z")],
         seeds=["s1"])
     corpus = load_corpus(paths)
-    assert [t.tweet_id for t in corpus.timeline("u1")] == ["ta", "tb"]
+    assert corpus.tweets.column("u1", "tweet_id") == ["ta", "tb"]
 
 
 def test_missing_user_id_reports_line(tmp_path):
@@ -204,6 +205,14 @@ def test_malformed_seed_list_reports_file_and_line(tmp_path):
         load_corpus(paths)
 
 
+def test_seed_list_not_utf8_names_the_file(tmp_path):
+    paths = write_fixture(tmp_path, users=[user_row("u1")], tweets=[])
+    paths.seeds.write_bytes(b'\xff["s1"]')
+    with pytest.raises(CorpusError, match=r"^seeds\.json: not UTF-8: invalid "
+                                          r"start byte$"):
+        load_corpus(paths)
+
+
 def test_integer_ids_load_as_strings(tmp_path):
     paths = write_fixture(
         tmp_path, users=[user_row(1)],
@@ -214,7 +223,7 @@ def test_integer_ids_load_as_strings(tmp_path):
         follows=[{"follower_id": 1, "followee_id": 3}], seeds=[3, "s2"])
     corpus = load_corpus(paths)
     assert set(corpus.users) == {"1"}
-    tweet = corpus.timeline("1")[0]
+    tweet = records_of(corpus.tweets, "1")[0]
     assert (tweet.tweet_id, tweet.author_id, tweet.retweeted_author) == \
         ("10", "1", "2")
     assert (tweet.text, tweet.hashtags, tweet.urls, tweet.mentions) == \
@@ -413,7 +422,7 @@ def test_hashtags_lowercased_and_deduplicated(tmp_path):
                           hashtags=["#Covid19", "covid19", "NEWS"])],
         seeds=["s1"])
     corpus = load_corpus(paths)
-    assert corpus.timeline("u1")[0].hashtags == ("covid19", "news")
+    assert corpus.tweets.column("u1", "hashtags") == [("covid19", "news")]
 
 
 def test_timestamps_normalized_to_utc(tmp_path):
@@ -422,7 +431,7 @@ def test_timestamps_normalized_to_utc(tmp_path):
         tweets=[tweet_row("t1", "u1", "2021-05-01T12:00:00+02:00")],
         seeds=["s1"])
     corpus = load_corpus(paths)
-    assert corpus.timeline("u1")[0].created_at == \
+    assert records_of(corpus.tweets, "u1")[0].created_at == \
         parse_timestamp("2021-05-01T10:00:00Z")
 
 
@@ -464,7 +473,7 @@ def test_load_is_deterministic(tmp_path):
         likes=[{"user_id": "u1", "seed_id": "s1", "liked_tweet_id": "x"}],
         follows=[{"follower_id": "u1", "followee_id": "s1"}],
         seeds=["s1"])
-    assert load_corpus(paths) == load_corpus(paths)
+    assert corpus_view(load_corpus(paths)) == corpus_view(load_corpus(paths))
 
 
 def test_round_trip(tmp_path):
@@ -481,7 +490,7 @@ def test_round_trip(tmp_path):
     paths = CorpusPaths.in_dir(out)
     save_corpus(corpus, paths)
     reloaded = load_corpus(paths)
-    assert reloaded == corpus
+    assert corpus_view(reloaded) == corpus_view(corpus)
     # byte-stable second write
     save_corpus(reloaded, CorpusPaths.in_dir(tmp_path / "rt2"))
     for name in ("users.jsonl", "tweets.jsonl", "likes.jsonl",
@@ -530,8 +539,8 @@ def two_author_fixture(tmp_path):
 
 def test_loaded_records_are_slotted(tmp_path):
     corpus = load_corpus(two_author_fixture(tmp_path))
-    records = [*corpus.users.values(),
-               *(t for a in corpus.tweets.authors for t in corpus.timeline(a))]
+    records = [*corpus.users.values(), *records_of(corpus.tweets, "u1"),
+               *records_of(corpus.tweets, "2")]
     assert len(records) == 5
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
@@ -539,8 +548,8 @@ def test_loaded_records_are_slotted(tmp_path):
 
 def test_repeated_values_are_held_once(tmp_path):
     corpus = load_corpus(two_author_fixture(tmp_path))
-    t1, t2 = corpus.timeline("u1")
-    (t3,) = corpus.timeline("2")
+    t1, t2 = records_of(corpus.tweets, "u1")
+    (t3,) = records_of(corpus.tweets, "2")
     assert t1.author_id is t2.author_id
     assert t1.author_id is next(k for k in corpus.users if k == "u1")
     # an integer id becomes one string, shared by the user and the tweet
@@ -560,8 +569,8 @@ def test_corpus_survives_pickle(tmp_path):
     # under the spawn start method the feature pool pickles the corpus
     corpus = load_corpus(two_author_fixture(tmp_path))
     copy = pickle.loads(pickle.dumps(corpus))
-    assert copy == corpus
-    t1, t2 = copy.timeline("u1")
+    assert corpus_view(copy) == corpus_view(corpus)
+    t1, t2 = records_of(copy.tweets, "u1")
     assert t1.author_id is t2.author_id
     assert not hasattr(t1, "__dict__")
 
@@ -582,11 +591,11 @@ def test_save_load_round_trips_unicode(tmp_path_factory, text, bio, language,
         seeds=["s1"])
     paths = CorpusPaths.in_dir(tmp_path_factory.mktemp("corpus"))
     save_corpus(corpus, paths)
-    assert load_corpus(paths) == corpus
+    assert corpus_view(load_corpus(paths)) == corpus_view(corpus)
 
 
 # The writer's old path, verbatim: a dict of the tweet's fields encoded by
-# json.dumps with sorted keys. save_corpus builds the same bytes directly.
+# json.dumps with sorted keys. write_corpus builds the same bytes directly.
 def _tweet_to_json(t: TweetRecord) -> dict:
     obj = t._asdict()
     obj["created_at"] = format_timestamp(t.created_at)
@@ -595,17 +604,16 @@ def _tweet_to_json(t: TweetRecord) -> dict:
     return obj
 
 
-def oracle_lines(corpus):
+def oracle_lines(tweets, likes, follows):
     tweets = [json.dumps(_tweet_to_json(tweet), sort_keys=True) + "\n"
-              for uid in sorted(corpus.tweets.authors)
-              for tweet in corpus.timeline(uid)]
+              for tweet in tweets]
     likes = [json.dumps({"user_id": user_id, "seed_id": seed_id,
                          "liked_tweet_id": liked_tweet_id},
                         sort_keys=True) + "\n"
-             for user_id, seed_id, liked_tweet_id in corpus.likes]
+             for user_id, seed_id, liked_tweet_id in likes]
     follows = [json.dumps({"follower_id": follower, "followee_id": followee},
                           sort_keys=True) + "\n"
-               for follower, followee in corpus.follows]
+               for follower, followee in follows]
     return {"tweets.jsonl": tweets, "likes.jsonl": likes,
             "follows.jsonl": follows}
 
@@ -625,13 +633,9 @@ TWEETS = st.builds(
        follows=st.lists(st.tuples(st.text(), st.text()), max_size=3))
 def test_written_lines_match_json_dumps(tmp_path_factory, tweets, likes,
                                         follows):
-    timelines = {}
-    for tweet in tweets:
-        timelines.setdefault(tweet.author_id, []).append(tweet)
-    corpus = make_corpus(timelines=timelines, likes=likes, follows=follows)
     out = tmp_path_factory.mktemp("lines")
-    save_corpus(corpus, CorpusPaths.in_dir(out))
-    for name, want in oracle_lines(corpus).items():
+    write_corpus(CorpusPaths.in_dir(out), {}, tweets, likes, follows, [])
+    for name, want in oracle_lines(tweets, likes, follows).items():
         got = (out / name).read_bytes().decode("ascii")
         assert got.splitlines(keepends=True) == want, name
 
@@ -687,14 +691,9 @@ def test_validate_flags_retweet_missing_author():
 
 def test_validate_does_not_mutate():
     corpus = consistent_corpus()
-    before = (dict(corpus.users), {a: corpus.timeline(a) for a in
-                                   corpus.tweets.authors},
-              list(corpus.likes), list(corpus.follows), list(corpus.seeds))
+    before = pickle.loads(pickle.dumps(corpus_view(corpus)))  # a deep copy
     validate_corpus(corpus)
-    assert (corpus.users, {a: corpus.timeline(a) for a in
-                           corpus.tweets.authors}, corpus.likes,
-            corpus.follows, corpus.seeds) == (before[0], before[1], before[2],
-                                              before[3], before[4])
+    assert corpus_view(corpus) == before
 
 
 def test_predominant_language_fallback():
@@ -857,6 +856,10 @@ def oracle_parse_tweet(obj: dict) -> OracleTweetRecord:
     )
 
 
+def parse_tweet(obj: dict) -> TweetRecord:
+    return TweetRecord._make(loader._tweet_fields(obj))
+
+
 def oracle_parse_ids(names: tuple[str, ...], obj: dict) -> tuple:
     return tuple(_shared(_require_id(obj, name)) for name in names)
 
@@ -954,7 +957,7 @@ def load_outcome(iterate, path, parse, unique):
 
 
 LOADERS = {
-    "tweets": (TWEET_FIELDS, loader._parse_tweet, oracle_parse_tweet,
+    "tweets": (TWEET_FIELDS, parse_tweet, oracle_parse_tweet,
                "tweet_id"),
     "users": (USER_FIELDS, loader._parse_user, oracle_parse_user, "user_id"),
     "likes": (ID_FIELDS,
@@ -996,7 +999,7 @@ def parse_outcome(parse, obj):
 @pytest.mark.parametrize("base, parse, oracle_parse", [
     (tweet_row("t1", "u1", "2021-05-01T00:00:00Z", lang="en",
                hashtags=["#A"], retweeted_author="s1"),
-     loader._parse_tweet, oracle_parse_tweet),
+     parse_tweet, oracle_parse_tweet),
     (user_row("u1"), loader._parse_user, oracle_parse_user),
 ], ids=["tweet", "user"])
 def test_first_of_two_bad_fields_matches_oracle(base, parse, oracle_parse):
@@ -1029,7 +1032,7 @@ def test_first_of_two_bad_fields_matches_oracle(base, parse, oracle_parse):
 def test_first_bad_field_names_the_error(tmp_path, line, message):
     path = tmp_path / "tweets.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
-    for iterate, parse in ((loader._iter_jsonl, loader._parse_tweet),
+    for iterate, parse in ((loader._iter_jsonl, parse_tweet),
                            (oracle_iter_jsonl, oracle_parse_tweet)):
         with pytest.raises(CorpusError) as err:
             list(iterate(path, parse, "tweet_id"))
@@ -1039,8 +1042,8 @@ def test_first_bad_field_names_the_error(tmp_path, line, message):
 def test_records_are_read_only(tmp_path):
     loaded = load_corpus(two_author_fixture(tmp_path))
     user = loaded.users["u1"]
-    tweet = loaded.timeline("u1")[0]
-    tokenized = tokenize_tweet(tweet)
+    tweet = records_of(loaded.tweets, "u1")[0]
+    (tokenized,) = tokenize_timeline(columns_of([tweet]))
     for record, name in ((user, "followers_count"), (tweet, "text"),
                          (tokenized, "tokens")):
         with pytest.raises(AttributeError):
@@ -1056,14 +1059,12 @@ def load_in_ranges(path, cuts):
     ``cuts``: the table's author order and timelines, or the error."""
     spans = loader._spans(path, cuts)
     with tempfile.TemporaryDirectory() as spill:
-        parsed = [loader._parse_span(path, span,
-                                     spill if len(spans) > 1 else None)
-                  for span in spans]
+        parsed = [loader._parse_span(path, span, spill) for span in spans]
         try:
             table = loader._merge_spans(path, spans, parsed)
         except CorpusError as exc:
             return str(exc)
-    return table.authors, {a: table.timeline(a) for a in table.authors}
+    return table.authors, {a: records_of(table, a) for a in table.authors}
 
 
 def oracle_outcome(path):
@@ -1207,11 +1208,8 @@ def test_load_is_the_same_for_any_worker_count(synth_50):
     one = load_corpus(synth_50, workers=1)
     for workers in (2, 3):
         loaded = load_corpus(synth_50, workers=workers)
-        assert (loaded.users, loaded.likes, loaded.follows, loaded.seeds) == \
-            (one.users, one.likes, one.follows, one.seeds)
+        assert corpus_view(loaded) == corpus_view(one)
         assert loaded.tweets.authors == one.tweets.authors
-        for author in one.tweets.authors:
-            assert loaded.timeline(author) == one.timeline(author)
         assert record_counts(loaded) == record_counts(one)
         assert validate_corpus(loaded) == validate_corpus(one)
 
@@ -1224,6 +1222,22 @@ def test_one_worker_starts_no_pool(synth_50, monkeypatch):
     assert record_counts(load_corpus(synth_50, workers=1))["tweets"] > 0
     with pytest.raises(AssertionError, match="pool was started"):
         load_corpus(synth_50, workers=2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_spill_files_never_outlive_the_load(synth_50, tmp_path, monkeypatch,
+                                            workers):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert len(loader.load_tweets(synth_50.tweets, workers)) > 0
+    assert not any(tmp_path.iterdir())
+    body, path = synth_50.tweets.read_bytes(), tmp_path / "tweets.jsonl"
+    added = body.count(b"\n") + 1  # the number of the line each case adds
+    for tail, error in ((body[:body.index(b"\n") + 1], "duplicate tweet_id"),
+                        (b"{not json\n", "malformed JSON")):
+        path.write_bytes(body + tail)
+        with pytest.raises(CorpusError, match=f"line {added}: {error}"):
+            loader.load_tweets(path, workers)
+        assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("workers, bound", [(1, 1.35), (2, 1.25)])

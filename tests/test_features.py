@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SNAP, make_corpus, make_tweet, make_user
+from conftest import (SNAP, columns_of, make_corpus, make_tweet, make_user,
+                      records_of)
 from test_statkit import bits, oracle_dist_params, oracle_entropy_from_counts
 from traitline import features
 from traitline.corpus import parse_timestamp
@@ -332,41 +333,41 @@ def test_bob_matches_hand_computed_table():
 def test_kind_shares_partition_to_one():
     for user_id in ("alice", "bob"):
         corpus = oracle_corpus()
-        timeline = corpus.timeline(user_id)
+        timeline = TimelineColumns.read(corpus, user_id)
         feats = user_features(corpus, user_id, AS_OF)
-        quote = sum(t.kind == "quote" for t in timeline) / len(timeline)
-        original = sum(t.kind == "original" for t in timeline) / len(timeline)
+        quote = timeline.kind.count("quote") / len(timeline.kind)
+        original = timeline.kind.count("original") / len(timeline.kind)
         total = feats["retweet_ratio"] + feats["reply_ratio"] + quote + original
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_novelty_series_examples():
-    tl = tokenize_timeline([
+    tl = tokenize_timeline(columns_of([
         make_tweet("x1", "u", 1, text="a b"),
         make_tweet("x2", "u", 2, text="a c"),
-    ])
+    ]))
     assert language_novelty_series(tl) == [100.0, 50.0]
-    tl = tokenize_timeline([
+    tl = tokenize_timeline(columns_of([
         make_tweet("x1", "u", 1, text="same words"),
         make_tweet("x2", "u", 2, text="same words"),
-    ])
+    ]))
     assert language_novelty_series(tl) == [100.0, 0.0]
 
 
 def test_novelty_skips_tokenless_tweets():
-    tl = tokenize_timeline([
+    tl = tokenize_timeline(columns_of([
         make_tweet("x1", "u", 1, text="..."),
         make_tweet("x2", "u", 2, text="hello"),
-    ])
+    ]))
     assert language_novelty_series(tl) == [100.0]
 
 
 def test_retweeted_accounts_counts_per_author():
-    tl = tokenize_timeline([
+    tl = tokenize_timeline(columns_of([
         make_tweet("x1", "u", 1, kind="retweet", retweeted_author="X"),
         make_tweet("x2", "u", 2, kind="retweet", retweeted_author="X"),
         make_tweet("x3", "u", 3, kind="retweet", retweeted_author="Y"),
-    ])
+    ]))
     feats = adaptability_features(tl)
     assert feats["retweeted_accounts_max"] == 2.0
     assert feats["retweeted_accounts_min"] == 1.0
@@ -385,8 +386,9 @@ def pair_token_entropy(a, b):
 
 
 def test_pair_entropy_uniform_pair():
-    a, b = tokenize_timeline([make_tweet("x1", "u", 1, text="one two"),
-                              make_tweet("x2", "u", 2, text="three four")])
+    a, b = tokenize_timeline(columns_of([
+        make_tweet("x1", "u", 1, text="one two"),
+        make_tweet("x2", "u", 2, text="three four")]))
     assert pair_token_entropy(a, b) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -446,7 +448,8 @@ def test_log2_terms_do_not_depend_on_position(counts, before, after):
 
 
 def test_single_tweet_timeline_has_missing_pair_params():
-    tl = tokenize_timeline([make_tweet("x1", "u", 1, text="hello world")])
+    tl = tokenize_timeline(columns_of([
+        make_tweet("x1", "u", 1, text="hello world")]))
     feats = initiative_features(tl)
     assert math.isnan(feats["pair_entropy_mean"])
     assert feats["unique_words_mean"] == 2.0
@@ -468,7 +471,7 @@ def test_credibility_guards():
 def test_time_between_samples_nonnegative():
     corpus = oracle_corpus()
     for user_id in ("alice", "bob"):
-        tl = tokenize_timeline(corpus.timeline(user_id))
+        tl = tokenize_timeline(TimelineColumns.read(corpus, user_id))
         feats = adaptability_features(tl)
         for base in ("time_between_tweets", "time_between_retweets",
                      "time_between_mentions"):
@@ -743,7 +746,7 @@ def oracle_lexicon_features(timeline, lexicons):
 
 def oracle_user_features(corpus, user_id, as_of, lexicons=()):
     user = corpus.users[user_id]
-    timeline = oracle_tokenize_timeline(corpus.timeline(user_id))
+    timeline = oracle_tokenize_timeline(records_of(corpus.tweets, user_id))
     feats = credibility_features(user, as_of)
     feats.update(oracle_initiative_features(timeline))
     feats.update(oracle_adaptability_features(timeline))
@@ -819,9 +822,6 @@ def test_user_features_match_the_oracle_bit_for_bit(corpus, with_lexicons):
         user_features(corpus, u, SNAP, lexicons)
         for u in sorted(corpus.users))], dtype=np.float64)
     assert got.tobytes() == want.tobytes()  # NaN cells and -0.0 too
-    for user_id in corpus.users:
-        assert (tokenize_timeline(TimelineColumns.read(corpus, user_id))
-                == tokenize_timeline(corpus.timeline(user_id)))
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SNAP, make_corpus, make_tweet, make_user
+from conftest import (SNAP, columns_of, make_corpus, make_tweet, make_user,
+                      records_of)
 from traitline.features import (PLACEHOLDER_TOKENS, FeatureError,
                                 feature_matrix, tokenize_timeline)
 from traitline.lexicon import (Lexicon, LexiconError, add_lexicon_features,
@@ -17,8 +18,8 @@ REPO_LEXICONS = Path(__file__).resolve().parent.parent / "lexicons"
 
 
 def tl(*texts):
-    return tokenize_timeline([make_tweet(f"t{i}", "u", i, text=text)
-                              for i, text in enumerate(texts)])
+    return tokenize_timeline(columns_of([make_tweet(f"t{i}", "u", i, text=t)
+                                         for i, t in enumerate(texts)]))
 
 
 # ---- loading -----------------------------------------------------------------
@@ -272,7 +273,7 @@ def test_add_lexicon_features_appends_columns():
     fm = feature_matrix(corpus, {"u1"}, {"u2"}, SNAP)
     out = add_lexicon_features(fm, corpus, [joy_lexicon()])
     assert out.columns[-2:] == ["emo_joy", "emo_anger"]
-    assert out.column("emo_joy").tolist() == [1.0, 0.0]
+    assert out.values[:, out.column_index("emo_joy")].tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -294,8 +295,8 @@ def test_join_external_features(tmp_path):
     path.write_text("user_id,openness,rigor\nu1,0.5,0.1\n")
     out = join_external_features(fm, path)
     assert out.columns[-2:] == ["openness", "rigor"]
-    assert out.column("openness")[0] == 0.5
-    assert math.isnan(out.column("openness")[1])
+    assert out.values[0, out.column_index("openness")] == 0.5
+    assert math.isnan(out.values[1, out.column_index("openness")])
 
 
 def test_join_external_empty_cell_is_missing(tmp_path):
@@ -303,8 +304,8 @@ def test_join_external_empty_cell_is_missing(tmp_path):
     path = tmp_path / "big5.csv"
     path.write_text("user_id,openness,rigor\nu1,,0.1\n")
     out = join_external_features(fm, path)
-    assert math.isnan(out.column("openness")[0])
-    assert out.column("rigor")[0] == 0.1
+    assert math.isnan(out.values[0, out.column_index("openness")])
+    assert out.values[0, out.column_index("rigor")] == 0.1
 
 
 def test_join_external_duplicate_column_rejected(tmp_path):
@@ -399,8 +400,8 @@ def test_lexicon_row_independent_of_batch_and_workers(data):
                             lexicons=lexs)
     assert pooled.values.tobytes() == batch.values.tobytes()
     for i, user_id in enumerate(batch.user_ids):
-        alone = make_corpus(users=[corpus.users[user_id]],
-                            timelines={user_id: corpus.timeline(user_id)},
+        alone = make_corpus([corpus.users[user_id]],
+                            {user_id: records_of(corpus.tweets, user_id)},
                             seeds=["s"])
         solo = feature_matrix(alone, {user_id} & engaged,
                               {user_id} & control, snapshot, lexicons=lexs)

@@ -9,19 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_corpus, records_of
 from traitline import cohort
 from traitline.corpus import load_corpus, validate_corpus
 from traitline.synth import (_ZIPF_CUM, CALM_WORDS, HEATED_WORDS, TAG_POOL,
                              ProfileSpec, SynthError, _UserBuilder,
-                             _decay_cum_weights, _zipf_cum_weights,
-                             build_corpus, default_specs, generate_corpus)
+                             _decay_cum_weights, _records, _zipf_cum_weights,
+                             default_specs, generate_corpus)
 
 
 def small_corpus(n=40, seed=7, separation=1.0, n_seeds=8):
     engaged, control = default_specs(separation)
     engaged = dataclasses.replace(engaged, tweets_min=15, tweets_max=30)
     control = dataclasses.replace(control, tweets_min=15, tweets_max=30)
-    return build_corpus(engaged, control, n, n_seeds, seed)
+    users, *rest, truth = _records(engaged, control, n, n_seeds, seed)
+    return make_corpus(users.values(), *rest), truth
 
 
 def test_spec_validation():
@@ -159,8 +161,8 @@ def test_written_out_tag_draws_match_choices(seed, decay, draws):
 def test_generated_corpus_is_consistent_and_sorted(tmp_path):
     corpus, truth = small_corpus()
     assert not any(validate_corpus(corpus).values())
-    for timeline in map(corpus.timeline, corpus.tweets.authors):
-        stamps = [t.created_at for t in timeline]
+    for author in corpus.tweets.authors:
+        stamps = corpus.tweets.column(author, "created_at")
         assert stamps == sorted(stamps)
     assert set(truth) == set(corpus.users)
     assert sum(truth.values()) == 40
@@ -185,8 +187,8 @@ def test_kind_shares_match_spec_in_aggregate():
     for uid, label in truth.items():
         if label != 1:
             continue
-        for tweet in corpus.timeline(uid):
-            counts[tweet.kind] += 1
+        for kind in corpus.tweets.column(uid, "kind"):
+            counts[kind] += 1
             total += 1
     assert total >= 1000
     assert counts["reply"] / total == pytest.approx(engaged.reply_share,
@@ -220,8 +222,8 @@ def test_controls_never_touch_seeds():
 
 def test_retweets_carry_author():
     corpus, _ = small_corpus(n=10, seed=2)
-    for timeline in map(corpus.timeline, corpus.tweets.authors):
-        for tweet in timeline:
+    for author in corpus.tweets.authors:
+        for tweet in records_of(corpus.tweets, author):
             if tweet.kind == "retweet":
                 assert tweet.retweeted_author
             else:
@@ -263,10 +265,10 @@ def test_downstream_separability_monotone_in_separation():
 def test_seed_count_too_small_rejected():
     engaged, control = default_specs()
     with pytest.raises(SynthError, match="seed"):
-        build_corpus(engaged, control, 4, 2, 0)
+        _records(engaged, control, 4, 2, 0)
 
 
 def test_small_group_rejected():
     engaged, control = default_specs()
     with pytest.raises(SynthError, match="n_per_group"):
-        build_corpus(engaged, control, 1, 6, 0)
+        _records(engaged, control, 1, 6, 0)
