@@ -257,7 +257,9 @@ class Runner:
         # sha256 of each corpus file, taken when the corpus is loaded
         self._corpus_digests: dict[Path, str] = {}
         self.manifest_path = self.out / "manifest.json"
-        # files the running stage read and wrote, for its manifest entry
+        # the running stage's name, and the files it read and wrote, for
+        # its errors and its manifest entry
+        self.stage: str | None = None
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
 
@@ -267,6 +269,7 @@ class Runner:
             if not (self.out / name).exists():
                 raise StageError(stage.name, f"missing upstream artifact "
                                              f"{name} in {self.out}")
+        self.stage = stage.name
         self.inputs = self.corpus_files() if stage.reads_corpus else []
         self.inputs += [self.out / name for name in stage.upstream]
         self.outputs = []
@@ -289,8 +292,10 @@ class Runner:
                      outputs: list[Path]) -> None:
         manifest = {"version": __version__, "stages": {}}
         if self.manifest_path.exists():
-            with open(self.manifest_path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
+            manifest = self.read_json(self.manifest_path.name)
+            if not isinstance(manifest.get("stages", {}), dict):
+                raise StageError(self.stage, "manifest.json: stages must be "
+                                             "a JSON object")
         manifest["version"] = __version__
         manifest["config"] = asdict(self.config)
         manifest.setdefault("stages", {})[stage] = {
@@ -339,9 +344,29 @@ class Runner:
             self._artifacts[name] = parse(self.out / name)
         return self._artifacts[name]
 
+    def read_json(self, name: str) -> dict:
+        """The JSON object in the artifact ``name``; any other content
+        stops the running stage with an error that names the file."""
+        try:
+            with open(self.out / name, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or not UTF-8
+            raise StageError(self.stage, f"{name}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise StageError(self.stage, f"{name}: expected a JSON object")
+        return doc
+
+    def load_cohort(self, name: str) -> dict:
+        """cohort.json or control.json, its ``user_ids`` checked."""
+        doc = self.read_json(name)
+        ids = doc.get("user_ids")
+        if not (isinstance(ids, list) and all(type(i) is str for i in ids)):
+            raise StageError(self.stage, f"{name}: user_ids must be a list "
+                                         f"of strings")
+        return doc
+
     def load_cohort_ids(self, name: str) -> set[str]:
-        with open(self.out / name, "r", encoding="utf-8") as fh:
-            return set(json.load(fh)["user_ids"])
+        return set(self.load_cohort(name)["user_ids"])
 
     # ---- stages ---------------------------------------------------------
     def stage_validate(self) -> dict:
@@ -383,8 +408,7 @@ class Runner:
         cfg = self.config
         corpus = self.corpus()
         cohort_path = self.out / "cohort.json"
-        with open(cohort_path, "r", encoding="utf-8") as fh:
-            cohort_doc = json.load(fh)
+        cohort_doc = self.load_cohort(cohort_path.name)
         engaged = set(cohort_doc["user_ids"])
         if not engaged <= corpus.users.keys():
             raise StageError("cohort.control", "cohort.json names users "
@@ -396,12 +420,16 @@ class Runner:
             # keep the groups balanced by trimming the engaged cohort
             if n == 0:
                 raise StageError("cohort.control", "no eligible control users")
+            parameters = cohort_doc.get("parameters")
+            if not isinstance(parameters, dict):  # the trim is noted there
+                raise StageError("cohort.control", "cohort.json: parameters "
+                                                   "must be a JSON object")
             logger.warning("only %d eligible controls; trimming cohort from "
                            "%d to %d", n, len(engaged), n)
             trimmed = sorted(random.Random(rng_seed).sample(sorted(engaged), n))
             engaged = set(trimmed)
             cohort_doc["user_ids"] = trimmed
-            cohort_doc["parameters"]["trimmed_to_match_controls"] = n
+            parameters["trimmed_to_match_controls"] = n
             write_json(cohort_path, cohort_doc)
             # cohort.json is cohort.build's artifact: re-record that stage so
             # the manifest still agrees with the file on disk

@@ -21,16 +21,15 @@ field's type where it is read, in a fixed order, and then the record's
 invariants (a known tweet kind; user counts ``>= 0`` and ``created_at``
 no later than ``snapshot_at``), so the first bad field names the error.
 ``tweets.jsonl`` is parsed in byte ranges of whole lines, one per worker,
-each tweet's fields going straight into its range's columns. Each range
-is written to a file in a temporary directory, and the table is merged
-from the files. Repeated tweet ids are found by one check across the
-ranges. Every error reads as the one-range load reports it.
+each range written to a file in a temporary directory. The table is
+merged from the files, each piece read once: the one tweet-id column is
+checked for repeats, orders an author's tweets of one second and becomes
+the table's. Every error reads as the one-range load reports it.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 import tempfile
 from array import array
@@ -38,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timezone
 from functools import lru_cache, partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import NamedTuple
@@ -335,16 +334,8 @@ class _Spill:
                 fh.write(piece)
                 setattr(rows, key, None)
 
-    def __len__(self) -> int:
-        return self.count("created_at")
-
     def count(self, key: str) -> int:
         return self.layout[key][1]
-
-    def load(self, key: str):
-        out = _allocate(_PIECES[key], self.count(key))
-        self.read_into(key, memoryview(out))
-        return out
 
     def read_into(self, key: str, view: memoryview) -> None:
         view = view.cast("B")
@@ -357,30 +348,15 @@ class _Spill:
                 view = view[got:]
 
 
-def _part_ids(part):
-    """A part's tweet ids, as UTF-8 ``bytes``, in file order."""
-    blob = bytes(part.load("tweet_id"))
-    lengths = part.load("tweet_id_len")
-    return map(blob.__getitem__, map(slice, accumulate(lengths, initial=0),
-                                     accumulate(lengths)))
-
-
-def _ids_of(parts, rows) -> dict[int, bytes]:
-    """The tweet ids of ``rows``, numbered from 0 across the parts in
-    order; no other row's id is kept."""
-    rows = set(rows)
-    return {row: i for row, i in enumerate(chain.from_iterable(
-        map(_part_ids, parts))) if row in rows}
-
-
 # a tweet id's UTF-8 -> an int64; ``hash`` is salted per process, which the
 # duplicate check does not depend on
 _id_hash = hash
 
 
-def _first_repeat(parts) -> tuple[int, bytes] | None:
-    """The first row of the parts, in file order, whose tweet id an
-    earlier row has, with that id; None if no id repeats.
+def _first_repeat(ids: bytearray, at: array) -> tuple[int, bytes] | None:
+    """The first row, in file order, whose tweet id an earlier row has,
+    with that id; None if no id repeats. Row r's id is the UTF-8
+    ``ids[at[r]:at[r + 1]]``.
 
     Rows are sorted stably by a hash of their id, and only rows whose hash
     another row has are compared, byte for byte, so the result does not
@@ -388,29 +364,28 @@ def _first_repeat(parts) -> tuple[int, bytes] | None:
     """
     import numpy as np
 
-    hashes = np.fromiter(
-        map(_id_hash, chain.from_iterable(map(_part_ids, parts))), np.int64,
-        sum(map(len, parts)))
+    hashes = np.fromiter(map(_id_hash, map(bytes, map(ids.__getitem__, map(
+        slice, at, islice(at, 1, None))))), np.int64, len(at) - 1)
     order = np.argsort(hashes, kind="stable")
     hashes = hashes[order]
     same = np.flatnonzero(hashes[1:] == hashes[:-1])
-    if not same.size:
-        return None
-    ids = _ids_of(parts, chain(order[same].tolist(),
-                               order[same + 1].tolist()))
     seen = set()
-    for row in sorted(ids):  # every row whose id repeats is here
-        if ids[row] in seen:
-            return row, ids[row]
-        seen.add(ids[row])
+    # every row whose id repeats is here
+    for row in sorted({*order[same].tolist(), *order[same + 1].tolist()}):
+        tweet_id = bytes(ids[at[row]:at[row + 1]])
+        if tweet_id in seen:
+            return row, tweet_id
+        seen.add(tweet_id)
     return None
 
 
-def _table(parts) -> TweetTable:
+def _table(parts, check) -> TweetTable:
     """One table of the rows of the parts, ``_Spill``s taken in order.
 
-    Each column is read from the parts' files as it is built, so that two
-    copies of the table never coexist. Rows already in table order are
+    Each piece is read from the parts' files once, so that two copies of
+    the table never coexist. The ids are read first: ``check`` gets their
+    ``_first_repeat`` and may raise, and they then break same-second ties
+    and become the ``tweet_id`` column. Rows already in table order are
     laid end to end; others are gathered by their order, with numpy index
     arithmetic.
     """
@@ -442,6 +417,10 @@ def _table(parts) -> TweetTable:
         view.release()
         return out
 
+    ids = joined("tweet_id")
+    at = _offsets(joined("tweet_id_len"), len(ids))
+    check(_first_repeat(ids, at))
+
     # the rows in table order: grouped by author, authors in order of
     # first appearance, each timeline by (created_at, tweet_id)
     author = np.frombuffer(joined("author"), np.int32)
@@ -451,53 +430,57 @@ def _table(parts) -> TweetTable:
     rank[by_first] = np.arange(len(by_first))
     row_rank = rank[author]
     del author
-    stamps = np.frombuffer(joined("created_at"), np.int64)
+    created_at = joined("created_at")
+    stamps = np.frombuffer(created_at, np.int64)
     order = np.lexsort((stamps, row_rank))  # stable: ties keep file order
     ranks, times = row_rank[order], stamps[order]
     ties = np.flatnonzero((ranks[1:] == ranks[:-1]) & (times[1:] == times[:-1]))
     if ties.size:  # an author's tweets of one second, by tweet_id
         cuts = np.flatnonzero(np.diff(ties) != 1) + 1
-        runs = [slice(int(run[0]), int(run[-1]) + 2)
-                for run in np.split(ties, cuts)]
-        ids = {row: _unicode(i) for row, i in _ids_of(
-            parts, chain.from_iterable(order[run].tolist() for run in runs)
-        ).items()}
-        for run in runs:
-            order[run] = sorted(order[run].tolist(), key=ids.__getitem__)
-        del ids
+        for run in np.split(ties, cuts):
+            rows = slice(int(run[0]), int(run[-1]) + 2)
+            order[rows] = sorted(order[rows].tolist(), key=lambda row:
+                                 _unicode(ids[at[row]:at[row + 1]]))
     bounds = array("q", [0])
     bounds.extend(np.cumsum(np.bincount(row_rank, minlength=len(by_first)))
                   .tolist())
     del row_rank, stamps, ranks, times
     in_order = bool((order == np.arange(len(order))).all())
 
-    columns = {}
+    def ragged(key: str, values, at: array) -> tuple:
+        """A ragged column whose row r in file order is
+        ``values[at[r]:at[r + 1]]``, as values and offsets in table order."""
+        if in_order:
+            return values, at
+        at = np.frombuffer(at, at.typecode).astype(np.int64)
+        starts, size = at[:-1][order], np.diff(at)[order]
+        if key in ("tweet_id", "text"):
+            values = bytearray().join(map(values.__getitem__, map(
+                slice, starts.tolist(), (starts + size).tolist())))
+        else:
+            # each code's source: its row's start, plus its place in the
+            # row (its place in the output, less the row's)
+            place = np.concatenate(([0], np.cumsum(size)))
+            source = np.repeat(starts - place[:-1], size) + np.arange(place[-1])
+            values = array("i", np.frombuffer(values, np.int32)[source]
+                           .tobytes())
+        return values, _offsets(size.tolist(), len(values))
+
+    # the columns already read go first, so no file-order copy lingers
+    columns = {"tweet_id": ragged("tweet_id", ids, at),
+               "created_at": created_at}
+    del ids, at, created_at
     for key in ("created_at", "kind", "lang", "retweeted"):
-        column = joined(key)
+        column = columns[key] if key in columns else joined(key)
         if not in_order:
             column = array(column.typecode,
                            np.frombuffer(column, column.typecode)[order]
                            .tobytes())
         columns[key] = column
-    for key in _RAGGED:
-        values, lengths = joined(key), joined(key + "_len")
-        if not in_order:
-            size = np.frombuffer(lengths, np.int32)
-            at = np.concatenate(([0], np.cumsum(size)))
-            starts, size = at[:-1][order], size[order]
-            if key in ("tweet_id", "text"):
-                values = bytearray().join(map(values.__getitem__, map(
-                    slice, starts.tolist(), (starts + size).tolist())))
-            else:
-                # each code's source: its row's start, plus its place in
-                # the row (its place in the output, less the row's)
-                place = np.concatenate(([0], np.cumsum(size)))
-                source = (np.repeat(starts - place[:-1], size)
-                          + np.arange(place[-1]))
-                values = array("i", np.frombuffer(values, np.int32)[source]
-                               .tobytes())
-            lengths = size.tolist()
-        columns[key] = (values, _offsets(lengths, len(values)))
+    for key in _RAGGED[1:]:  # those after tweet_id
+        values = joined(key)
+        columns[key] = ragged(key, values,
+                              _offsets(joined(key + "_len"), len(values)))
     strings = list(pool)
     return TweetTable([strings[code] for code in by_first.tolist()], bounds,
                       strings, **columns)
@@ -607,48 +590,27 @@ def _lines(path: Path, start: int = 0, end: int | None = None):
         yield b"".join(pending)
 
 
-_LINE_END = re.compile(rb"\n|\r(?!\n)")
-
-
-def _line_start(fh, pos: int) -> int:
-    """The first position at or after ``pos`` where a line starts (or the
-    end of the file)."""
-    if pos <= 0:
-        return 0
-    fh.seek(pos - 1)
-    data = b""
-    while True:
-        more = fh.read(1 << 16)
-        data += more
-        found = _LINE_END.search(data)
-        # a "\r" at the end of what was read may be the start of "\r\n"
-        if found and (found.end() < len(data) or found.group() == b"\n"
-                      or not more):
-            return pos - 1 + found.end()
-        if not more:
-            return pos - 1 + len(data)
-
-
 def _spans(path: Path, cuts) -> list[tuple[int, int]]:
     """Byte ranges of whole lines covering ``path``: the file cut at each of
-    ``cuts``, moved forward to the next line start; no range is empty."""
+    ``cuts``, moved forward to the end of the line that holds the byte
+    before the cut; no range is empty."""
     size = path.stat().st_size
-    with open(path, "rb") as fh:
-        starts = sorted({0, size, *(_line_start(fh, cut) for cut in cuts)})
+    ends = (cut - 1 + len(next(_lines(path, cut - 1))) for cut in cuts if cut)
+    starts = sorted({0, size, *ends})
     return list(zip(starts, starts[1:])) or [(0, 0)]
 
 
 def _scan(path: Path, span: tuple[int, int | None], parse, unique,
-          status: list):
-    """``parse(obj)`` for each object line of the span of ``path``; with
-    ``unique``, that attribute of the records may not repeat.
+          take) -> tuple[int, tuple[int, str] | None]:
+    """``take(parse(obj))`` for each object line of the span of ``path``;
+    with ``unique``, that attribute of the records may not repeat.
 
-    At the end ``status`` holds the span's line count and its first error
-    as ``(line, message)``, or None; lines are numbered from the span's
-    start, and parsing stops at the error.
+    Returns the span's line count and its first error as ``(line,
+    message)``, or None; lines are numbered from the span's start, and
+    parsing stops at the error.
     """
     seen: set[str] = set()
-    lineno, error = 0, None
+    lineno = 0
     for lineno, raw in enumerate(_lines(path, *span), start=1):
         try:
             try:
@@ -667,10 +629,9 @@ def _scan(path: Path, span: tuple[int, int | None], parse, unique,
                     raise CorpusError(f"duplicate {unique} {key}")
                 seen.add(key)
         except CorpusError as exc:
-            error = (lineno, str(exc))
-            break
-        yield record
-    status[:] = [lineno, error]
+            return lineno, (lineno, str(exc))
+        take(record)
+    return lineno, None
 
 
 def _iter_jsonl(path: Path, parse, unique: str | None = None) -> list:
@@ -679,9 +640,8 @@ def _iter_jsonl(path: Path, parse, unique: str | None = None) -> list:
 
     Every error is reported as ``file: line N: ...``.
     """
-    status: list = []
-    records = list(_scan(path, (0, None), parse, unique, status))
-    _, error = status
+    records: list = []
+    _, error = _scan(path, (0, None), parse, unique, records.append)
     if error is not None:
         raise CorpusError(f"{path.name}: line {error[0]}: {error[1]}")
     return records
@@ -833,11 +793,8 @@ def _parse_span(path: Path, span: tuple[int, int], spill: str):
     """One byte range of ``tweets.jsonl``: its rows, written to a file in
     the directory ``spill``, line count and first error, as ``_scan``
     reports them; tweet ids are not checked here."""
-    rows, status = _Rows(), []
-    append = rows.appender()
-    for tweet in _scan(path, span, _tweet_fields, None, status):
-        append(tweet)
-    n_lines, error = status
+    rows = _Rows()
+    n_lines, error = _scan(path, span, _tweet_fields, None, rows.appender())
     return _Spill(rows, spill), n_lines, error
 
 
@@ -845,20 +802,22 @@ def _merge_spans(path: Path, spans, parsed) -> TweetTable:
     """The table of the parsed ranges, or the first error of the file as
     a one-range load reports it: the earlier of the first range error and
     the first repeated tweet id, in file order."""
-    parts = [part for part, _, _ in parsed]
-    repeat = _first_repeat(parts)
-    first_line, first_row = 1, 0
-    for span, (part, n_lines, error) in zip(spans, parsed):
-        # a range's rows all come before its error, where its parse stopped
-        if repeat is not None and repeat[0] < first_row + len(part):
-            error = (_row_line(path, span, repeat[0] - first_row),
-                     f"duplicate tweet_id {_unicode(repeat[1])}")
-        if error is not None:
-            raise CorpusError(f"{path.name}: line {first_line + error[0] - 1}"
-                              f": {error[1]}")
-        first_line += n_lines
-        first_row += len(part)
-    return _table(parts)
+
+    def check(repeat) -> None:
+        first_line, first_row = 1, 0
+        for span, (part, n_lines, error) in zip(spans, parsed):
+            n_rows = part.count("created_at")
+            # a range's rows all come before its error, where it stopped
+            if repeat is not None and repeat[0] < first_row + n_rows:
+                error = (_row_line(path, span, repeat[0] - first_row),
+                         f"duplicate tweet_id {_unicode(repeat[1])}")
+            if error is not None:
+                raise CorpusError(f"{path.name}: line "
+                                  f"{first_line + error[0] - 1}: {error[1]}")
+            first_line += n_lines
+            first_row += n_rows
+
+    return _table([part for part, _, _ in parsed], check)
 
 
 def _row_line(path: Path, span, row: int) -> int:

@@ -363,7 +363,10 @@ def save_ensemble(ensemble: TreeEnsemble, path) -> None:
 def load_ensemble(path) -> TreeEnsemble:
     """Read a ``save_ensemble`` file; a malformed one raises ModelError."""
     with open(Path(path), "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or not UTF-8
+            raise ModelError(f"{Path(path).name}: {exc}") from None
     if not isinstance(payload, dict):
         raise ModelError("model file must hold a JSON object")
     version = payload.get("format_version")

@@ -23,13 +23,6 @@ class TopicsError(ValueError):
 class CoocGraph:
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        for (a, b), weight in self.edges.items():
-            if a >= b:
-                raise TopicsError(f"edge ({a}, {b}) not in canonical order")
-            if weight < 1:
-                raise TopicsError(f"edge ({a}, {b}) has weight {weight}")
-
     def weighted_degrees(self) -> dict[str, int]:
         degrees: Counter[str] = Counter()
         for (a, b), w in self.edges.items():

@@ -37,7 +37,8 @@ def make_corpus(users=(), timelines=None, likes=(), follows=(), seeds=()):
     for tweet in chain.from_iterable((timelines or {}).values()):
         append(tweet)
     with tempfile.TemporaryDirectory() as spill:
-        tweets = _table([_Spill(rows, spill)])
+        # the records' ids are taken as given: a repeat is not an error
+        tweets = _table([_Spill(rows, spill)], lambda repeat: None)
     return Corpus(users={u.user_id: u for u in users}, tweets=tweets,
                   likes=list(likes), follows=list(follows), seeds=list(seeds))
 

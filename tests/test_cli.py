@@ -504,7 +504,7 @@ def test_cross_validation_in_metrics(tmp_path, corpus_dir):
     assert (out / "metrics.json").read_bytes() == serial
 
 
-def test_control_shortage_trims_cohort(tmp_path):
+def test_control_shortage_trims_cohort(tmp_path, capsys):
     from conftest import make_corpus, make_tweet, make_user, save_corpus
     from traitline.corpus import CorpusPaths
 
@@ -540,6 +540,16 @@ def test_control_shortage_trims_cohort(tmp_path):
             assert digest == cli.file_sha256(out / name), name
     assert (stages["cohort.control"]["inputs"]["cohort.json"]
             == stages["cohort.build"]["outputs"]["cohort.json"])
+    # a cohort.json without the parameters that note the trim fails on it
+    assert run("cohort", "build", "--config", config) == 0
+    cohort_doc = json.loads((out / "cohort.json").read_text())
+    del cohort_doc["parameters"]
+    (out / "cohort.json").write_text(json.dumps(cohort_doc))
+    capsys.readouterr()
+    assert run("cohort", "control", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "cohort.json: parameters must be a JSON object" in err
 
 
 def test_control_no_eligible_users_fails(tmp_path, corpus_dir, capsys):
@@ -584,6 +594,36 @@ def test_control_rejects_cohort_user_without_profile(tmp_path, corpus_dir,
     (out / "cohort.json").write_text(json.dumps(doc))
     assert run("cohort", "control", "--config", config) == 1
     assert "without a profile record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, content, command, message", [
+    ("cohort.json", "{}", ("hashtags", "top"),
+     "user_ids must be a list of strings"),
+    ("control.json", '{"user_ids": 5}', ("features", "extract"),
+     "user_ids must be a list of strings"),
+    ("manifest.json", "[]", ("hashtags", "top"), "expected a JSON object"),
+    ("manifest.json", '{"stages": []}', ("hashtags", "top"),
+     "stages must be a JSON object"),
+    ("manifest.json", '{"stages": {', ("hashtags", "top"),
+     "Expecting property name"),
+    ("model.json", '{"trees": [', ("importance",),
+     "Expecting value: line 1 column 12 (char 11)"),
+], ids=["cohort-without-ids", "control-ids-not-a-list",
+        "manifest-not-an-object", "manifest-stages-not-an-object",
+        "manifest-cut-short", "model-cut-short"])
+def test_malformed_artifact_fails_naming_the_file(tmp_path, corpus_dir, capsys,
+                                                  name, content, command,
+                                                  message):
+    out = tmp_path / "out"
+    config = config_file(tmp_path, corpus_dir, out)
+    for step in (("cohort", "build"), ("cohort", "control")):
+        assert run(*step, "--config", config) == 0
+    (out / name).write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    assert run(*command, "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{name}: {message}" in err
 
 
 def test_lexicon_columns_appended(tmp_path, corpus_dir):

@@ -7,6 +7,7 @@ import pickle
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -1166,13 +1167,17 @@ def test_duplicate_check_compares_ids_of_equal_hash_byte_for_byte(
         tmp_path, monkeypatch):
     # ids of one length collide; the first repeat in file order is "bb",
     # though the run of one-byte ids sorts first
+    # the same ids in one second are ordered by the column that the check
+    # reads
     monkeypatch.setattr(loader, "_id_hash", len)
     ids = ["a", "bb", "c", "cc", "bb", "a", "b"]
     lines = [json.dumps(tweet_row(i, "u1", 1_600_000_000 + k))
              for k, i in enumerate(ids)]
+    one_second = [json.dumps(tweet_row(i, "u1", 1_600_000_000)) for i in ids]
     path = tmp_path / "tweets.jsonl"
     for body, want in (
             ("\n".join(lines[:4] + lines[6:]) + "\n", None),
+            ("\n".join(one_second[:4] + one_second[6:]) + "\n", None),
             ("\n\n".join(lines) + "\n",
              "tweets.jsonl: line 9: duplicate tweet_id bb")):
         path.write_text(body, encoding="utf-8")
@@ -1183,6 +1188,38 @@ def test_duplicate_check_compares_ids_of_equal_hash_byte_for_byte(
             assert expected == want
         for cut in range(len(body) + 1):
             assert load_in_ranges(path, [cut]) == expected, cut
+
+
+@pytest.mark.parametrize("ids, error", [
+    (["t5", "t3", "t9", "t1", "t4", "t2"], None),
+    (["t5", "t3", "t9", "t1", "t3", "t2"], "line 5: duplicate tweet_id t3")])
+def test_merge_reads_each_piece_of_each_range_once(tmp_path, monkeypatch,
+                                                   ids, error):
+    # one author's tweets, three to a second, so that ties span the cut;
+    # the repeated id, when there is one, is in the second range
+    lines = [json.dumps(tweet_row(i, "u1", 1_600_000_000 + k // 3,
+                                  hashtags=["x"] * (k % 2)))
+             for k, i in enumerate(ids)]
+    path = tmp_path / "tweets.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reads = Counter()
+    read_into = loader._Spill.read_into
+
+    def counting(part, key, view):
+        reads[part.path, key] += 1
+        return read_into(part, key, view)
+
+    monkeypatch.setattr(loader._Spill, "read_into", counting)
+    outcome = load_in_ranges(path, [len(lines[0]) * 4])
+    if error is None:
+        assert [t.tweet_id for t in outcome[1]["u1"]] == [
+            "t3", "t5", "t9", "t1", "t2", "t4"]
+        assert {key for _, key in reads} == set(loader._PIECES)
+    else:  # the ids alone are read before the error
+        assert outcome == f"tweets.jsonl: {error}"
+        assert {key for _, key in reads} == {"tweet_id", "tweet_id_len"}
+    assert len({spill for spill, _ in reads}) == 2
+    assert set(reads.values()) == {1}
 
 
 def test_bytes_that_are_not_utf8_name_their_line(tmp_path):

@@ -102,13 +102,6 @@ def test_top_k_tie_break_lexicographic():
         top_k_subgraph(graph, 0)
 
 
-def test_graph_validation():
-    with pytest.raises(TopicsError, match="canonical"):
-        CoocGraph(edges={("b", "a"): 1})
-    with pytest.raises(TopicsError, match="weight"):
-        CoocGraph(edges={("a", "b"): 0})
-
-
 def test_csv_outputs(tmp_path):
     corpus = corpus_with_tag_tweets([("a", "b"), ("a", "b"), ("a", "c")])
     graph = cooccurrence_graph(corpus, {"u1"})
