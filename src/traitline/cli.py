@@ -43,7 +43,6 @@ DEFAULT_CURVE_KS = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
 class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
-        self.stage = stage
 
 
 def stage_seed(master: int, stage: str) -> int:
@@ -257,25 +256,26 @@ class Runner:
         # sha256 of each corpus file, taken when the corpus is loaded
         self._corpus_digests: dict[Path, str] = {}
         self.manifest_path = self.out / "manifest.json"
-        # the running stage's name, and the files it read and wrote, for
-        # its errors and its manifest entry
-        self.stage: str | None = None
+        # the files the running stage read and wrote, for its manifest entry
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
 
     def run(self, stage: Stage):
-        """Check the stage's upstream artifacts, run it and record it."""
-        for name in stage.upstream:
-            if not (self.out / name).exists():
-                raise StageError(stage.name, f"missing upstream artifact "
-                                             f"{name} in {self.out}")
-        self.stage = stage.name
-        self.inputs = self.corpus_files() if stage.reads_corpus else []
-        self.inputs += [self.out / name for name in stage.upstream]
-        self.outputs = []
-        # looked up on each call, so a wrapper set on Runner takes effect
-        result = getattr(self, stage.method)()
-        self.record_stage(stage.name, self.inputs, self.outputs)
+        """Check the stage's upstream artifacts, run it and record it. A
+        ValueError or OSError on the way fails as a StageError naming it."""
+        try:
+            for name in stage.upstream:
+                if not (self.out / name).exists():
+                    raise FileNotFoundError(f"missing upstream artifact "
+                                            f"{name} in {self.out}")
+            self.inputs = self.corpus_files() if stage.reads_corpus else []
+            self.inputs += [self.out / name for name in stage.upstream]
+            self.outputs = []
+            # looked up on each call, so a wrapper set on Runner takes effect
+            result = getattr(self, stage.method)()
+            self.record_stage(stage.name)
+        except (ValueError, OSError) as exc:
+            raise StageError(stage.name, str(exc)) from exc
         return result
 
     def output(self, name: str) -> Path:
@@ -288,14 +288,12 @@ class Runner:
         return path
 
     # ---- manifest -------------------------------------------------------
-    def record_stage(self, stage: str, inputs: list[Path],
-                     outputs: list[Path]) -> None:
+    def record_stage(self, stage: str) -> None:
         manifest = {"version": __version__, "stages": {}}
         if self.manifest_path.exists():
             manifest = self.read_json(self.manifest_path.name)
             if not isinstance(manifest.get("stages", {}), dict):
-                raise StageError(self.stage, "manifest.json: stages must be "
-                                             "a JSON object")
+                raise ValueError("manifest.json: stages must be a JSON object")
         manifest["version"] = __version__
         manifest["config"] = asdict(self.config)
         manifest.setdefault("stages", {})[stage] = {
@@ -303,8 +301,8 @@ class Runner:
             "config_hash": self.config.config_hash(),
             "version": __version__,
             "inputs": {p.name: self._corpus_digests.get(p) or file_sha256(p)
-                       for p in inputs},
-            "outputs": {p.name: file_sha256(p) for p in outputs},
+                       for p in self.inputs},
+            "outputs": {p.name: file_sha256(p) for p in self.outputs},
         }
         write_json(self.manifest_path, manifest)
 
@@ -312,7 +310,7 @@ class Runner:
     @property
     def corpus_paths(self) -> CorpusPaths:
         if not self.config.corpus_dir:
-            raise StageError("ingest", "no corpus_dir configured")
+            raise ValueError("no corpus_dir configured")
         return CorpusPaths.in_dir(self.config.corpus_dir)
 
     def corpus(self) -> Corpus:
@@ -346,27 +344,22 @@ class Runner:
 
     def read_json(self, name: str) -> dict:
         """The JSON object in the artifact ``name``; any other content
-        stops the running stage with an error that names the file."""
+        raises a ValueError that names the file."""
         try:
             with open(self.out / name, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except ValueError as exc:  # malformed JSON, or not UTF-8
-            raise StageError(self.stage, f"{name}: {exc}") from None
+            raise ValueError(f"{name}: {exc}") from None
         if not isinstance(doc, dict):
-            raise StageError(self.stage, f"{name}: expected a JSON object")
-        return doc
-
-    def load_cohort(self, name: str) -> dict:
-        """cohort.json or control.json, its ``user_ids`` checked."""
-        doc = self.read_json(name)
-        ids = doc.get("user_ids")
-        if not (isinstance(ids, list) and all(type(i) is str for i in ids)):
-            raise StageError(self.stage, f"{name}: user_ids must be a list "
-                                         f"of strings")
+            raise ValueError(f"{name}: expected a JSON object")
         return doc
 
     def load_cohort_ids(self, name: str) -> set[str]:
-        return set(self.load_cohort(name)["user_ids"])
+        """The ``user_ids`` of cohort.json or control.json, checked."""
+        ids = self.read_json(name).get("user_ids")
+        if not (isinstance(ids, list) and all(type(i) is str for i in ids)):
+            raise ValueError(f"{name}: user_ids must be a list of strings")
+        return set(ids)
 
     # ---- stages ---------------------------------------------------------
     def stage_validate(self) -> dict:
@@ -395,52 +388,42 @@ class Runner:
             l_min, s_min = cohort.auto_thresholds(
                 grid, cfg.target_size, prefer=cfg.threshold_preference)
         selected = cohort.select_cohort(matrix, l_min, s_min)
+        parameters = {"l_min": l_min, "s_min": s_min, "max_cov": cfg.max_cov,
+                      "target_size": cfg.target_size,
+                      "threshold_preference": cfg.threshold_preference}
+        # keep the groups balanced: trim to the eligible controls, if any
+        n = len(cohort.eligible_controls(corpus, cfg.control_language))
+        if 0 < n < len(selected):
+            logger.warning("only %d eligible controls; trimming cohort from "
+                           "%d to %d", n, len(selected), n)
+            selected = set(random.Random(stage_seed(cfg.seed, "control"))
+                           .sample(sorted(selected), n))
+            parameters["trimmed_to_match_controls"] = n
         payload = {"label": "conspiracy", "user_ids": sorted(selected),
-                   "parameters": {"l_min": l_min, "s_min": s_min,
-                                  "max_cov": cfg.max_cov,
-                                  "target_size": cfg.target_size,
-                                  "threshold_preference": cfg.threshold_preference},
-                   "rng_seed": cfg.seed}
+                   "parameters": parameters, "rng_seed": cfg.seed}
         write_json(self.output("cohort.json"), payload)
         return selected
 
     def stage_cohort_control(self) -> set[str]:
         cfg = self.config
         corpus = self.corpus()
-        cohort_path = self.out / "cohort.json"
-        cohort_doc = self.load_cohort(cohort_path.name)
-        engaged = set(cohort_doc["user_ids"])
+        engaged = self.load_cohort_ids("cohort.json")
+        if not engaged:
+            raise ValueError("cohort.json holds no users; see grid.csv for "
+                             "thresholds that select some")
         if not engaged <= corpus.users.keys():
-            raise StageError("cohort.control", "cohort.json names users "
-                                               "without a profile record")
+            raise ValueError("cohort.json names users without a profile "
+                             "record")
         eligible = cohort.eligible_controls(corpus, cfg.control_language)
+        if not eligible:
+            raise ValueError("no eligible control users")
         rng_seed = stage_seed(cfg.seed, "control")
-        n = min(len(engaged), len(eligible))
-        if n < len(engaged):
-            # keep the groups balanced by trimming the engaged cohort
-            if n == 0:
-                raise StageError("cohort.control", "no eligible control users")
-            parameters = cohort_doc.get("parameters")
-            if not isinstance(parameters, dict):  # the trim is noted there
-                raise StageError("cohort.control", "cohort.json: parameters "
-                                                   "must be a JSON object")
-            logger.warning("only %d eligible controls; trimming cohort from "
-                           "%d to %d", n, len(engaged), n)
-            trimmed = sorted(random.Random(rng_seed).sample(sorted(engaged), n))
-            engaged = set(trimmed)
-            cohort_doc["user_ids"] = trimmed
-            parameters["trimmed_to_match_controls"] = n
-            write_json(cohort_path, cohort_doc)
-            # cohort.json is cohort.build's artifact: re-record that stage so
-            # the manifest still agrees with the file on disk
-            self.record_stage("cohort.build", self.corpus_files(),
-                              [self.out / "grid.csv", cohort_path])
         control = cohort.build_control(corpus, engaged, eligible,
                                        cfg.creation_bucket, rng_seed)
         payload = {"label": "control", "user_ids": sorted(control),
                    "parameters": {"language": cfg.control_language,
                                   "creation_bucket": cfg.creation_bucket,
-                                  "n": n},
+                                  "n": len(engaged)},
                    "rng_seed": rng_seed}
         write_json(self.output("control.json"), payload)
         return control
@@ -546,8 +529,8 @@ class Runner:
         ks = list(cfg.curve_ks or range(1, n + 1))  # null or []: every k
         unusable = [k for k in ks if k > n]
         if unusable:
-            raise StageError("curve", f"curve_ks entries {unusable} exceed "
-                             f"the {n} feature columns")
+            raise ValueError(f"curve_ks entries {unusable} exceed the {n} "
+                             f"feature columns")
         if ks[-1] != n:
             ks.append(n)
         train, test = self.partition()

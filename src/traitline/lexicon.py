@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import (FeatureMatrix, PLACEHOLDER_TOKENS, TokenizedTweet,
-                       parse_keyed_row)
+from .features import (FeatureError, FeatureMatrix, PLACEHOLDER_TOKENS,
+                       TokenizedTweet, check_unique_columns, parse_keyed_row)
 
 logger = logging.getLogger(__name__)
 
@@ -209,6 +209,10 @@ def join_external_features(matrix: FeatureMatrix, path) -> FeatureMatrix:
         return matrix
     if "user_id" not in header:
         raise LexiconError(f"{path.name}: missing user_id column")
+    try:  # as FeatureMatrix.from_csv words it
+        check_unique_columns(matrix.columns + header)
+    except FeatureError as exc:
+        raise LexiconError(f"{path.name}: line 1: {exc}") from None
     key_idx = header.index("user_id")
     names = [h for i, h in enumerate(header) if i != key_idx]
     if not names:

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import pytest
@@ -504,9 +504,9 @@ def test_cross_validation_in_metrics(tmp_path, corpus_dir):
     assert (out / "metrics.json").read_bytes() == serial
 
 
-def test_control_shortage_trims_cohort(tmp_path, capsys):
+def shortage_corpus(tmp_path) -> Path:
+    """Four strongly engaged users and only two eligible controls."""
     from conftest import make_corpus, make_tweet, make_user, save_corpus
-    from traitline.corpus import CorpusPaths
 
     users, timelines, likes, follows = [], {}, [], []
     for i in range(4):  # four strongly engaged users
@@ -524,32 +524,115 @@ def test_control_shortage_trims_cohort(tmp_path, capsys):
     save_corpus(make_corpus(users=users, timelines=timelines, likes=likes,
                             follows=follows, seeds=["s0", "s1", "s2", "s3"]),
                 CorpusPaths.in_dir(corpus_dir))
+    return corpus_dir
+
+
+def test_control_shortage_trims_cohort(tmp_path):
     out = tmp_path / "out"
-    config = config_file(tmp_path, corpus_dir, out)
+    config = config_file(tmp_path, shortage_corpus(tmp_path), out)
+    # cohort build trims the cohort to the two eligible controls
     assert run("cohort", "build", "--config", config) == 0
-    assert len(json.loads((out / "cohort.json").read_text())["user_ids"]) == 4
+    cohort_bytes = (out / "cohort.json").read_bytes()
+    cohort_doc = json.loads(cohort_bytes)
+    assert len(cohort_doc["user_ids"]) == 2
+    assert cohort_doc["parameters"]["trimmed_to_match_controls"] == 2
+    # cohort control matches that cohort and leaves cohort.json alone
     assert run("cohort", "control", "--config", config) == 0
-    cohort_doc = json.loads((out / "cohort.json").read_text())
+    assert (out / "cohort.json").read_bytes() == cohort_bytes
     control_doc = json.loads((out / "control.json").read_text())
-    assert len(cohort_doc["user_ids"]) == 2  # trimmed to match controls
     assert sorted(control_doc["user_ids"]) == ["r0", "r1"]
-    # the manifest agrees with the files on disk after the rewrite
+    assert control_doc["parameters"]["n"] == 2
+    # the manifest agrees with the files on disk
     stages = json.loads((out / "manifest.json").read_text())["stages"]
     for stage in stages.values():
         for name, digest in stage["outputs"].items():
             assert digest == cli.file_sha256(out / name), name
     assert (stages["cohort.control"]["inputs"]["cohort.json"]
             == stages["cohort.build"]["outputs"]["cohort.json"])
-    # a cohort.json without the parameters that note the trim fails on it
+
+
+def test_corpus_stage_changes_only_the_files_it_records(tmp_path):
+    out = tmp_path / "out"
+    config = config_file(tmp_path, shortage_corpus(tmp_path), out)
+
+    def snapshot() -> dict[str, bytes]:
+        if not out.exists():
+            return {}
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    for stage in (s for s in cli.STAGES if s.reads_corpus):
+        before = snapshot()
+        assert run(*stage.command, "--config", config) == 0, stage.name
+        after = snapshot()
+        changed = {name for name in before.keys() | after.keys()
+                   if before.get(name) != after.get(name)}
+        manifest = json.loads(after["manifest.json"])
+        recorded = set(manifest["stages"][stage.name]["outputs"])
+        assert changed == recorded | {"manifest.json"}, stage.name
+
+
+def test_stage_errors_name_the_stage(tmp_path, corpus_dir, capsys):
+    def error_of(command, config) -> str:
+        capsys.readouterr()
+        assert run(*command, "--config", config) == 1
+        return capsys.readouterr().err
+
+    out = tmp_path / "out"
+    for where in ("", tmp_path / "absent"):
+        config = config_file(tmp_path, where, out)
+        assert error_of(("ingest", "validate"), config).startswith(
+            "error: stage ingest.validate: ")
+
+    config = config_file(tmp_path, corpus_dir, out, lexicons=[str(tmp_path)])
+    for step in (("cohort", "build"), ("cohort", "control")):
+        assert run(*step, "--config", config) == 0
+    assert error_of(("features", "extract"), config).startswith(
+        "error: stage features.extract: [Errno 21] ")
+
+    config = config_file(tmp_path, corpus_dir, out)
+    engaged = json.loads((out / "cohort.json").read_text())["user_ids"]
+    (out / "control.json").write_text(json.dumps({"user_ids": engaged}))
+    assert error_of(("features", "extract"), config).startswith(
+        "error: stage features.extract: cohorts overlap: ")
+
+    # a cohort enlarged past the eligible pool is not trimmed again
+    out = tmp_path / "enlarged"
+    config = config_file(tmp_path, shortage_corpus(tmp_path), out)
     assert run("cohort", "build", "--config", config) == 0
-    cohort_doc = json.loads((out / "cohort.json").read_text())
-    del cohort_doc["parameters"]
-    (out / "cohort.json").write_text(json.dumps(cohort_doc))
+    doc = json.loads((out / "cohort.json").read_text())
+    doc["user_ids"] = ["c0", "c1", "c2", "c3"]
+    (out / "cohort.json").write_text(json.dumps(doc))
+    enlarged = (out / "cohort.json").read_bytes()
+    assert error_of(("cohort", "control"), config).startswith(
+        "error: stage cohort.control: insufficient eligible control "
+        "candidates: 2 for 4 ")
+    assert (out / "cohort.json").read_bytes() == enlarged
+    assert not (out / "control.json").exists()
+
+
+def test_control_rejects_empty_cohort(tmp_path, corpus_dir, capsys):
+    out = tmp_path / "empty"
+    config = config_file(tmp_path, corpus_dir, out, l_min=10**6)
+    # cohort build still writes the empty cohort, next to the grid
+    assert run("cohort", "build", "--config", config) == 0
+    assert json.loads((out / "cohort.json").read_text())["user_ids"] == []
+    assert (out / "grid.csv").exists()
     capsys.readouterr()
     assert run("cohort", "control", "--config", config) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "cohort.json: parameters must be a JSON object" in err
+    assert capsys.readouterr().err == (
+        "error: stage cohort.control: cohort.json holds no users; see "
+        "grid.csv for thresholds that select some\n")
+    assert not (out / "control.json").exists()
+
+
+def test_readme_config_block_states_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    documented = json.loads(block)
+    defaults = asdict(cli.RunConfig())
+    del documented["corpus_dir"], defaults["corpus_dir"]
+    assert documented == defaults
 
 
 def test_control_no_eligible_users_fails(tmp_path, corpus_dir, capsys):

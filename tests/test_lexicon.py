@@ -312,9 +312,15 @@ def test_join_external_duplicate_column_rejected(tmp_path):
     corpus = two_user_corpus()
     fm = feature_matrix(corpus, {"u1"}, {"u2"}, SNAP)
     path = tmp_path / "dup.csv"
-    path.write_text("user_id,verified\nu1,1\n")
-    with pytest.raises(Exception, match="duplicate column"):
-        join_external_features(fm, path)
+    # a behavioral column, another column of the file, the key column
+    for header, name in (("user_id,verified", "verified"),
+                         ("user_id,x,y,x", "x"),
+                         ("user_id,x,user_id", "user_id")):
+        path.write_text(header + "\n")
+        with pytest.raises(LexiconError, match=rf"^dup\.csv: line 1: "
+                                               rf"duplicate column name: "
+                                               rf"{name}$"):
+            join_external_features(fm, path)
 
 
 @pytest.mark.parametrize("text,error", [
