@@ -75,6 +75,19 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def read_json(path: Path) -> dict:
+    """The JSON object in the file at ``path``; any other content raises a
+    ValueError that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # malformed JSON, or not UTF-8
+        raise ValueError(f"{path.name}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path.name}: expected a JSON object")
+    return doc
+
+
 def _has_type(value, hint) -> bool:
     """Whether a JSON value has the declared type: a bool is no int, and a
     float is finite (``json.load`` reads NaN and Infinity), as is an int
@@ -229,11 +242,9 @@ class RunConfig:
 class Stage:
     """One pipeline stage, as the CLI, ``pipeline run`` and the manifest see it."""
 
-    name: str                        # manifest entry and error prefix
-    command: tuple[str, ...]         # subcommand path
+    name: str                        # manifest entry, error prefix, subcommand
     help: str
     method: str                      # Runner method that runs the stage
-    upstream: tuple[str, ...]        # artifacts read from out_dir
     reads_corpus: bool
     summary: Callable[..., list[str]]  # console lines from the result
 
@@ -249,10 +260,9 @@ class Runner:
         self._corpus: Corpus | None = None
         # seed of the train/test split and of the CV folds
         self.model_seed = stage_seed(config.seed, "model")
-        # parsed upstream artifacts by file name, until a stage rewrites one
-        self._artifacts: dict[str, object] = {}
-        # features() split and imputed, until a stage rewrites features.csv
-        self._partition: tuple[FeatureMatrix, FeatureMatrix] | None = None
+        # what is parsed or derived from each artifact, by file name and
+        # then by kind, until a stage rewrites the file
+        self._artifacts: dict[str, dict[str, object]] = {}
         # sha256 of each corpus file, taken when the corpus is loaded
         self._corpus_digests: dict[Path, str] = {}
         self.manifest_path = self.out / "manifest.json"
@@ -261,15 +271,10 @@ class Runner:
         self.outputs: list[Path] = []
 
     def run(self, stage: Stage):
-        """Check the stage's upstream artifacts, run it and record it. A
-        ValueError or OSError on the way fails as a StageError naming it."""
+        """Run the stage and record it. A ValueError or OSError on the way
+        fails as a StageError naming it."""
         try:
-            for name in stage.upstream:
-                if not (self.out / name).exists():
-                    raise FileNotFoundError(f"missing upstream artifact "
-                                            f"{name} in {self.out}")
             self.inputs = self.corpus_files() if stage.reads_corpus else []
-            self.inputs += [self.out / name for name in stage.upstream]
             self.outputs = []
             # looked up on each call, so a wrapper set on Runner takes effect
             result = getattr(self, stage.method)()
@@ -278,12 +283,20 @@ class Runner:
             raise StageError(stage.name, str(exc)) from exc
         return result
 
+    def input(self, name: str) -> Path:
+        """Path of an artifact the running stage reads; it is recorded."""
+        path = self.out / name
+        if not path.exists():
+            raise FileNotFoundError(f"missing upstream artifact {name} in "
+                                    f"{self.out}")
+        if path not in self.inputs:
+            self.inputs.append(path)
+        return path
+
     def output(self, name: str) -> Path:
         """Path of an artifact the running stage writes; it is recorded."""
         path = self.out / name
         self._artifacts.pop(name, None)
-        if name == "features.csv":
-            self._partition = None
         self.outputs.append(path)
         return path
 
@@ -291,7 +304,7 @@ class Runner:
     def record_stage(self, stage: str) -> None:
         manifest = {"version": __version__, "stages": {}}
         if self.manifest_path.exists():
-            manifest = self.read_json(self.manifest_path.name)
+            manifest = read_json(self.manifest_path)
             if not isinstance(manifest.get("stages", {}), dict):
                 raise ValueError("manifest.json: stages must be a JSON object")
         manifest["version"] = __version__
@@ -331,32 +344,32 @@ class Runner:
 
     def features(self) -> FeatureMatrix:
         """features.csv, parsed once per Runner; stages copy, never mutate."""
-        return self._parsed("features.csv", FeatureMatrix.from_csv)
+        return self._derived("features.csv", "matrix", FeatureMatrix.from_csv)
 
     def ensemble(self) -> TreeEnsemble:
         """model.json, loaded once per Runner."""
-        return self._parsed("model.json", load_ensemble)
+        return self._derived("model.json", "ensemble", load_ensemble)
 
-    def _parsed(self, name: str, parse):
-        if name not in self._artifacts:
-            self._artifacts[name] = parse(self.out / name)
-        return self._artifacts[name]
+    def partition(self) -> tuple[FeatureMatrix, FeatureMatrix]:
+        """The imputed (train, test) split of features(), once per parse."""
+        def split(_):
+            train, test = model.stratified_split(
+                self.features(), self.config.test_fraction, self.model_seed)
+            return model.impute(train, test)
+        return self._derived("features.csv", "partition", split)
 
-    def read_json(self, name: str) -> dict:
-        """The JSON object in the artifact ``name``; any other content
-        raises a ValueError that names the file."""
-        try:
-            with open(self.out / name, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except ValueError as exc:  # malformed JSON, or not UTF-8
-            raise ValueError(f"{name}: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ValueError(f"{name}: expected a JSON object")
-        return doc
+    def _derived(self, name: str, kind: str, make):
+        """``make(path)`` of the artifact ``name``, read through ``input``
+        and kept until a stage rewrites the file."""
+        path = self.input(name)
+        memo = self._artifacts.setdefault(name, {})
+        if kind not in memo:
+            memo[kind] = make(path)
+        return memo[kind]
 
     def load_cohort_ids(self, name: str) -> set[str]:
         """The ``user_ids`` of cohort.json or control.json, checked."""
-        ids = self.read_json(name).get("user_ids")
+        ids = read_json(self.input(name)).get("user_ids")
         if not (isinstance(ids, list) and all(type(i) is str for i in ids)):
             raise ValueError(f"{name}: user_ids must be a list of strings")
         return set(ids)
@@ -406,11 +419,11 @@ class Runner:
 
     def stage_cohort_control(self) -> set[str]:
         cfg = self.config
-        corpus = self.corpus()
         engaged = self.load_cohort_ids("cohort.json")
         if not engaged:
             raise ValueError("cohort.json holds no users; see grid.csv for "
                              "thresholds that select some")
+        corpus = self.corpus()
         if not engaged <= corpus.users.keys():
             raise ValueError("cohort.json names users without a profile "
                              "record")
@@ -437,24 +450,23 @@ class Runner:
         return ranked
 
     def stage_topics(self) -> None:
-        corpus = self.corpus()
-        jobs = [("cohort.json", "edges.csv", "nodes.csv")]
+        jobs = [(self.load_cohort_ids("cohort.json"), "edges.csv",
+                 "nodes.csv")]
         if (self.out / "control.json").exists():
-            jobs.append(("control.json", "control_edges.csv",
-                         "control_nodes.csv"))
-            self.inputs.append(self.out / "control.json")
-        for cohort_file, edges_name, nodes_name in jobs:
-            graph = topics.cooccurrence_graph(
-                corpus, self.load_cohort_ids(cohort_file))
+            jobs.append((self.load_cohort_ids("control.json"),
+                         "control_edges.csv", "control_nodes.csv"))
+        corpus = self.corpus()
+        for ids, edges_name, nodes_name in jobs:
+            graph = topics.cooccurrence_graph(corpus, ids)
             graph = topics.top_k_subgraph(graph, self.config.top_nodes_k)
             topics.write_edges_csv(graph, self.output(edges_name))
             topics.write_nodes_csv(graph, self.output(nodes_name))
 
     def stage_features(self) -> FeatureMatrix:
         cfg = self.config
-        corpus = self.corpus()
         engaged = self.load_cohort_ids("cohort.json")
         control = self.load_cohort_ids("control.json")
+        corpus = self.corpus()
         as_of = default_snapshot(corpus)
         lexicons = [load_lexicon(p) for p in cfg.lexicons]
         matrix = feature_matrix(corpus, engaged, control, as_of,
@@ -469,14 +481,6 @@ class Runner:
         write_json(self.output("features.meta.json"), meta)
         return matrix
 
-    def partition(self) -> tuple[FeatureMatrix, FeatureMatrix]:
-        """The imputed (train, test) split of features(), once per parse."""
-        if self._partition is None:
-            train, test = model.stratified_split(
-                self.features(), self.config.test_fraction, self.model_seed)
-            self._partition = model.impute(train, test)
-        return self._partition
-
     def stage_train(self):
         train, _ = self.partition()
         ensemble = model.train_on_matrix(train, self.config.train_config())
@@ -485,8 +489,8 @@ class Runner:
 
     def stage_evaluate(self) -> dict:
         cfg = self.config
-        ensemble = self.ensemble()
         train, test = self.partition()
+        ensemble = self.ensemble()
         # a single coin-flip predictor is a noisy estimate of chance-level
         # performance; average a batch of draws instead
         draws = [model.baseline_random(test, stage_seed(cfg.seed, f"baseline{i}"))
@@ -523,6 +527,7 @@ class Runner:
 
     def stage_curve(self) -> list[tuple[int, float]]:
         cfg = self.config
+        train, test = self.partition()
         ensemble = self.ensemble()
         ranking = model.importance_ranking(ensemble)
         n = len(ranking)
@@ -533,7 +538,6 @@ class Runner:
                              f"feature columns")
         if ks[-1] != n:
             ks.append(n)
-        train, test = self.partition()
         # a refit on any top-k that holds every column model.json splits on
         # rebuilds that model bit for bit, so those points are its own F1
         answered = model.smallest_k_with_split_columns(ensemble, ranking)
@@ -548,45 +552,36 @@ class Runner:
 
 
 STAGES = (
-    Stage("ingest.validate", ("ingest", "validate"),
-          "load the corpus and report inconsistencies", "stage_validate",
-          (), True,
+    Stage("ingest.validate", "load the corpus and report inconsistencies",
+          "stage_validate", True,
           lambda p: [json.dumps(p["counts"]),
                      "consistent" if p["consistent"]
                      else "inconsistencies found; see validation_report.json"]),
-    Stage("cohort.build", ("cohort", "build"),
+    Stage("cohort.build",
           "select the engaged cohort and write the threshold grid",
-          "stage_cohort_build", (), True,
+          "stage_cohort_build", True,
           lambda ids: [f"cohort: {len(ids)} users -> cohort.json"]),
-    Stage("cohort.control", ("cohort", "control"),
-          "build the matched control group", "stage_cohort_control",
-          ("cohort.json",), True,
+    Stage("cohort.control", "build the matched control group",
+          "stage_cohort_control", True,
           lambda ids: [f"control: {len(ids)} users -> control.json"]),
-    Stage("hashtags.top", ("hashtags", "top"),
-          "rank hashtags used by the engaged cohort", "stage_hashtags",
-          ("cohort.json",), True,
+    Stage("hashtags.top", "rank hashtags used by the engaged cohort",
+          "stage_hashtags", True,
           lambda ranked: [f"{tag}\t{count}" for tag, count in ranked]),
-    Stage("topics.graph", ("topics", "graph"),
-          "hashtag co-occurrence graph per cohort", "stage_topics",
-          ("cohort.json",), True,
+    Stage("topics.graph", "hashtag co-occurrence graph per cohort",
+          "stage_topics", True,
           lambda _: ["graphs written -> edges.csv / nodes.csv"]),
-    Stage("features.extract", ("features", "extract"),
-          "extract the behavioral feature matrix", "stage_features",
-          ("cohort.json", "control.json"), True,
+    Stage("features.extract", "extract the behavioral feature matrix",
+          "stage_features", True,
           lambda m: [f"features: {m.n_rows} rows x {len(m.columns)} "
                      f"columns -> features.csv"]),
-    Stage("train", ("train",), "fit the boosted-tree model", "stage_train",
-          ("features.csv",), False,
+    Stage("train", "fit the boosted-tree model", "stage_train", False,
           lambda ens: [f"model: {len(ens.trees)} trees -> model.json"]),
-    Stage("evaluate", ("evaluate",), "holdout metrics and baselines",
-          "stage_evaluate", ("features.csv", "model.json"), False,
-          lambda p: [json.dumps(p["model"])]),
-    Stage("importance", ("importance",), "write the feature ranking",
-          "stage_importance", ("model.json",), False,
-          lambda report: [f"{name}\t{share:.6f}"
-                          for name, share in report[:20]]),
-    Stage("curve", ("curve",), "F1 growth over top-k features", "stage_curve",
-          ("features.csv", "model.json"), False,
+    Stage("evaluate", "holdout metrics and baselines", "stage_evaluate",
+          False, lambda p: [json.dumps(p["model"])]),
+    Stage("importance", "write the feature ranking", "stage_importance",
+          False, lambda report: [f"{name}\t{share:.6f}"
+                                 for name, share in report[:20]]),
+    Stage("curve", "F1 growth over top-k features", "stage_curve", False,
           lambda curve: [f"{k}\t{f1:.6f}" for k, f1 in curve]),
 )
 
@@ -627,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     for stage in STAGES:
-        sub(stage.command, stage.help).set_defaults(stage=stage)
+        sub(tuple(stage.name.split(".")), stage.help).set_defaults(stage=stage)
 
     gen = sub(("synth", "generate"), "generate a synthetic benchmark corpus")
     gen.add_argument("--n", type=int, default=200, help="users per group")

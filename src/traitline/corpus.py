@@ -18,8 +18,9 @@ line is decoded by the C scanner behind ``json.loads``, which must
 consume the whole line; a line it rejects goes to ``json.loads`` for the
 error message. Each parser then checks its record in one pass: every
 field's type where it is read, in a fixed order, and then the record's
-invariants (a known tweet kind; user counts ``>= 0`` and ``created_at``
-no later than ``snapshot_at``), so the first bad field names the error.
+invariants (a known tweet kind; user counts ``>= 0`` and ``< 2**63``,
+and ``created_at`` no later than ``snapshot_at``), so the first bad field
+names the error.
 ``tweets.jsonl`` is parsed in byte ranges of whole lines, one per worker,
 each range written to a file in a temporary directory. The table is
 merged from the files, each piece read once: the one tweet-id column is
@@ -716,6 +717,8 @@ def _parse_user(obj: dict) -> UserRecord:
     for name, value in zip(_USER_COUNTS, scalars):
         if value < 0:
             raise CorpusError(f"{name} < 0 for user {user_id}")
+        if value >= 2**63:  # int64's bound; float() fails past 2**1024
+            raise CorpusError(f"{name} >= 2**63 for user {user_id}")
     if created_at > snapshot_at:
         raise CorpusError(f"created_at after snapshot_at for user {user_id}")
     return UserRecord(user_id, created_at, *scalars, bio, language,

@@ -195,8 +195,10 @@ class _Grower:
         feature, pos = divmod(best, hi - lo)
         pos += lo
         below, above = order.item(feature, pos), order.item(feature, pos + 1)
-        threshold = (self.XT.item(feature, below)
-                     + self.XT.item(feature, above)) / 2.0
+        # halved first: near the float maximum lo + hi overflows to inf;
+        # otherwise the bits of (lo + hi) / 2 unless a half is subnormal
+        threshold = (self.XT.item(feature, below) / 2.0
+                     + self.XT.item(feature, above) / 2.0)
         return best_gain, feature, threshold
 
     def _partition(self, node: _Node, feature: int, threshold: float,

@@ -14,6 +14,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -66,84 +67,68 @@ class Lexicon:
         return cats
 
 
-def _load_tsv(path: Path, name: str) -> Lexicon:
-    entries: dict[str, set[str]] = {}
-    categories: list[str] = []
-    seen_flags: dict[tuple[str, str], str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise LexiconError(
-                    f"{path.name}: line {lineno}: expected word<TAB>category<TAB>flag")
-            word, category, flag = (p.strip().lower() for p in parts)
-            if not category:
-                raise LexiconError(f"{path.name}: line {lineno}: empty category")
-            if "*" in word:
-                raise LexiconError(
-                    f"{path.name}: line {lineno}: {word!r}: TSV words match "
-                    f"exactly, so '*' is not allowed")
-            if flag not in ("0", "1"):
-                raise LexiconError(
-                    f"{path.name}: line {lineno}: flag must be 0 or 1")
-            key = (word, category)
-            if key in seen_flags and seen_flags[key] != flag:
-                raise LexiconError(
-                    f"{path.name}: line {lineno}: contradictory flags for "
-                    f"({word}, {category})")
-            seen_flags[key] = flag
-            if category not in categories:
-                categories.append(category)
-            if flag == "1":
-                entries.setdefault(word, set()).add(category)
-    return Lexicon(name=name,
-                   entries={w: frozenset(c) for w, c in entries.items()},
-                   categories=categories)
+def _tsv_line(line: str, where: str, flags: dict) -> tuple[str, list[str]]:
+    """A TSV triple's category, and its word when the flag is 1; ``flags``
+    holds the flag of each (word, category) seen so far."""
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise LexiconError(f"{where}: expected word<TAB>category<TAB>flag")
+    word, category, flag = (p.strip().lower() for p in parts)
+    if not category:
+        raise LexiconError(f"{where}: empty category")
+    if "*" in word:
+        raise LexiconError(f"{where}: {word!r}: TSV words match exactly, so "
+                           f"'*' is not allowed")
+    if flag not in ("0", "1"):
+        raise LexiconError(f"{where}: flag must be 0 or 1")
+    if flags.setdefault((word, category), flag) != flag:
+        raise LexiconError(f"{where}: contradictory flags for "
+                           f"({word}, {category})")
+    return category, [word] if flag == "1" else []
 
 
-def _load_dict(path: Path, name: str) -> Lexicon:
-    entries: dict[str, set[str]] = {}
-    categories: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise LexiconError(
-                    f"{path.name}: line {lineno}: expected 'category: words'")
-            category, _, words = line.partition(":")
-            category = category.strip().lower()
-            if not category:
-                raise LexiconError(f"{path.name}: line {lineno}: empty category")
-            if category not in categories:
-                categories.append(category)
-            for word in words.split():
-                if word == "*":
-                    raise LexiconError(
-                        f"{path.name}: line {lineno}: bare '*' would match "
-                        f"every token")
-                if "*" in word[:-1]:
-                    raise LexiconError(
-                        f"{path.name}: line {lineno}: {word!r}: '*' is only "
-                        f"allowed at the end of a word")
-                entries.setdefault(word.lower(), set()).add(category)
-    return Lexicon(name=name,
-                   entries={w: frozenset(c) for w, c in entries.items()},
-                   categories=categories)
+def _dict_line(line: str, where: str) -> tuple[str, list[str]]:
+    """A dictionary line's category and its lowercased words."""
+    if ":" not in line:
+        raise LexiconError(f"{where}: expected 'category: words'")
+    category, _, words = line.partition(":")
+    category = category.strip().lower()
+    if not category:
+        raise LexiconError(f"{where}: empty category")
+    words = words.split()
+    for word in words:
+        if word == "*":
+            raise LexiconError(f"{where}: bare '*' would match every token")
+        if "*" in word[:-1]:
+            raise LexiconError(f"{where}: {word!r}: '*' is only allowed at "
+                               f"the end of a word")
+    return category, [word.lower() for word in words]
 
 
 def load_lexicon(path) -> Lexicon:
     """Load a lexicon file named by its lowercased stem: a ``.tsv`` or
-    ``.txt`` file holds TSV triples, any other a category dictionary."""
+    ``.txt`` file holds TSV triples, any other a category dictionary. A
+    byte order mark at the start of the file is skipped."""
     path = Path(path)
-    name = path.stem.lower()
     if path.suffix.lower() in (".tsv", ".txt"):
-        return _load_tsv(path, name)
-    return _load_dict(path, name)
+        parse = partial(_tsv_line, flags={})
+    else:
+        parse = _dict_line
+    entries: dict[str, set[str]] = {}
+    categories: list[str] = []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            category, words = parse(line, f"{path.name}: line {lineno}")
+            if category not in categories:
+                categories.append(category)
+            for word in words:
+                entries.setdefault(word, set()).add(category)
+    return Lexicon(name=path.stem.lower(),
+                   entries={w: frozenset(c) for w, c in entries.items()},
+                   categories=categories)
 
 
 def lexicon_features(timeline: list[TokenizedTweet],
@@ -196,7 +181,7 @@ def join_external_features(matrix: FeatureMatrix, path) -> FeatureMatrix:
     empty file leaves the matrix unchanged (with a warning).
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import gc
 import hashlib
@@ -275,11 +276,84 @@ def test_stage_upstream_written_by_earlier_stage(tmp_path, corpus_dir):
     config = config_file(tmp_path, corpus_dir, tmp_path / "order")
     assert run("pipeline", "run", "--config", config) == 0
     manifest = json.loads((tmp_path / "order" / "manifest.json").read_text())
+    corpus_files = {Path(p).name
+                    for p in astuple(CorpusPaths.in_dir(corpus_dir))}
     written = set()
     for stage in cli.STAGES:
-        missing = set(stage.upstream) - written
+        read = set(manifest["stages"][stage.name]["inputs"]) - corpus_files
+        missing = read - written
         assert not missing, f"{stage.name} reads {sorted(missing)} first"
         written |= set(manifest["stages"][stage.name]["outputs"])
+
+
+def test_stage_records_the_artifacts_it_opens(tmp_path, corpus_dir,
+                                              monkeypatch):
+    # a stage's manifest inputs, less the corpus files, are the out_dir
+    # files it opens to read (the manifest aside): in a Runner per stage
+    # exactly, and in pipeline run, where a parse is kept for later
+    # stages, at least those
+    opened, current = [], []
+    original_open, original_run = builtins.open, cli.Runner.run
+
+    def opening(file, mode="r", *args, **kwargs):
+        if mode in ("r", "rt") and isinstance(file, (str, Path)):
+            opened.append((current[-1] if current else None, Path(file)))
+        return original_open(file, mode, *args, **kwargs)
+
+    def running(self, stage):
+        current.append(stage.name)
+        return original_run(self, stage)
+
+    monkeypatch.setattr(builtins, "open", opening)
+    monkeypatch.setattr(cli.Runner, "run", running)
+    corpus_files = {Path(p).name
+                    for p in astuple(CorpusPaths.in_dir(corpus_dir))}
+    for layout, argvs in (("stagewise",
+                           [s.name.split(".") for s in cli.STAGES]),
+                          ("pipeline", [("pipeline", "run")])):
+        out = tmp_path / layout
+        config = config_file(tmp_path, corpus_dir, out, run_cv=True)
+        opened.clear()
+        for argv in argvs:
+            assert run(*argv, "--config", config) == 0, argv
+        manifest = json.loads((out / "manifest.json").read_text())
+        for stage in cli.STAGES:
+            read = {path.name for reader, path in opened
+                    if reader == stage.name and path.parent == out
+                    and path.name != "manifest.json"}
+            recorded = (set(manifest["stages"][stage.name]["inputs"])
+                        - corpus_files)
+            if layout == "stagewise":
+                assert read == recorded, stage.name
+            else:
+                assert read <= recorded, stage.name
+    # topics.graph reads control.json once cohort.control has written it
+    assert "control.json" in manifest["stages"]["topics.graph"]["inputs"]
+
+
+@pytest.mark.parametrize("stage", ["cohort.control", "hashtags.top",
+                                   "topics.graph", "features.extract"])
+def test_missing_cohort_fails_before_the_corpus_loads(tmp_path, corpus_dir,
+                                                      capsys, monkeypatch,
+                                                      stage):
+    loads = []
+    monkeypatch.setattr(cli, "load_corpus",
+                        lambda *args, **kwargs: loads.append(args))
+    config = config_file(tmp_path, corpus_dir, tmp_path / "empty")
+    assert run(*stage.split("."), "--config", config) == 1
+    err = capsys.readouterr().err
+    assert f"stage {stage}: missing upstream artifact cohort.json in " in err
+    assert loads == []
+
+
+def test_readme_lists_the_stage_commands_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    block = quick_start.split("one at a time", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("--config")[0].split()[1:]
+                for line in block.splitlines()]
+    assert commands == [stage.name.split(".") for stage in cli.STAGES]
 
 
 def test_pipeline_looks_up_stage_methods_at_call_time(tmp_path, corpus_dir,
@@ -305,7 +379,7 @@ def test_pipeline_parses_features_and_model_once(tmp_path, corpus_dir,
     stagewise = tmp_path / "stagewise"
     config = config_file(tmp_path, corpus_dir, stagewise)
     for stage in cli.STAGES:
-        assert run(*stage.command, "--config", config) == 0
+        assert run(*stage.name.split("."), "--config", config) == 0
 
     parsed = []
     read_csv, read_model = cli.FeatureMatrix.from_csv, cli.load_ensemble
@@ -368,10 +442,15 @@ def test_rewritten_artifact_is_parsed_again(tmp_path, corpus_dir):
 def test_missing_upstream_artifact_fails_with_stage(tmp_path, corpus_dir,
                                                     capsys):
     config = config_file(tmp_path, corpus_dir, tmp_path / "fresh")
-    assert run("train", "--config", config) == 1
-    err = capsys.readouterr().err
-    assert "stage train" in err
-    assert "features.csv" in err
+    # evaluate and curve read features.csv first, so with neither file
+    # there the error names it
+    for stage, missing in (("train", "features.csv"),
+                           ("evaluate", "features.csv"),
+                           ("importance", "model.json"),
+                           ("curve", "features.csv")):
+        assert run(stage, "--config", config) == 1
+        err = capsys.readouterr().err
+        assert f"stage {stage}: missing upstream artifact {missing}" in err
 
 
 def test_config_errors_reported_all_at_once(tmp_path):
@@ -562,7 +641,7 @@ def test_corpus_stage_changes_only_the_files_it_records(tmp_path):
 
     for stage in (s for s in cli.STAGES if s.reads_corpus):
         before = snapshot()
-        assert run(*stage.command, "--config", config) == 0, stage.name
+        assert run(*stage.name.split("."), "--config", config) == 0, stage.name
         after = snapshot()
         changed = {name for name in before.keys() | after.keys()
                    if before.get(name) != after.get(name)}

@@ -453,6 +453,23 @@ def test_negative_count_rejected(tmp_path):
         load_corpus(paths)
 
 
+@pytest.mark.parametrize("name", ["followers_count", "following_count",
+                                  "tweet_count", "listed_count"])
+def test_count_past_int64_rejected_with_file_and_line(tmp_path, name):
+    # 10**400 used to load and then crash features.extract in float()
+    message = rf"^users\.jsonl: line 2: {name} >= 2\*\*63 for user u2$"
+    for count in (10**400, 2**63):
+        paths = write_fixture(tmp_path,
+                              users=[user_row("u1"),
+                                     user_row("u2", **{name: count})],
+                              tweets=[], seeds=["s1"])
+        with pytest.raises(CorpusError, match=message):
+            load_corpus(paths)
+    largest = user_row("u1", **{name: 2**63 - 1})
+    paths = write_fixture(tmp_path, users=[largest], tweets=[], seeds=["s1"])
+    assert getattr(load_corpus(paths).users["u1"], name) == 2**63 - 1
+
+
 def test_unknown_kind_rejected(tmp_path):
     paths = write_fixture(
         tmp_path, users=[user_row("u1")],
@@ -730,6 +747,8 @@ class OracleUserRecord:
                      "listed_count"):
             if getattr(self, name) < 0:
                 raise CorpusError(f"{name} < 0 for user {self.user_id}")
+            if getattr(self, name) >= 2**63:
+                raise CorpusError(f"{name} >= 2**63 for user {self.user_id}")
         if self.created_at > self.snapshot_at:
             raise CorpusError(
                 f"created_at after snapshot_at for user {self.user_id}")

@@ -152,6 +152,20 @@ def test_min_samples_leaf_respected():
     assert all("value" in t for t in ensemble.trees)
 
 
+def test_split_threshold_between_values_near_the_float_maximum():
+    # (lo + hi) / 2 overflowed to inf here: every row went left, yet the
+    # split's gain was credited and all ten rows were predicted 1
+    x = np.array([[1.5e308]] * 5 + [[1.7e308]] * 5)
+    y = np.array([0.0] * 5 + [1.0] * 5)
+    ensemble = train_gbdt(x, y, ["f0"],
+                          cfg(n_trees=1, max_depth=1, min_samples_leaf=5))
+    tree = ensemble.trees[0]
+    assert tree["threshold"] == 1.6e308
+    assert tree["gain"] == 10.0
+    assert (x[:, 0] <= tree["threshold"]).sum() == 5
+    assert predict_labels(ensemble, x).tolist() == [0] * 5 + [1] * 5
+
+
 def test_single_class_rejected():
     with pytest.raises(ModelError, match="single class"):
         train_gbdt(np.zeros((5, 1)), np.ones(5), ["f0"], cfg())
@@ -217,7 +231,7 @@ def reference_best_split(X, g, h, min_samples_leaf):
     if not np.isfinite(flat[best]) or flat[best] <= 0.0:
         return None
     feature, pos = divmod(best, n - 1)
-    threshold = float((xs[pos, feature] + xs[pos + 1, feature]) / 2.0)
+    threshold = float(xs[pos, feature] / 2.0 + xs[pos + 1, feature] / 2.0)
     return float(flat[best]), int(feature), threshold, X[:, feature] <= threshold
 
 

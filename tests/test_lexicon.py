@@ -88,6 +88,19 @@ def test_dict_wildcard_that_cannot_match_as_written_rejected(tmp_path, words):
         load_lexicon(path)
 
 
+@pytest.mark.parametrize("name, text", [("bom.dic", "\ufeffjoy: happy\n"),
+                                        ("bom.tsv", "\ufeffhappy\tjoy\t1\n")],
+                         ids=["dic", "tsv"])
+def test_byte_order_mark_skipped(tmp_path, name, text):
+    # a BOM used to start the first name: category '\ufeffjoy' (column
+    # bom_\ufeffjoy), or the TSV word '\ufeffhappy', which never matched
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    lex = load_lexicon(path)
+    assert lex.column_names() == ["bom_joy"]
+    assert lex.categories_of("happy") == {"joy"}
+
+
 def test_shipped_mini_lexicons_load():
     emotions = load_lexicon(REPO_LEXICONS / "mini_emotions.tsv")
     assert {"anger", "joy", "positive", "negative"} <= set(emotions.categories)
@@ -297,6 +310,16 @@ def test_join_external_features(tmp_path):
     assert out.columns[-2:] == ["openness", "rigor"]
     assert out.values[0, out.column_index("openness")] == 0.5
     assert math.isnan(out.values[1, out.column_index("openness")])
+
+
+def test_join_external_skips_byte_order_mark(tmp_path):
+    # the first header cell used to name the column '\ufeffscore'
+    fm = feature_matrix(two_user_corpus(), {"u1"}, {"u2"}, SNAP)
+    path = tmp_path / "scores.csv"
+    path.write_text("\ufeffscore,user_id\n0.5,u1\n", encoding="utf-8")
+    out = join_external_features(fm, path)
+    assert out.columns[-1] == "score"
+    assert out.values[0, out.column_index("score")] == 0.5
 
 
 def test_join_external_empty_cell_is_missing(tmp_path):
